@@ -115,10 +115,7 @@ def apply_ablation(task: Task, ann: AnnotationSet, spec: AblationSpec) -> Ablate
 def shuffle_definition(text: str, seed: int) -> str:
     """Seeded Fisher-Yates shuffle of whitespace tokens."""
     tokens = text.split()
-    rng = random.Random(seed)
-    for i in range(len(tokens) - 1, 0, -1):
-        j = rng.randrange(i + 1)
-        tokens[i], tokens[j] = tokens[j], tokens[i]
+    random.Random(seed).shuffle(tokens)
     return " ".join(tokens)
 
 

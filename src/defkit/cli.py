@@ -420,7 +420,9 @@ def cmd_triplet(args) -> int:
     failures = []
     n_triplets = n_meta = 0
     with triplet_file.open("w", encoding="utf-8") as tf, meta_file.open("w", encoding="utf-8") as mf:
-        for task, tree in zip(tasks, trees):
+        trees.reverse()
+        for task in tasks:
+            tree = trees.pop()  # the list lets go of each tree, and its cached layout, once used
             ann = anns.get(task.id)
             if ann is None:
                 failures.append(f"{task.id}: no annotation record")

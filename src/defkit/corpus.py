@@ -262,10 +262,7 @@ def split_examples(
             f"task {task.id}: need {n_fit}+{n_holdout} instances, have {len(task.instances)}"
         )
     ids = [inst.id for inst in task.instances]
-    rng = random.Random(seed)
-    for i in range(len(ids) - 1, 0, -1):
-        j = rng.randrange(i + 1)
-        ids[i], ids[j] = ids[j], ids[i]
+    random.Random(seed).shuffle(ids)
     fit = ExampleSet(task.id, tuple(ids[:n_fit]), SplitRole.FIT)
     holdout = ExampleSet(task.id, tuple(ids[n_fit : n_fit + n_holdout]), SplitRole.HOLDOUT)
     return fit, holdout

@@ -79,10 +79,6 @@ class BackendTimeoutError(BackendError):
     """Generation backend did not answer within the request timeout."""
 
 
-class StoreCorruptionError(DefkitError):
-    """Score cache store is unreadable as a whole."""
-
-
 class EmptyResultError(DefkitError):
     """Compression produced an empty definition and empty results are disallowed."""
 

@@ -11,8 +11,15 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
-from .errors import DepthError, EmptyError, RootRemovalError, UnbalancedError
+from .errors import (
+    DepthError,
+    EmptyError,
+    RootRemovalError,
+    UnbalancedError,
+    UnknownNodeError,
+)
 
 SYNTHETIC_ROOT_LABEL = "TOP"
 
@@ -44,12 +51,14 @@ class ParseNode:
         return self.token is not None
 
     def leaves(self) -> list["ParseNode"]:
-        if self.is_leaf:
-            return [self]
-        out = []
-        for child in self.children:
-            out.extend(child.leaves())
-        return out
+        return ParseTree(root=self).leaves()
+
+
+class _Layout(NamedTuple):
+    index: dict[int, ParseNode]  # every node by id, in pre-order
+    leaves: list[ParseNode]  # left to right
+    ranges: dict[int, tuple[int, int]]  # node id -> [lo, hi): its leaves are leaves[lo:hi]
+    layers: dict[int, list[int]]  # depth -> node ids, left to right
 
 
 @dataclass(frozen=True)
@@ -57,36 +66,54 @@ class ParseTree:
     root: ParseNode
 
     @cached_property
-    def _index(self) -> dict[int, ParseNode]:
-        index = {}
-        stack = [self.root]
+    def _layout(self) -> _Layout:
+        """One iterative pre-order pass; every traversal reads from it."""
+        layout = _Layout({}, [], {}, {})
+        index, leaves, ranges, layers = layout
+        stack: list[ParseNode | tuple[int, int]] = [self.root]
         while stack:
             node = stack.pop()
+            if isinstance(node, tuple):  # (id, lo): every leaf below that node has been seen
+                ranges[node[0]] = (node[1], len(leaves))
+                continue
             index[node.id] = node
-            stack.extend(node.children)
-        return index
+            layers.setdefault(node.depth, []).append(node.id)
+            lo = len(leaves)
+            if node.is_leaf:
+                ranges[node.id] = (lo, lo + 1)
+                leaves.append(node)
+            else:
+                stack.append((node.id, lo))
+                stack.extend(reversed(node.children))
+        return layout
 
     def node(self, node_id: int) -> ParseNode:
-        from .errors import UnknownNodeError
-
         try:
-            return self._index[node_id]
+            return self._layout.index[node_id]
         except KeyError:
             raise UnknownNodeError(f"no node with id {node_id}")
 
     def __contains__(self, node_id: int) -> bool:
-        return node_id in self._index
+        return node_id in self._layout.index
+
+    def nodes(self) -> list[ParseNode]:
+        """Every node, in pre-order."""
+        return list(self._layout.index.values())
 
     def leaves(self) -> list[ParseNode]:
-        return self.root.leaves()
+        return list(self._layout.leaves)
+
+    def leaf_range(self, node_id: int) -> tuple[int, int]:
+        """[lo, hi) such that the node's leaves are leaves()[lo:hi]."""
+        return self._layout.ranges[self.node(node_id).id]
 
     @property
     def source_tokens(self) -> list[str]:
-        return [leaf.token for leaf in self.leaves()]
+        return [leaf.token for leaf in self._layout.leaves]
 
-    @property
+    @cached_property
     def depth(self) -> int:
-        return max(node.depth for node in self._index.values())
+        return max(self._layout.layers)
 
 
 _LEXER = re.compile(r"\(|\)|[^\s()]+")
@@ -98,80 +125,64 @@ def parse_bracketed(text: str) -> ParseTree:
     Multiple top-level trees are joined under a synthetic TOP node. PTB
     escape tokens (-LRB- etc.) are mapped to literal brackets in the token
     value; the raw form is kept for bracketed re-serialization.
+
+    Ids are handed out in pre-order from 1; the root takes id 0, so a lone
+    top-level tree leaves id 1 unused.
     """
     tokens = [(m.group(0), m.start()) for m in _LEXER.finditer(text)]
     if not tokens:
         raise EmptyError("no tree in input")
 
-    pos = 0
-    counter = 0
+    # A lone top-level tree is the root, at depth 1; several sit at depth 2
+    # under TOP. Counting them first fixes every depth in one pass below.
+    nesting = top_level = 0
+    for tok, _ in tokens:
+        if tok == "(":
+            top_level += nesting == 0
+            nesting += 1
+        elif tok == ")":
+            nesting -= 1
+    single = top_level == 1
+    top_depth = 1 if single else 2
 
-    def next_id() -> int:
-        nonlocal counter
-        counter += 1
-        return counter - 1
-
-    def parse_node(depth: int) -> ParseNode:
-        nonlocal pos
-        tok, at = tokens[pos]
-        if tok != "(":
-            raise UnbalancedError(f"expected '(' at offset {at}", position=at)
-        pos += 1
-        if pos >= len(tokens) or tokens[pos][0] in "()":
-            at = tokens[pos][1] if pos < len(tokens) else len(text)
-            raise UnbalancedError(f"expected a constituent label at offset {at}", position=at)
-        node_id = next_id()
-        label = tokens[pos][0]
-        pos += 1
-        children = []
-        while pos < len(tokens) and tokens[pos][0] != ")":
-            if tokens[pos][0] == "(":
-                children.append(parse_node(depth + 1))
-            else:
-                raw, _ = tokens[pos]
-                pos += 1
-                children.append(
-                    ParseNode(
-                        id=next_id(),
-                        label=raw,
-                        depth=depth + 1,
-                        token=PTB_ESCAPES.get(raw, raw),
-                        raw=raw,
-                    )
-                )
-        if pos >= len(tokens):
-            raise UnbalancedError(f"unclosed '(' opened at offset {at}", position=at)
-        pos += 1  # consume ')'
-        return ParseNode(id=node_id, label=label, depth=depth, children=tuple(children))
-
-    # reserve id 0 for a potential synthetic root: parse once to count roots
     roots: list[ParseNode] = []
-    counter = 1  # id 0 kept for the synthetic/actual root slot
-    first = True
+    # one entry per open constituent: (id, label, offset of its '(', children)
+    open_nodes: list[tuple[int, str, int, list[ParseNode]]] = []
+    next_id = 1
+    pos = 0
     while pos < len(tokens):
         tok, at = tokens[pos]
-        if tok == ")":
-            raise UnbalancedError(f"unmatched ')' at offset {at}", position=at)
-        if tok != "(":
+        pos += 1
+        depth = top_depth + len(open_nodes)
+        if tok == "(":
+            if pos >= len(tokens) or tokens[pos][0] in "()":
+                at = tokens[pos][1] if pos < len(tokens) else len(text)
+                raise UnbalancedError(f"expected a constituent label at offset {at}", position=at)
+            node_id = 0 if single and not open_nodes else next_id
+            next_id += 1
+            open_nodes.append((node_id, tokens[pos][0], at, []))
+            pos += 1
+        elif not open_nodes:
+            if tok == ")":
+                raise UnbalancedError(f"unmatched ')' at offset {at}", position=at)
             raise UnbalancedError(f"stray token {tok!r} at offset {at}", position=at)
-        roots.append(parse_node(2))
-        first = False
-    if len(roots) == 1:
-        root = _shift_depth(roots[0], -1)
-        root = ParseNode(id=0, label=root.label, depth=1, children=root.children, token=root.token, raw=root.raw)
-    else:
-        root = ParseNode(id=0, label=SYNTHETIC_ROOT_LABEL, depth=1, children=tuple(roots))
-    return ParseTree(root=root)
-
-
-def _shift_depth(node: ParseNode, delta: int) -> ParseNode:
-    return ParseNode(
-        id=node.id,
-        label=node.label,
-        depth=node.depth + delta,
-        children=tuple(_shift_depth(c, delta) for c in node.children),
-        token=node.token,
-        raw=node.raw,
+        elif tok == ")":
+            node_id, label, _, children = open_nodes.pop()
+            node = ParseNode(id=node_id, label=label, depth=depth - 1, children=tuple(children))
+            (open_nodes[-1][3] if open_nodes else roots).append(node)
+        else:
+            leaf = ParseNode(
+                id=next_id, label=tok, depth=depth, token=PTB_ESCAPES.get(tok, tok), raw=tok
+            )
+            next_id += 1
+            open_nodes[-1][3].append(leaf)
+    if open_nodes:
+        at = open_nodes[-1][2]
+        raise UnbalancedError(f"unclosed '(' opened at offset {at}", position=at)
+    if single:
+        return ParseTree(root=roots[0])
+    return ParseTree(
+        root=ParseNode(id=0, label=SYNTHETIC_ROOT_LABEL, depth=1, children=tuple(roots))
     )
 
 
@@ -179,17 +190,7 @@ def nodes_at_depth(tree: ParseTree, d: int) -> list[int]:
     """Node ids at layer d, in left-to-right span order."""
     if d < 1 or d > tree.depth:
         raise DepthError(f"depth {d} outside 1..{tree.depth}")
-    out: list[int] = []
-
-    def walk(node: ParseNode):
-        if node.depth == d:
-            out.append(node.id)
-            return
-        for child in node.children:
-            walk(child)
-
-    walk(tree.root)
-    return out
+    return list(tree._layout.layers.get(d, ()))
 
 
 def remove_subtree(tree: ParseTree, node_id: int) -> ParseTree:
@@ -198,26 +199,22 @@ def remove_subtree(tree: ParseTree, node_id: int) -> ParseTree:
     Internal nodes left with no leaf descendants are pruned; surviving nodes
     keep their ids and depths. The original tree is unchanged.
     """
-    target = tree.node(node_id)  # raises UnknownNodeError
-    if target.id == tree.root.id:
+    if tree.node(node_id).id == tree.root.id:  # raises UnknownNodeError
         raise RootRemovalError("cannot remove the root node")
-
-    def rebuild(node: ParseNode) -> ParseNode | None:
-        if node.id == node_id:
-            return None
+    lo, hi = tree.leaf_range(node_id)
+    layout = tree._layout
+    kept: dict[int, ParseNode] = {}
+    for node in reversed(layout.index.values()):  # every child before its parent
         if node.is_leaf:
-            return node
-        children = tuple(c for c in (rebuild(child) for child in node.children) if c is not None)
-        if not children and node.id != tree.root.id:
-            return None  # emptied internal node
-        return ParseNode(
-            id=node.id, label=node.label, depth=node.depth, children=children,
-            token=node.token, raw=node.raw,
-        )
-
-    new_root = rebuild(tree.root)
-    assert new_root is not None
-    return ParseTree(root=new_root)
+            if not lo <= layout.ranges[node.id][0] < hi:
+                kept[node.id] = node
+            continue
+        children = tuple(kept[c.id] for c in node.children if c.id in kept)
+        if children or node.id == tree.root.id:  # emptied internal nodes go
+            kept[node.id] = ParseNode(
+                id=node.id, label=node.label, depth=node.depth, children=children
+            )
+    return ParseTree(root=kept[tree.root.id])
 
 
 def detokenize(tokens: list[str]) -> str:
@@ -240,11 +237,17 @@ def render(tree: ParseTree) -> str:
 
 def to_bracketed(tree: ParseTree) -> str:
     """Serialize back to bracketed notation using raw (escaped) token forms."""
-
-    def fmt(node: ParseNode) -> str:
-        if node.is_leaf:
-            return node.raw if node.raw is not None else node.token
-        inner = " ".join(fmt(c) for c in node.children)
-        return f"({node.label} {inner})" if inner else f"({node.label})"
-
-    return fmt(tree.root)
+    out: list[str] = []
+    stack: list[ParseNode | str] = [tree.root]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif item.is_leaf:
+            out.append(item.raw if item.raw is not None else item.token)
+        else:
+            out.append(f"({item.label}")
+            stack.append(")")
+            for child in reversed(item.children):
+                stack.extend((child, " "))
+    return "".join(out)

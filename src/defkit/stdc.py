@@ -12,7 +12,7 @@ from .annotations import AnnotationSet, ContentCategory, validate_annotation
 from .corpus import DEFAULT_TEMPLATE, ExampleSet, Task
 from .errors import EmptyResultError, InvariantError, ScorerError, ValidationError
 from .metrics import normalize
-from .parse import ParseNode, ParseTree, nodes_at_depth, remove_subtree, render
+from .parse import ParseTree, detokenize, nodes_at_depth, remove_subtree, render
 from .scorer import Backend, GenerationParams, ScoreCache, score
 
 BASELINE_CURRENT = "current"
@@ -108,11 +108,8 @@ class HoldoutReport:
         return {"before": self.before, "after": self.after, "coverage": self.coverage}
 
 
-def _subtree_ids(node: ParseNode) -> set[int]:
-    ids = {node.id}
-    for child in node.children:
-        ids |= _subtree_ids(child)
-    return ids
+def _kept_text(tokens: list[str], kept: list[bool]) -> str:
+    return detokenize([tok for tok, k in zip(tokens, kept) if k])
 
 
 def compress(
@@ -147,42 +144,38 @@ def compress(
 
     full_score = f(full_text)
     baseline = full_score
-    current = tree
-    removed_ids: set[int] = set()
-    removed_leaf_ids: set[int] = set()
+    # the compression state: kept[i] says whether leaf i is still in the definition
+    tokens = tree.source_tokens
+    kept = [True] * len(tokens)
+    full = [True] * len(tokens)
+    paper = cfg.baseline_mode == BASELINE_PAPER_LITERAL
     steps: list[Step] = []
 
     for depth in range(2, tree.depth + 1):
         for node_id in nodes_at_depth(tree, depth):
-            if node_id in removed_ids:
-                continue
-            node = tree.node(node_id)
-            surviving_leaves = [lf for lf in node.leaves() if lf.id not in removed_leaf_ids]
-            if not surviving_leaves:
-                continue  # emptied by earlier removals; nothing left to try
-            if cfg.baseline_mode == BASELINE_CURRENT:
-                candidate_tree = remove_subtree(current, node_id)
-            else:
-                candidate_tree = remove_subtree(tree, node_id)
-            candidate_score = f(render(candidate_tree))
+            lo, hi = tree.leaf_range(node_id)
+            surviving = [tok for tok, k in zip(tokens[lo:hi], kept[lo:hi]) if k]
+            if not surviving:
+                continue  # removed or emptied by earlier removals; nothing left to try
+            base = full if paper else kept
+            candidate = base[:lo] + [False] * (hi - lo) + base[hi:]
+            candidate_score = f(_kept_text(tokens, candidate))
             accepted = candidate_score >= baseline - cfg.epsilon
             steps.append(
                 Step(
                     node_id=node_id,
-                    label=node.label,
-                    leaves_removed=tuple(lf.token for lf in surviving_leaves),
+                    label=tree.node(node_id).label,
+                    leaves_removed=tuple(surviving),
                     candidate_score=candidate_score,
                     accepted=accepted,
                 )
             )
             if accepted:
-                current = remove_subtree(current, node_id)
-                removed_ids |= _subtree_ids(node)
-                removed_leaf_ids |= {lf.id for lf in node.leaves()}
-                if cfg.baseline_mode == BASELINE_CURRENT:
+                kept[lo:hi] = [False] * (hi - lo)
+                if not paper:
                     baseline = candidate_score
 
-    compressed = render(current)
+    compressed = _kept_text(tokens, kept)
     if not compressed.strip() and not cfg.allow_empty_result:
         raise EmptyResultError(f"task {task.id}: compression emptied the definition")
     ratio = compression_ratio(full_text, compressed)

@@ -67,7 +67,9 @@ class StubServer(ThreadingHTTPServer):
         return f"http://{host}:{port}/generate"
 
     def start(self) -> "StubServer":
-        self._thread = threading.Thread(target=self.serve_forever, daemon=True)
+        self._thread = threading.Thread(
+            target=self.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
         self._thread.start()
         return self
 

@@ -56,10 +56,10 @@ def _base_label(label: str) -> str:
     return label.split("-")[0].split("=")[0]
 
 
-def _align_leaves(tree: ParseTree, text: str) -> dict[int, tuple[int, int]] | None:
-    """Char offsets of each leaf token in the original definition text, or
-    None when the tokens cannot be matched in order."""
-    spans: dict[int, tuple[int, int]] = {}
+def _align_leaves(tree: ParseTree, text: str) -> list[tuple[int, int]] | None:
+    """Char offsets of each leaf token in the original definition text, in
+    leaf order, or None when the tokens cannot be matched in order."""
+    spans: list[tuple[int, int]] = []
     pos = 0
     for leaf in tree.leaves():
         tok = leaf.token
@@ -75,33 +75,13 @@ def _align_leaves(tree: ParseTree, text: str) -> dict[int, tuple[int, int]] | No
                     p += 1
                     continue
             break
-        spans[leaf.id] = (p, p + len(tok))
+        spans.append((p, p + len(tok)))
         pos = p + len(tok)
     return spans
 
 
-def _node_extent(node: ParseNode, leaf_pos: dict[int, tuple[int, int]]) -> tuple[int, int] | None:
-    leaves = node.leaves()
-    if not leaves:
-        return None
-    return leaf_pos[leaves[0].id][0], leaf_pos[leaves[-1].id][1]
-
-
 def _overlap(a: tuple[int, int], b: tuple[int, int]) -> int:
     return max(0, min(a[1], b[1]) - max(a[0], b[0]))
-
-
-def _internal_nodes(tree: ParseTree) -> list[ParseNode]:
-    out = []
-
-    def walk(node: ParseNode):
-        if not node.is_leaf:
-            out.append(node)
-            for child in node.children:
-                walk(child)
-
-    walk(tree.root)
-    return out
 
 
 def build_triplet(task: Task, ann: AnnotationSet, tree: ParseTree) -> TripletDefinition:
@@ -124,10 +104,11 @@ def build_triplet(task: Task, ann: AnnotationSet, tree: ParseTree) -> TripletDef
 
     needs_review = False
     leaf_pos = _align_leaves(tree, text)
-    nodes = _internal_nodes(tree) if leaf_pos is not None else []
-    extents = (
-        {node.id: _node_extent(node, leaf_pos) for node in nodes} if leaf_pos is not None else {}
-    )
+    nodes = [n for n in tree.nodes() if not n.is_leaf] if leaf_pos is not None else []
+    extents: dict[int, tuple[int, int] | None] = {}  # char extent of each internal node
+    for node in nodes:
+        lo, hi = tree.leaf_range(node.id)
+        extents[node.id] = (leaf_pos[lo][0], leaf_pos[hi - 1][1]) if lo < hi else None
 
     def pick_np(window: tuple[int, int]) -> ParseNode | None:
         best, best_key = None, None
@@ -161,8 +142,7 @@ def build_triplet(task: Task, ann: AnnotationSet, tree: ParseTree) -> TripletDef
         for node in nodes:
             for child in node.children:
                 parent[child.id] = node
-        for leaf in tree.leaves():
-            start, end = leaf_pos[leaf.id]
+        for leaf, (start, end) in zip(tree.leaves(), leaf_pos):
             pre = parent.get(leaf.id)
             if (
                 action_span[0] <= start
@@ -170,7 +150,7 @@ def build_triplet(task: Task, ann: AnnotationSet, tree: ParseTree) -> TripletDef
                 and pre is not None
                 and _base_label(pre.label).startswith("VB")
             ):
-                verb_leaf = leaf
+                verb_leaf, verb_end = leaf, end
                 break
     vp_node = None
     if verb_leaf is not None:
@@ -194,20 +174,22 @@ def build_triplet(task: Task, ann: AnnotationSet, tree: ParseTree) -> TripletDef
             output_entry.append(text[span.start : span.end].strip().rstrip("."))
     else:
         obj = None
-        if vp_node is not None and verb_leaf is not None:
-            verb_end = leaf_pos[verb_leaf.id][1]
+        if vp_node is not None:  # found from verb_leaf, so verb_end is set
+            vp_lo, vp_hi = tree.leaf_range(vp_node.id)
             best_key = None
-            for node in _internal_nodes(ParseTree(root=vp_node)):
-                if node.id == vp_node.id or _base_label(node.label) != "NP":
+            for node in nodes:
+                # below the VP: deeper than it, with leaves inside its leaf range
+                lo, hi = tree.leaf_range(node.id)
+                if node.depth <= vp_node.depth or not vp_lo <= lo < hi <= vp_hi:
                     continue
-                extent = extents.get(node.id) or _node_extent(node, leaf_pos)
-                if extent is None or extent[0] < verb_end:
+                extent = extents[node.id]
+                if _base_label(node.label) != "NP" or extent[0] < verb_end:
                     continue
                 key = (-extent[0], node.depth)
                 if best_key is None or key > best_key:
                     obj, best_key = node, key
         if obj is not None:
-            start, end = _node_extent(obj, leaf_pos)
+            start, end = extents[obj.id]
             output_entry = [text[start:end]]
         else:
             out_spans = sorted(

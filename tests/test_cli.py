@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import defkit
 from defkit.annotations import AnnotationSet, ContentCategory, Span, annotation_to_dict
 from defkit.cli import main
 from defkit.corpus import TaskKind
@@ -369,6 +373,73 @@ class TestTripletCommand:
         assert [m["tag"] for m in meta] == ["<Task input>", "<Task action>", "<Task output>"]
         assert all(m["source"].startswith("Generate segments") for m in meta)
         assert (out_dir / "manifest.json").exists()
+
+
+class TestDeepTrees:
+    """A 10,000-level tree goes through the CLI like any other."""
+
+    tree = "(X " * 10_000 + FOX_TREE_TEXT + ")" * 10_000
+
+    @staticmethod
+    def run_cli(args):
+        """The defkit CLI in a fresh interpreter, as a shell user runs it."""
+        src = Path(defkit.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        return subprocess.run(
+            [sys.executable, "-m", "defkit.cli", *args],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+
+    def test_compress(self, tmp_path):
+        tasks_dir, parses = fox_corpus(tmp_path)
+        parses.write_text(self.tree + "\n", encoding="utf-8")
+        out_dir = tmp_path / "out"
+        proc = self.run_cli(
+            [
+                "compress",
+                "--tasks", str(tasks_dir),
+                "--parses", str(parses),
+                "--backend", "planted",
+                "--phrase", "classifies reviews",
+                "--fit-n", "2",
+                "--holdout-n", "2",
+                "--out", str(out_dir),
+                "--jobs", "1",
+            ]
+        )
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads((out_dir / "task_fox.json").read_text())
+        assert payload["compression"]["compressed_definition"] == "classifies reviews"
+
+    def test_triplet(self, tmp_path):
+        tasks_dir, parses = fox_corpus(tmp_path)
+        parses.write_text(self.tree + "\n", encoding="utf-8")
+        ann = AnnotationSet(
+            "task_fox",
+            (
+                Span(0, 13, ContentCategory.INPUT_CONTENT),
+                Span(14, 32, ContentCategory.ACTION_CONTENT),
+            ),
+            "a1",
+        )
+        write_annotations(tmp_path / "ann.jsonl", [ann])
+        out_dir = tmp_path / "out"
+        proc = self.run_cli(
+            [
+                "triplet",
+                "--tasks", str(tasks_dir),
+                "--annotations", str(tmp_path / "ann.jsonl"),
+                "--parses", str(parses),
+                "--out", str(out_dir),
+            ]
+        )
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 0, proc.stderr
+        triplet = json.loads((out_dir / "triplets.jsonl").read_text())
+        assert triplet["input"] == ["the quick fox"]
+        assert triplet["action"] == ["classifies reviews"]
+        assert triplet["output"] == ["reviews"]
 
 
 class TestScoreCommand:

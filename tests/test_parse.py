@@ -76,7 +76,7 @@ class TestNodesAtDepth:
         seen = []
         for d in range(1, tree.depth + 1):
             seen.extend(nodes_at_depth(tree, d))
-        assert sorted(seen) == sorted(tree._index)
+        assert sorted(seen) == sorted(node.id for node in tree.nodes())
         assert len(seen) == len(set(seen))
 
 
@@ -108,7 +108,7 @@ class TestRemoveSubtree:
     def test_token_accounting(self):
         tree = parse_bracketed(FOX_TREE_TEXT)
         before = len(tree.source_tokens)
-        for node_id in sorted(tree._index):
+        for node_id in sorted(node.id for node in tree.nodes()):
             if node_id == tree.root.id:
                 continue
             removed_leaves = len(tree.node(node_id).leaves())
@@ -160,3 +160,28 @@ def test_random_roundtrip():
         tree = parse_bracketed(text)
         again = parse_bracketed(to_bracketed(tree))
         assert again.source_tokens == tree.source_tokens
+
+
+DEEP = 10_000
+
+
+def test_deep_tree_without_recursion_limit():
+    text = "(X " * DEEP + "(NN deep) (, ,) (NN tree)" + ")" * DEEP
+    tree = parse_bracketed(text)
+    assert tree.depth == DEEP + 2
+    assert render(tree) == "deep, tree"
+    # the root X is id 0, so the other X nodes take ids 2..DEEP
+    assert nodes_at_depth(tree, DEEP + 2) == [DEEP + 2, DEEP + 4, DEEP + 6]
+    assert to_bracketed(tree) == text
+    leaf = nodes_at_depth(tree, DEEP + 2)[0]
+    assert render(remove_subtree(tree, leaf)) == ", tree"
+    assert tree.node(DEEP).leaves() == tree.leaves()
+    assert tree.leaf_range(DEEP + 3) == (1, 2)
+
+
+def test_deep_unclosed_bracket_reports_its_opening():
+    # 1,200 constituents open; the innermost one left open starts at offset 3600
+    text = "(A " * 1200 + "(B (C x)"
+    with pytest.raises(UnbalancedError, match="unclosed '\\(' opened at offset 3600") as exc:
+        parse_bracketed(text)
+    assert exc.value.position == text.index("(B") == 3600

@@ -1,12 +1,14 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from defkit.annotations import AnnotationSet, ContentCategory, Span
 from defkit.corpus import TaskKind, split_examples
 from defkit.errors import EmptyResultError, InvariantError
 from defkit.metrics import normalize
-from defkit.parse import parse_bracketed, render
+from defkit.parse import parse_bracketed, remove_subtree, render
 from defkit.scorer import Backend, ConstantBackend, PlantedPhraseBackend
 from defkit.stdc import (
     StdcConfig,
@@ -168,6 +170,72 @@ class TestMonotonicityAndReplay:
                         yield from collect(c)
 
                 accepted |= set(collect(fox_tree.node(step.node_id)))
+
+
+class RecordingBackend(Backend):
+    """Coarse pseudo-random scores (so ties and acceptances are common);
+    records every definition it is asked about."""
+
+    backend_id = "recording"
+
+    def __init__(self, salt):
+        super().__init__()
+        self.salt = salt
+        self.seen = []
+
+    def score_batch(self, ctx):
+        self.calls += 1
+        self.seen.append(ctx.definition)
+        rng = random.Random(f"{self.salt}:{ctx.definition}")
+        return [rng.choice([0.0, 0.5, 1.0]) for _ in ctx.instances]
+
+
+_LABELS = st.sampled_from(["S", "NP", "VP", "PP"])
+_WORDS = st.sampled_from(["cat", "sat", "w1", ",", ".", "n't", "'s", "-LRB-", "-RRB-", "$"])
+_CONSTITUENTS = st.recursive(
+    st.builds("({} {})".format, _LABELS, _WORDS) | st.builds("({})".format, _LABELS),
+    lambda kids: st.builds(
+        lambda label, parts: f"({label} {' '.join(parts)})",
+        _LABELS,
+        st.lists(kids | _WORDS, min_size=1, max_size=3),
+    ),
+    max_leaves=14,
+)
+# one tree, or several joined under a synthetic root
+_TREE_TEXTS = st.lists(_CONSTITUENTS, min_size=1, max_size=3).map(" ".join)
+
+
+@given(
+    text=_TREE_TEXTS,
+    salt=st.integers(0, 10**6),
+    mode=st.sampled_from(["current", "paper"]),
+    epsilon=st.sampled_from([0.0, 0.25]),
+)
+@settings(max_examples=200, deadline=None)
+def test_mask_candidates_equal_tree_removals(text, salt, mode, epsilon):
+    tree = parse_bracketed(text)
+    assume(render(tree).strip())
+    task = make_task(
+        task_id="prop", definition=render(tree), kind=TaskKind.GENERATION,
+        label_list=None, n_instances=2,
+    )
+    fit, _ = fit_holdout(task, 2, 0)
+    backend = RecordingBackend(salt)
+    cfg = StdcConfig(baseline_mode=mode, epsilon=epsilon, allow_empty_result=True)
+    result = compress(task, tree, fit, backend, cfg=cfg)
+
+    full, *candidates, final = backend.seen
+    assert full == result.full_definition
+    assert final == result.compressed_definition
+    assert len(candidates) == len(result.steps)
+    current = tree  # the original tree with the accepted removals so far
+    for step, candidate in zip(result.steps, candidates):
+        base = current if mode == "current" else tree
+        assert candidate == render(remove_subtree(base, step.node_id))
+        if step.accepted:
+            current = remove_subtree(current, step.node_id)
+    assert result.compressed_definition == render(current)
+    assert result.compressed_definition == replay_removals(tree, result.accepted_node_ids())
 
 
 class TestHoldout:
