@@ -7,7 +7,8 @@ import json
 import logging
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 from .errors import InvariantError, SchemaError, SizeError, TemplateError
@@ -22,6 +23,7 @@ DEFAULT_TEMPLATE = (
 )
 
 _PLACEHOLDERS = {"definition", "demo1_in", "demo1_out", "demo2_in", "demo2_out", "input"}
+_PLACEHOLDER = re.compile(r"\{(\w+)\}")
 
 
 class TaskKind(enum.Enum):
@@ -83,11 +85,15 @@ class Task:
             if len(set(trimmed)) != len(trimmed):
                 raise InvariantError("label_list: entries not unique after trimming")
 
-    def instance_by_id(self, instance_id: str) -> Instance:
+    @cached_property
+    def _instances_by_id(self) -> dict[str, Instance]:
+        index: dict[str, Instance] = {}
         for inst in self.instances:
-            if inst.id == instance_id:
-                return inst
-        raise KeyError(instance_id)
+            index.setdefault(inst.id, inst)  # a repeated id finds its first instance
+        return index
+
+    def instance_by_id(self, instance_id: str) -> Instance:
+        return self._instances_by_id[instance_id]
 
     def to_dict(self) -> dict:
         d = {
@@ -223,6 +229,17 @@ def load_task_dir(directory: str | Path, *, lenient: bool = False) -> list[Task]
     return [load_task_file(f, lenient=lenient) for f in files]
 
 
+@lru_cache(maxsize=64)
+def _check_template(template: str) -> None:
+    """Raise TemplateError for a bad template; a good one is checked once."""
+    names = set(_PLACEHOLDER.findall(template))
+    unknown = names - _PLACEHOLDERS
+    if unknown:
+        raise TemplateError(f"unresolved placeholder(s): {sorted(unknown)}")
+    if "input" not in names:
+        raise TemplateError("template is missing the {input} placeholder")
+
+
 def assemble_prompt(
     task: Task,
     definition: str,
@@ -234,12 +251,7 @@ def assemble_prompt(
     Exactly the first two demonstrations are used. The template must contain
     the {input} placeholder and no placeholders outside the supported set.
     """
-    names = set(re.findall(r"\{(\w+)\}", template))
-    unknown = names - _PLACEHOLDERS
-    if unknown:
-        raise TemplateError(f"unresolved placeholder(s): {sorted(unknown)}")
-    if "input" not in names:
-        raise TemplateError("template is missing the {input} placeholder")
+    _check_template(template)
     values = {
         "definition": definition,
         "demo1_in": task.demonstrations[0].input,
@@ -248,7 +260,7 @@ def assemble_prompt(
         "demo2_out": task.demonstrations[1].output,
         "input": instance.input,
     }
-    return re.sub(r"\{(\w+)\}", lambda m: values[m.group(1)], template)
+    return _PLACEHOLDER.sub(lambda m: values[m.group(1)], template)
 
 
 def split_examples(

@@ -5,12 +5,17 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .corpus import Instance, Task, TaskKind
 from .errors import EmptyReferenceListError
 
 _NON_ALNUM = re.compile(r"[^a-z0-9]+")
+
+# Distinct reference texts whose match masks are kept, so memory stays bounded
+# on any corpus (about 3 KB for a 25-token reference, 35 KB for 300 tokens).
+_PREPARED_REFERENCES_MAX = 1024
 
 
 def normalize(text: str) -> list[str]:
@@ -34,6 +39,30 @@ def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
     return prev[-1]
 
 
+@lru_cache(maxsize=_PREPARED_REFERENCES_MAX)
+def _prepared_reference(reference: str) -> tuple[int, dict[str, int]]:
+    """Token count of a normalized reference, and per token the bitmask of
+    its positions. The dict is shared through the cache: never mutate it."""
+    masks: dict[str, int] = {}
+    tokens = normalize(reference)
+    for i, tok in enumerate(tokens):
+        masks[tok] = masks.get(tok, 0) | (1 << i)
+    return len(tokens), masks
+
+
+def _lcs_bits(candidate: Sequence[str], n: int, masks: dict[str, int]) -> int:
+    """LCS length of candidate against an n-token reference given as match
+    masks: bit-parallel, one word operation per candidate token (Allison &
+    Dix 1986; Hyyro 2004). The zero bits of v count the LCS."""
+    full = (1 << n) - 1
+    v = full
+    for tok in candidate:
+        u = v & masks.get(tok, 0)
+        if u:
+            v = ((v + u) | (v - u)) & full
+    return n - v.bit_count()
+
+
 def rouge_l(candidate: str, references: Sequence[str]) -> float:
     """Rouge-L F1 of a candidate against references; max over references.
 
@@ -45,12 +74,12 @@ def rouge_l(candidate: str, references: Sequence[str]) -> float:
     cand = normalize(candidate)
     best = 0.0
     for reference in references:
-        ref = normalize(reference)
-        if not cand or not ref:
+        n, masks = _prepared_reference(reference)
+        if not cand or not n:
             continue
-        lcs = lcs_length(cand, ref)
+        lcs = _lcs_bits(cand, n, masks)
         p = lcs / len(cand)
-        r = lcs / len(ref)
+        r = lcs / n
         if p + r > 0:
             best = max(best, 2 * p * r / (p + r))
     return best

@@ -37,7 +37,10 @@ _ATTACH_LEFT = set(".,;:!?')]%") | {"'s", "n't", "'re", "'ve", "'ll", "'d", "'m"
 _ATTACH_RIGHT = set("([$")
 
 
-@dataclass(frozen=True)
+# Trees compare and hash by identity, and a node's repr stops at its own
+# fields: generated ones would recurse through children, which fails on
+# deep trees.
+@dataclass(frozen=True, eq=False)
 class ParseNode:
     id: int
     label: str
@@ -45,6 +48,12 @@ class ParseNode:
     children: tuple["ParseNode", ...] = ()
     token: str | None = None  # literal form, escapes resolved (leaves only)
     raw: str | None = None  # original token text as read (leaves only)
+
+    def __repr__(self) -> str:
+        return (
+            f"ParseNode(id={self.id}, label={self.label!r}, depth={self.depth}, "
+            f"children={len(self.children)})"
+        )
 
     @property
     def is_leaf(self) -> bool:
@@ -61,7 +70,7 @@ class _Layout(NamedTuple):
     layers: dict[int, list[int]]  # depth -> node ids, left to right
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParseTree:
     root: ParseNode
 

@@ -129,6 +129,12 @@ class TestAssemblePrompt:
         with pytest.raises(TemplateError, match="demo3_in"):
             assemble_prompt(task, "d", task.instances[0], "{input}{demo3_in}")
 
+    def test_bad_template_raises_on_every_call(self):
+        task = make_task()
+        for _ in range(2):
+            with pytest.raises(TemplateError, match="demo3_in"):
+                assemble_prompt(task, "d", task.instances[0], "{input}{demo3_in}")
+
     def test_uses_exactly_first_two_demos(self):
         task = make_task()
         prompt = assemble_prompt(task, "d", task.instances[0], DEFAULT_TEMPLATE)
@@ -185,3 +191,17 @@ class TestSplitExamples:
         assert set(fa.instance_ids) | set(ha.instance_ids) == set(fb.instance_ids) | set(
             hb.instance_ids
         )
+
+
+class TestInstanceById:
+    def test_lookup_and_unknown_id(self):
+        task = make_task()
+        assert task.instance_by_id("inst1") is task.instances[1]
+        with pytest.raises(KeyError):
+            task.instance_by_id("nope")
+
+    def test_repeated_id_finds_first_instance(self):
+        data = minimal_task_dict()
+        data["instances"][2]["id"] = "i1"
+        task = task_from_dict(data)
+        assert task.instance_by_id("i1") is task.instances[0]

@@ -1,5 +1,7 @@
 import itertools
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,15 @@ from hypothesis import strategies as st
 
 from defkit.corpus import TaskKind
 from defkit.errors import EmptyReferenceListError
-from defkit.metrics import aggregate, heuristic_predict, lcs_length, normalize, rouge_l
+from defkit.metrics import (
+    _lcs_bits,
+    _prepared_reference,
+    aggregate,
+    heuristic_predict,
+    lcs_length,
+    normalize,
+    rouge_l,
+)
 
 from conftest import make_task
 
@@ -48,6 +58,67 @@ class TestLcs:
     def test_matches_oracle(self, a, b):
         assert lcs_length(a, b) == brute_force_lcs(a, b)
         assert lcs_length(a, b) == lcs_length(b, a)
+
+
+def dp_rouge_l(candidate, references):
+    """Rouge-L restated from its docstring over the DP lcs_length."""
+    cand = normalize(candidate)
+    best = 0.0
+    for reference in references:
+        ref = normalize(reference)
+        if cand and ref:
+            lcs = lcs_length(cand, ref)
+            p, r = lcs / len(cand), lcs / len(ref)
+            if p + r > 0:
+                best = max(best, 2 * p * r / (p + r))
+    return best
+
+
+# few distinct words, so tokens repeat heavily; lengths cross 64-bit words
+token_lists = st.integers(1, 4).flatmap(
+    lambda k: st.lists(st.sampled_from("abcd"[:k]), max_size=200)
+)
+texts = st.lists(st.sampled_from(["a", "b", "C", "d!", "a-b", "!!!", " "]), max_size=60).map(
+    " ".join
+)
+
+
+class TestBitParallelLcs:
+    @given(a=token_lists, b=token_lists)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_dp(self, a, b):
+        n, masks = _prepared_reference(" ".join(b))
+        assert n == len(b)
+        assert _lcs_bits(a, n, masks) == lcs_length(a, b)
+
+    @given(candidate=texts, references=st.lists(texts, min_size=1, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_rouge_l_equals_dp_formula(self, candidate, references):
+        assert rouge_l(candidate, references) == dp_rouge_l(candidate, references)
+
+    def test_references_that_normalize_to_nothing(self):
+        assert rouge_l("a b", ["!!!", "", "a"]) == dp_rouge_l("a b", ["!!!", "", "a"])
+        assert rouge_l("a b", ["!!!"]) == 0.0
+        assert rouge_l("!!!", ["!!!"]) == 0.0
+
+    def test_threads_score_as_serial(self):
+        rng = random.Random(7)
+        words = ["w%d" % i for i in range(12)]
+        refs = [" ".join(rng.choices(words, k=rng.randint(0, 80))) for _ in range(40)]
+        jobs = [
+            (" ".join(rng.choices(words, k=rng.randint(0, 80))), rng.sample(refs, 3))
+            for _ in range(200)
+        ]
+        _prepared_reference.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads preempt each other mid-preparation
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(lambda job: rouge_l(*job), jobs, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == [dp_rouge_l(*job) for job in jobs]
+        assert threaded == [rouge_l(*job) for job in jobs]
 
 
 class TestNormalize:

@@ -185,3 +185,14 @@ def test_deep_unclosed_bracket_reports_its_opening():
     with pytest.raises(UnbalancedError, match="unclosed '\\(' opened at offset 3600") as exc:
         parse_bracketed(text)
     assert exc.value.position == text.index("(B") == 3600
+
+
+def test_deep_tree_compares_hashes_and_prints_without_recursion():
+    text = "(X " * 2000 + "(NN deep)" + ")" * 2000
+    tree, again = parse_bracketed(text), parse_bracketed(text)
+    assert tree == tree and tree != again  # identity, not structure
+    assert tree.root == tree.root and tree.root != again.root
+    assert len({tree, again, tree.root, again.root}) == 4
+    assert repr(tree.root) == "ParseNode(id=0, label='X', depth=1, children=1)"
+    assert repr(tree) == f"ParseTree(root={tree.root!r})"
+    assert repr(tree.leaves()[0]) == "ParseNode(id=2002, label='deep', depth=2002, children=0)"
