@@ -20,11 +20,11 @@ from .ablation import (
 )
 from .annotations import AnnotationSet, load_annotations
 from .corpus import Task, TaskKind, load_task_dir, load_task_file, split_examples
-from .errors import BackendError, DefkitError, SchemaError, ValidationError
+from .errors import BackendError, DefkitError, InvariantError, SchemaError, ValidationError
 from .manifest import RunManifest, file_digest
 from .metrics import aggregate
 from .parse import parse_bracketed
-from .scorer import ScoreCache, ScorerConfig, build_backend
+from .scorer import ScoreCache, ScorerConfig, build_backend, score
 from .stdc import StdcConfig, compress, evaluate_holdout
 from .triplet import build_triplet, meta_tuning_instances
 
@@ -86,6 +86,18 @@ def _load_parse_lines(path: str, tasks: list[Task]):
             "(lines align by index to the sorted task files)"
         )
     return [parse_bracketed(line) for line in lines]
+
+
+def _scorer_config(args) -> ScorerConfig:
+    return ScorerConfig(
+        backend=args.backend,
+        endpoint_url=args.endpoint_url,
+        constant_value=args.constant_value,
+        planted_phrase=args.phrase or "",
+        max_new_tokens=args.max_new_tokens,
+        temperature=args.temperature,
+        seed=args.seed,
+    )
 
 
 # ---------------------------------------------------------------- ablate
@@ -172,6 +184,16 @@ def cmd_ablate(args) -> int:
 
 def cmd_compress(args) -> int:
     try:
+        cfg = _scorer_config(args)
+        stdc_cfg = StdcConfig(
+            baseline_mode=args.mode,
+            epsilon=args.epsilon,
+            allow_empty_result=args.allow_empty,
+        )
+    except InvariantError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
         tasks = load_task_dir(args.tasks, lenient=args.lenient)
         trees = _load_parse_lines(args.parses, tasks)
     except OSError as exc:
@@ -181,22 +203,8 @@ def cmd_compress(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    cfg = ScorerConfig(
-        backend=args.backend,
-        endpoint_url=args.endpoint_url,
-        constant_value=args.constant_value,
-        planted_phrase=args.phrase or "",
-        max_new_tokens=args.max_new_tokens,
-        temperature=args.temperature,
-        seed=args.seed,
-    )
     backend = build_backend(cfg)
     cache = ScoreCache(args.cache) if args.cache else None
-    stdc_cfg = StdcConfig(
-        baseline_mode=args.mode,
-        epsilon=args.epsilon,
-        allow_empty_result=args.allow_empty,
-    )
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -230,11 +238,15 @@ def cmd_compress(args) -> int:
             return ("fail", (task_tree[0], exc))
 
     pairs = list(zip(tasks, trees))
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            outcomes = list(pool.map(safe_run, pairs))
-    else:
-        outcomes = [safe_run(p) for p in pairs]
+    try:
+        if args.jobs > 1:
+            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+                outcomes = list(pool.map(safe_run, pairs))
+        else:
+            outcomes = [safe_run(p) for p in pairs]
+    finally:
+        if cache is not None:
+            cache.close()
 
     for status, payload_ in outcomes:
         if status == "backend":
@@ -459,6 +471,11 @@ def cmd_triplet(args) -> int:
 
 def cmd_score(args) -> int:
     try:
+        cfg = _scorer_config(args)
+    except InvariantError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
         task = load_task_file(args.task, lenient=args.lenient)
     except (OSError, SchemaError, DefkitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -469,26 +486,18 @@ def cmd_score(args) -> int:
         definition = args.definition
     else:
         definition = task.definition
-    cfg = ScorerConfig(
-        backend=args.backend,
-        endpoint_url=args.endpoint_url,
-        constant_value=args.constant_value,
-        planted_phrase=args.phrase or "",
-        max_new_tokens=args.max_new_tokens,
-        temperature=args.temperature,
-        seed=args.seed,
-    )
     backend = build_backend(cfg)
-    cache = ScoreCache(args.cache) if args.cache else None
     n = args.n if args.n is not None else len(task.instances)
     fit, _ = split_examples(task, n, 0, args.seed)
-    from .scorer import score as score_fn
-
+    cache = ScoreCache(args.cache) if args.cache else None
     try:
-        record = score_fn(definition, task, fit, backend, cfg.params, cache)
+        record = score(definition, task, fit, backend, cfg.params, cache)
     except BackendError as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_BACKEND
+    finally:
+        if cache is not None:
+            cache.close()
     print(json.dumps(record.to_dict(), indent=2, sort_keys=True))
     return EXIT_OK
 

@@ -8,6 +8,7 @@ import hashlib
 import json
 import logging
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -42,24 +43,36 @@ class GenerationParams:
 
 @dataclass(frozen=True)
 class GenerationContext:
-    """What a deterministic test backend may look at besides the prompt."""
+    """One definition to generate for, over a task's instances; a backend
+    that needs prompts assembles them with `template`."""
 
     definition: str
     task: Task
     instances: tuple[Instance, ...]
+    template: str = DEFAULT_TEMPLATE
 
 
 class Backend:
     """A generation backend. `calls` counts actual backend invocations;
-    cache hits never touch the backend."""
+    cache hits never touch the backend. `count_call` is safe under threads."""
 
     backend_id: str = "backend"
 
     def __init__(self):
         self.calls = 0
+        self._calls_lock = threading.Lock()
 
-    def generate(self, prompts: Sequence[str], ctx: GenerationContext) -> list[str]:
+    def count_call(self) -> None:
+        with self._calls_lock:
+            self.calls += 1
+
+    def generate(self, ctx: GenerationContext) -> list[str]:
         raise NotImplementedError
+
+    def generate_many(self, ctxs: Sequence[GenerationContext]) -> list[list[str]]:
+        """Generations for each context, in input order. In-process backends
+        generate one context after another."""
+        return [self.generate(ctx) for ctx in ctxs]
 
     def score_batch(self, ctx: GenerationContext) -> list[float] | None:
         """Direct per-instance scores, bypassing generation; None for
@@ -76,7 +89,7 @@ class ConstantBackend(Backend):
         self.backend_id = f"constant:{value}"
 
     def score_batch(self, ctx: GenerationContext) -> list[float]:
-        self.calls += 1
+        self.count_call()
         return [self.value] * len(ctx.instances)
 
 
@@ -89,8 +102,8 @@ class PlantedPhraseBackend(Backend):
         self.phrase_tokens = set(normalize(phrase))
         self.backend_id = f"planted:{' '.join(sorted(self.phrase_tokens))}"
 
-    def generate(self, prompts: Sequence[str], ctx: GenerationContext) -> list[str]:
-        self.calls += 1
+    def generate(self, ctx: GenerationContext) -> list[str]:
+        self.count_call()
         present = self.phrase_tokens <= set(normalize(ctx.definition))
         return [inst.references[0] if present else "" for inst in ctx.instances]
 
@@ -102,8 +115,8 @@ class KeywordLabelBackend(Backend):
 
     backend_id = "keyword_label"
 
-    def generate(self, prompts: Sequence[str], ctx: GenerationContext) -> list[str]:
-        self.calls += 1
+    def generate(self, ctx: GenerationContext) -> list[str]:
+        self.count_call()
         def_tokens = set(normalize(ctx.definition))
         out = []
         for inst in ctx.instances:
@@ -119,7 +132,9 @@ class RemoteBackend(Backend):
     Response: {"generations": [...]} positionally aligned with the prompts.
     Transport and 5xx failures are retried (3 attempts, backoff 0.5s/2s/8s);
     contract violations (non-200 after retries, length mismatch) raise
-    BackendError.
+    BackendError. Each context's prompts go in one POST, or in chunks of
+    `batch_size`; up to `max_in_flight` POSTs of one `generate_many` call
+    are in flight at once.
     """
 
     def __init__(
@@ -156,7 +171,7 @@ class RemoteBackend(Backend):
             if attempt:
                 time.sleep(self.backoffs[attempt - 1])
             try:
-                self.calls += 1
+                self.count_call()
                 resp = requests.post(
                     self.endpoint_url,
                     json=payload,
@@ -188,15 +203,35 @@ class RemoteBackend(Backend):
             raise BackendTimeoutError(f"endpoint timed out after retries: {last_error}")
         raise BackendError(f"endpoint unreachable after retries: {last_error}")
 
-    def generate(self, prompts: Sequence[str], ctx: GenerationContext) -> list[str]:
-        if self.batch_size is None or len(prompts) <= self.batch_size:
-            return self._post(prompts)
-        chunks = [
-            prompts[i : i + self.batch_size] for i in range(0, len(prompts), self.batch_size)
+    def _chunks(self, ctx: GenerationContext) -> list[list[str]]:
+        prompts = [
+            assemble_prompt(ctx.task, ctx.definition, inst, ctx.template)
+            for inst in ctx.instances
         ]
+        if self.batch_size is None or len(prompts) <= self.batch_size:
+            return [prompts]
+        return [prompts[i : i + self.batch_size] for i in range(0, len(prompts), self.batch_size)]
+
+    def generate(self, ctx: GenerationContext) -> list[str]:
+        return self.generate_many([ctx])[0]
+
+    def generate_many(self, ctxs: Sequence[GenerationContext]) -> list[list[str]]:
+        """One pool of `max_in_flight` threads sends every chunk of every
+        context. Results come back in input order; if requests fail, the
+        error of the first failing chunk in input order is raised."""
+        jobs = [(i, chunk) for i, ctx in enumerate(ctxs) for chunk in self._chunks(ctx)]
         with ThreadPoolExecutor(max_workers=self.max_in_flight) as pool:
-            results = list(pool.map(self._post, chunks))
-        return [g for chunk in results for g in chunk]
+            futures = [pool.submit(self._post, chunk) for _, chunk in jobs]
+            try:
+                results = [f.result() for f in futures]
+            except BaseException:
+                for f in futures:
+                    f.cancel()
+                raise
+        out: list[list[str]] = [[] for _ in ctxs]
+        for (i, _), generations in zip(jobs, results):
+            out[i] += generations
+        return out
 
 
 @dataclass(frozen=True)
@@ -299,12 +334,16 @@ class ScoreCache:
     """Append-only JSONL store of ScoreRecords, keyed by cache_key.
 
     Corrupted lines are skipped with a log message; last write wins for
-    duplicate keys.
+    duplicate keys. `get` counts hits; `get` and `put` are safe under
+    threads. The file is opened for appending on the first `put` and each
+    record is flushed as it is written; `close` releases the handle.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._records: dict[str, ScoreRecord] = {}
+        self._lock = threading.Lock()
+        self._fh = None
         self.hits = 0
         if self.path.exists():
             for lineno, line in enumerate(self.path.read_text(encoding="utf-8").splitlines(), 1):
@@ -317,13 +356,30 @@ class ScoreCache:
                     continue
                 self._records[record.cache_key] = record
 
+    def __contains__(self, key: str) -> bool:
+        return key in self._records
+
     def get(self, key: str) -> ScoreRecord | None:
-        return self._records.get(key)
+        record = self._records.get(key)
+        if record is not None:
+            with self._lock:
+                self.hits += 1
+        return record
 
     def put(self, record: ScoreRecord) -> None:
-        self._records[record.cache_key] = record
-        with self.path.open("a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
+        line = json.dumps(record.to_dict(), sort_keys=True) + "\n"
+        with self._lock:
+            self._records[record.cache_key] = record
+            if self._fh is None:
+                self._fh = self.path.open("a", encoding="utf-8")
+            self._fh.write(line)
+            self._fh.flush()
+
+    def close(self) -> None:
+        with self._lock:
+            if self._fh is not None:
+                self._fh.close()
+                self._fh = None
 
     def __len__(self) -> int:
         return len(self._records)
@@ -338,44 +394,72 @@ def score(
     cache: ScoreCache | None = None,
     template: str = DEFAULT_TEMPLATE,
 ) -> ScoreRecord:
-    """Mean Rouge-L of a definition over the example set's instances.
+    """Mean Rouge-L of one definition; see `score_many`."""
+    return score_many([definition], task, examples, backend, params, cache, template)[0]
+
+
+def score_many(
+    definitions: Sequence[str],
+    task: Task,
+    examples: ExampleSet,
+    backend: Backend,
+    params: GenerationParams = GenerationParams(),
+    cache: ScoreCache | None = None,
+    template: str = DEFAULT_TEMPLATE,
+) -> list[ScoreRecord]:
+    """Mean Rouge-L of each definition over the example set's instances, in
+    input order.
 
     One prompt per instance; one generation per prompt; each generation is
     scored against the instance references. Results are cached by
-    (backend id, definition, example fingerprint, generation params).
+    (backend id, definition, example fingerprint, generation params). The
+    definitions not in the cache go to the backend together; a definition
+    repeated in the list is sent once when there is a cache. Rouge-L and
+    cache writes then run in input order, so backend calls, cache hits and
+    the cache file are those of scoring the definitions one after another.
     """
     if examples.task_id != task.id:
         raise ScorerError(f"example set for {examples.task_id!r} used with task {task.id!r}")
     fingerprint = example_fingerprint(examples)
-    key = cache_key_for(backend.backend_id, definition, fingerprint, params)
-    if cache is not None:
-        hit = cache.get(key)
-        if hit is not None:
-            cache.hits += 1
-            return hit
+    keys = [cache_key_for(backend.backend_id, d, fingerprint, params) for d in definitions]
     instances = tuple(task.instance_by_id(i) for i in examples.instance_ids)
-    ctx = GenerationContext(definition=definition, task=task, instances=instances)
-    per = backend.score_batch(ctx)
-    if per is None:
-        prompts = [assemble_prompt(task, definition, inst, template) for inst in instances]
-        try:
-            generations = backend.generate(prompts, ctx)
-        except BackendError as exc:
-            raise BackendError(f"task {task.id}: {exc}") from exc
+    misses: dict[int, GenerationContext] = {}  # index of a definition's first miss -> its context
+    pending: set[str] = set()
+    for i, (definition, key) in enumerate(zip(definitions, keys)):
+        if cache is not None and (key in cache or key in pending):
+            continue
+        pending.add(key)
+        misses[i] = GenerationContext(definition, task, instances, template)
+    per_miss = {i: backend.score_batch(ctx) for i, ctx in misses.items()}
+    to_generate = [i for i, per in per_miss.items() if per is None]
+    try:
+        generated = backend.generate_many([misses[i] for i in to_generate])
+    except BackendError as exc:
+        raise BackendError(f"task {task.id}: {exc}") from exc
+    for i, generations in zip(to_generate, generated):
         if len(generations) != len(instances):
             raise BackendError(
                 f"task {task.id}: backend returned {len(generations)} generations "
                 f"for {len(instances)} instances"
             )
-        per = [rouge_l(g, inst.references) for g, inst in zip(generations, instances)]
-    record = ScoreRecord(
-        cache_key=key,
-        definition=definition,
-        example_fingerprint=fingerprint,
-        mean_score=sum(per) / len(per) if per else 0.0,
-        per_instance=tuple(per),
-        backend_id=backend.backend_id,
-    )
-    if cache is not None:
-        cache.put(record)
-    return record
+        per_miss[i] = [rouge_l(g, inst.references) for g, inst in zip(generations, instances)]
+
+    records = []
+    for i, (definition, key) in enumerate(zip(definitions, keys)):
+        hit = cache.get(key) if cache is not None else None
+        if hit is not None:
+            records.append(hit)
+            continue
+        per = per_miss[i]
+        record = ScoreRecord(
+            cache_key=key,
+            definition=definition,
+            example_fingerprint=fingerprint,
+            mean_score=sum(per) / len(per) if per else 0.0,
+            per_instance=tuple(per),
+            backend_id=backend.backend_id,
+        )
+        if cache is not None:
+            cache.put(record)
+        records.append(record)
+    return records

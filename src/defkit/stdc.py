@@ -13,7 +13,7 @@ from .corpus import DEFAULT_TEMPLATE, ExampleSet, Task
 from .errors import EmptyResultError, InvariantError, ScorerError, ValidationError
 from .metrics import normalize
 from .parse import ParseTree, detokenize, nodes_at_depth, remove_subtree, render
-from .scorer import Backend, GenerationParams, ScoreCache, score
+from .scorer import Backend, GenerationParams, ScoreCache, score_many
 
 BASELINE_CURRENT = "current"
 BASELINE_PAPER_LITERAL = "paper"
@@ -139,10 +139,11 @@ def compress(
             f"task {task.id}: rendered tree does not token-equal the definition"
         )
 
-    def f(definition: str) -> float:
-        return score(definition, task, fit, backend, params, cache, template).mean_score
+    def f(definitions: list[str]) -> list[float]:
+        records = score_many(definitions, task, fit, backend, params, cache, template)
+        return [r.mean_score for r in records]
 
-    full_score = f(full_text)
+    [full_score] = f([full_text])
     baseline = full_score
     # the compression state: kept[i] says whether leaf i is still in the definition
     tokens = tree.source_tokens
@@ -152,28 +153,35 @@ def compress(
     steps: list[Step] = []
 
     for depth in range(2, tree.depth + 1):
-        for node_id in nodes_at_depth(tree, depth):
-            lo, hi = tree.leaf_range(node_id)
-            surviving = [tok for tok, k in zip(tokens[lo:hi], kept[lo:hi]) if k]
-            if not surviving:
-                continue  # removed or emptied by earlier removals; nothing left to try
+        # A layer's pending nodes are those with a kept leaf. Nodes at one
+        # depth are disjoint, so acceptances within the layer leave this
+        # list exact. Paper mode scores the whole layer against the full
+        # definition in one batch; in current mode the base changes with
+        # each acceptance, so its batches hold one node.
+        ranges = [(n, *tree.leaf_range(n)) for n in nodes_at_depth(tree, depth)]
+        pending = [(n, lo, hi) for n, lo, hi in ranges if any(kept[lo:hi])]
+        for batch in [pending] if paper else [[p] for p in pending]:
             base = full if paper else kept
-            candidate = base[:lo] + [False] * (hi - lo) + base[hi:]
-            candidate_score = f(_kept_text(tokens, candidate))
-            accepted = candidate_score >= baseline - cfg.epsilon
-            steps.append(
-                Step(
-                    node_id=node_id,
-                    label=tree.node(node_id).label,
-                    leaves_removed=tuple(surviving),
-                    candidate_score=candidate_score,
-                    accepted=accepted,
+            candidates = [
+                _kept_text(tokens, base[:lo] + [False] * (hi - lo) + base[hi:])
+                for _, lo, hi in batch
+            ]
+            for (node_id, lo, hi), candidate_score in zip(batch, f(candidates)):
+                accepted = candidate_score >= baseline - cfg.epsilon
+                surviving = tuple(tok for tok, k in zip(tokens[lo:hi], kept[lo:hi]) if k)
+                steps.append(
+                    Step(
+                        node_id=node_id,
+                        label=tree.node(node_id).label,
+                        leaves_removed=surviving,
+                        candidate_score=candidate_score,
+                        accepted=accepted,
+                    )
                 )
-            )
-            if accepted:
-                kept[lo:hi] = [False] * (hi - lo)
-                if not paper:
-                    baseline = candidate_score
+                if accepted:
+                    kept[lo:hi] = [False] * (hi - lo)
+                    if not paper:
+                        baseline = candidate_score
 
     compressed = _kept_text(tokens, kept)
     if not compressed.strip() and not cfg.allow_empty_result:
@@ -185,7 +193,7 @@ def compress(
         compressed_definition=compressed,
         ratio=ratio,
         fit_score_before=full_score,
-        fit_score_after=f(compressed),
+        fit_score_after=f([compressed])[0],
         steps=tuple(steps),
     )
 
@@ -211,8 +219,10 @@ def evaluate_holdout(
     """Before/after means on the holdout set plus coverage: the fraction of
     instances whose per-instance score increases under compression
     (strictly, unless strict=False)."""
-    before = score(result.full_definition, task, holdout, backend, params, cache, template)
-    after = score(result.compressed_definition, task, holdout, backend, params, cache, template)
+    before, after = score_many(
+        [result.full_definition, result.compressed_definition],
+        task, holdout, backend, params, cache, template,
+    )
     pairs = list(zip(before.per_instance, after.per_instance))
     if strict:
         improved = sum(1 for b, a in pairs if a > b)

@@ -496,3 +496,59 @@ class TestScoreCommand:
             )
         assert rc == 3
         assert "backend error" in capsys.readouterr().err
+
+
+class TestConfigErrors:
+    """A bad backend or search setting ends with exit 64 and one line on
+    stderr, before any output is written."""
+
+    def assert_usage_error(self, proc, message):
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 64, proc.stderr
+        assert proc.stderr.splitlines() == [f"error: {message}"]
+        assert proc.stdout == ""
+
+    def test_compress_remote_without_endpoint(self, tmp_path):
+        tasks_dir, parses = fox_corpus(tmp_path)
+        out_dir = tmp_path / "out"
+        proc = TestDeepTrees.run_cli(
+            [
+                "compress",
+                "--tasks", str(tasks_dir),
+                "--parses", str(parses),
+                "--backend", "remote",
+                "--fit-n", "2",
+                "--holdout-n", "2",
+                "--out", str(out_dir),
+            ]
+        )
+        self.assert_usage_error(proc, "remote backend requires endpoint_url")
+        assert not out_dir.exists()
+
+    def test_compress_negative_epsilon(self, tmp_path):
+        tasks_dir, parses = fox_corpus(tmp_path)
+        out_dir = tmp_path / "out"
+        proc = TestDeepTrees.run_cli(
+            [
+                "compress",
+                "--tasks", str(tasks_dir),
+                "--parses", str(parses),
+                "--backend", "planted",
+                "--phrase", "classifies reviews",
+                "--fit-n", "2",
+                "--holdout-n", "2",
+                "--out", str(out_dir),
+                "--epsilon", "-1",
+            ]
+        )
+        self.assert_usage_error(proc, "epsilon must be >= 0")
+        assert not out_dir.exists()
+
+    def test_score_remote_without_endpoint(self, tmp_path):
+        path = write_task_file(tmp_path / "task_one.json", make_task(task_id="task_one"))
+        cache = tmp_path / "cache.jsonl"
+        proc = TestDeepTrees.run_cli(
+            ["score", "--task", str(path), "--backend", "remote", "--cache", str(cache)]
+        )
+        self.assert_usage_error(proc, "remote backend requires endpoint_url")
+        assert not cache.exists()

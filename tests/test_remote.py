@@ -1,11 +1,31 @@
+import json
+import random
+import sys
+import tempfile
+import threading
+import time
+from pathlib import Path
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from defkit.corpus import TaskKind, split_examples
 from defkit.errors import BackendError
-from defkit.scorer import GenerationParams, RemoteBackend, score
+from defkit.parse import nodes_at_depth, parse_bracketed, render
+from defkit.scorer import (
+    GenerationContext,
+    GenerationParams,
+    RemoteBackend,
+    ScoreCache,
+    score,
+    score_many,
+)
+from defkit.stdc import StdcConfig, compress, evaluate_holdout
 from defkit.stubserver import StubServer, echo_generation
 
 from conftest import make_task
+from test_stdc import _TREE_TEXTS
 
 
 def echo_task(n=4):
@@ -109,3 +129,153 @@ class TestRemoteBackend:
             sizes = sorted(len(r["body"]["prompts"]) for r in server.requests)
         assert record.per_instance == (1.0,) * 5
         assert sizes == [1, 2, 2]
+
+
+_VOCAB = ["ref", "0", "1", "2", "cat", "sat"]
+
+
+class InProcessRemote(RemoteBackend):
+    """A RemoteBackend whose POSTs are answered in-process. Each generation
+    is a seeded function of its prompt, so of the definition in it; a POST
+    for a definition in `fail` raises. A POST first waits until every POST
+    of its `generate_many` call that may run at once has started, then
+    sleeps `delay(definition)` seconds, so `in_flight_max` is exactly the
+    concurrency the backend allows and completion order follows the delays.
+    """
+
+    def __init__(self, max_in_flight=4, delay=lambda definition: 0.0, fail=()):
+        super().__init__("in-process", GenerationParams(), max_in_flight=max_in_flight)
+        self.delay = delay
+        self.fail = set(fail)
+        self.cond = threading.Condition()
+        self.in_flight = self.in_flight_max = 0
+        self.started = self.expected = 0
+
+    def generate_many(self, ctxs):
+        with self.cond:
+            self.started, self.expected = 0, min(len(ctxs), self.max_in_flight)
+        return super().generate_many(ctxs)
+
+    def _post(self, prompts):
+        self.count_call()
+        definition = prompts[0].split("\n\n", 1)[0].removeprefix("Definition: ")
+        with self.cond:
+            self.in_flight += 1
+            self.in_flight_max = max(self.in_flight_max, self.in_flight)
+            self.started += 1
+            self.cond.notify_all()
+            all_started = self.cond.wait_for(lambda: self.started >= self.expected, timeout=5)
+            assert all_started, "POSTs that may run at once were sent one after another"
+        try:
+            time.sleep(self.delay(definition))
+            if definition in self.fail:
+                raise BackendError(f"refused {definition!r}")
+            out = []
+            for prompt in prompts:
+                rng = random.Random(prompt)
+                out.append(" ".join(rng.choice(_VOCAB) for _ in range(rng.randint(0, 3))))
+            return out
+        finally:
+            with self.cond:
+                self.in_flight -= 1
+
+
+def tree_task(tree):
+    return make_task(
+        task_id="task_tree", definition=render(tree), kind=TaskKind.GENERATION,
+        label_list=None, n_instances=3,
+    )
+
+
+class TestConcurrentRequests:
+    def test_calls_counted_under_threads(self):
+        task = echo_task(2)
+        fit = fit_set(task)
+        with StubServer() as server:
+            backend = RemoteBackend(server.url, GenerationParams())
+
+            def score_fifty(worker):
+                for i in range(50):
+                    score(f"definition {worker} {i}", task, fit, backend)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=score_fifty, args=(w,)) for w in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join()
+            finally:
+                sys.setswitchinterval(interval)
+            served = len(server.requests)
+        assert served == 200
+        assert backend.calls == served
+
+    def test_results_in_input_order(self):
+        task = echo_task(3)
+        instances = task.instances
+        ctxs = [GenerationContext(d, task, instances) for d in ("slow", "fast", "mid")]
+        delays = {"slow": 0.03, "fast": 0.0, "mid": 0.01}
+        backend = InProcessRemote(delay=delays.get)
+        out = backend.generate_many(ctxs)
+        assert backend.in_flight_max == 3
+        assert out == [backend.generate(ctx) for ctx in ctxs]
+
+    def test_first_failing_context_in_input_order_is_raised(self):
+        task = echo_task(2)
+        definitions = ["fine", "late failure", "early failure", "also fine"]
+        # the later context fails first in time; the earlier one's error wins
+        delays = {"late failure": 0.05}
+        backend = InProcessRemote(
+            delay=lambda d: delays.get(d, 0.0), fail={"late failure", "early failure"}
+        )
+        with pytest.raises(BackendError) as exc:
+            score_many(definitions, task, fit_set(task), backend)
+        assert str(exc.value) == "task task_echo: refused 'late failure'"
+
+
+@given(
+    text=_TREE_TEXTS,
+    mode=st.sampled_from(["current", "paper"]),
+    cached=st.booleans(),
+)
+@settings(max_examples=50, deadline=None)
+def test_concurrency_never_changes_results(text, mode, cached):
+    tree = parse_bracketed(text)
+    assume(render(tree).strip())
+    task = tree_task(tree)
+    fit, holdout = split_examples(task, 2, 1, 0)
+    cfg = StdcConfig(baseline_mode=mode, allow_empty_result=True)
+    jitter = random.Random()
+
+    def run(max_in_flight):
+        backend = InProcessRemote(max_in_flight, delay=lambda d: jitter.uniform(0, 0.002))
+        with tempfile.TemporaryDirectory() as tmp:
+            cache = ScoreCache(Path(tmp) / "cache.jsonl") if cached else None
+            result = compress(task, tree, fit, backend, cfg=cfg, cache=cache)
+            in_flight = backend.in_flight_max  # of the search alone
+            report = evaluate_holdout(task, result, holdout, backend, cache=cache)
+            hits, data = (cache.hits, cache.path.read_bytes()) if cache else (0, b"")
+            if cache:
+                cache.close()
+        outputs = json.dumps([result.to_dict(), report.to_dict()])
+        return (outputs, backend.calls, hits, data), in_flight
+
+    concurrent, in_flight = run(4)
+    sequential, in_flight_one = run(1)
+    assert concurrent == sequential
+    assert in_flight_one == 1
+    if mode == "current":
+        assert in_flight == 1
+    else:
+        # paper mode sends each layer's candidates at once, up to 4 of them
+        steps = json.loads(concurrent[0])[0]["steps"]
+        widest = max(
+            (sum(s["node_id"] in layer for s in steps)
+             for layer in (set(nodes_at_depth(tree, d)) for d in range(2, tree.depth + 1))),
+            default=0,
+        )
+        expected = max(1, min(widest, 4))
+        # with a cache, a candidate text repeated in a layer is sent once
+        assert in_flight <= expected if cached else in_flight == expected

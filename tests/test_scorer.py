@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 
 import pytest
 
@@ -17,6 +19,7 @@ from defkit.scorer import (
     build_backend,
     cache_key_for,
     score,
+    score_many,
 )
 
 from conftest import make_task
@@ -86,6 +89,7 @@ class TestCache:
         cache = ScoreCache(cache_path)
         backend = ConstantBackend(0.5)
         record = score("defn", gen_task, fit_set(gen_task), backend, cache=cache)
+        cache.close()
         reloaded = ScoreCache(cache_path)
         assert reloaded.get(record.cache_key) == record
 
@@ -98,6 +102,7 @@ class TestCache:
         assert backend.calls == calls_before
         assert cache.hits == 1
         assert again.mean_score == 1.0
+        cache.close()
 
     def test_last_write_wins(self, tmp_path):
         path = tmp_path / "cache.jsonl"
@@ -106,6 +111,7 @@ class TestCache:
         cache = ScoreCache(path)
         cache.put(r1)
         cache.put(r2)
+        cache.close()
         assert ScoreCache(path).get("k1").mean_score == 0.9
         assert len(ScoreCache(path)) == 1
 
@@ -119,10 +125,83 @@ class TestCache:
         assert cache.get("k1") == good
         assert len(cache) == 1
 
+    def test_each_put_is_on_disk_and_close_releases_the_file(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        cache = ScoreCache(path)
+        assert not path.exists()  # nothing written, nothing created
+        lines = []
+        for i in range(3):
+            record = ScoreRecord(f"k{i}", "d", "fp", 0.5, (0.5,), "b")
+            cache.put(record)
+            lines.append(json.dumps(record.to_dict(), sort_keys=True))
+            assert path.read_text().splitlines() == lines
+        cache.close()
+        cache.close()
+        cache.put(ScoreRecord("k3", "d", "fp", 0.5, (0.5,), "b"))
+        cache.close()
+        assert len(ScoreCache(path)) == 4
+
+    def test_hits_counted_under_threads(self, tmp_path):
+        cache = ScoreCache(tmp_path / "cache.jsonl")
+        cache.put(ScoreRecord("k", "d", "fp", 0.5, (0.5,), "b"))
+
+        def look_up():
+            for _ in range(500):
+                cache.get("k")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=look_up) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        cache.close()
+        assert cache.hits == 2000
+
     def test_key_depends_on_params(self):
         a = cache_key_for("b", "d", "fp", GenerationParams(max_new_tokens=10))
         b = cache_key_for("b", "d", "fp", GenerationParams(max_new_tokens=20))
         assert a != b
+
+
+class TestScoreMany:
+    DEFINITIONS = ["alpha one", "beta two", "alpha one", "alpha beta", "beta two"]
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_equals_scoring_one_after_another(self, tmp_path, gen_task, cached):
+        def run(name, score_all):
+            cache = ScoreCache(tmp_path / f"{name}.jsonl") if cached else None
+            backend = PlantedPhraseBackend("alpha")
+            records = score_all(backend, cache)
+            hits = cache.hits if cache else 0
+            data = cache.path.read_bytes() if cache else b""
+            if cache:
+                cache.close()
+            return records, backend.calls, hits, data
+
+        fit = fit_set(gen_task)
+        sequential = run(
+            "one", lambda b, c: [score(d, gen_task, fit, b, cache=c) for d in self.DEFINITIONS]
+        )
+        batched = run("many", lambda b, c: score_many(self.DEFINITIONS, gen_task, fit, b, cache=c))
+        assert batched == sequential
+        records, calls, hits, _ = batched
+        assert [r.definition for r in records] == self.DEFINITIONS
+        # a repeat is a hit with a cache and another backend call without one
+        assert (calls, hits) == ((3, 2) if cached else (5, 0))
+
+    def test_repeat_inside_a_batch_hits_the_cache(self, tmp_path, gen_task):
+        cache = ScoreCache(tmp_path / "cache.jsonl")
+        backend = PlantedPhraseBackend("alpha")
+        first, again = score_many(["alpha", "alpha"], gen_task, fit_set(gen_task), backend, cache=cache)
+        assert first == again
+        cache.close()
+        assert (backend.calls, cache.hits, len(cache)) == (1, 1, 1)
+        assert len(cache.path.read_text().splitlines()) == 1
 
 
 class TestScoreRecord:
