@@ -97,12 +97,13 @@ def apply_ablation(task: Task, ann: AnnotationSet, spec: AblationSpec) -> Ablate
                 delete.append((span.start, span.end))
 
     text = task.definition
-    deleted_mask = [False] * len(text)
-    for start, end in delete:
-        for i in range(start, end):
-            deleted_mask[i] = True
-    kept_raw = "".join(c for i, c in enumerate(text) if not deleted_mask[i])
-    kept = re.sub(r"\s+", " ", kept_raw).strip()
+    pieces: list[str] = []
+    kept_from = 0  # text[kept_from:] is not yet known to be deleted
+    for start, end in sorted(delete):
+        pieces.append(text[kept_from:start])  # empty when start <= kept_from
+        kept_from = max(kept_from, end)
+    pieces.append(text[kept_from:])
+    kept = re.sub(r"\s+", " ", "".join(pieces)).strip()
     return AblatedDefinition(
         task_id=task.id,
         spec_name=spec.name.value,

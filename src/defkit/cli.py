@@ -9,8 +9,8 @@ import logging
 import os
 import shlex
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .ablation import (
@@ -20,13 +20,23 @@ from .ablation import (
 )
 from .annotations import AnnotationSet, load_annotations
 from .corpus import Task, TaskKind, load_task_dir, load_task_file, split_examples
-from .errors import BackendError, DefkitError, InvariantError, SchemaError, ValidationError
+from .errors import (
+    BackendError,
+    DefkitError,
+    InvariantError,
+    SchemaError,
+    SizeError,
+    ValidationError,
+)
 from .manifest import RunManifest, file_digest
 from .metrics import aggregate
 from .parse import parse_bracketed
-from .scorer import ScoreCache, ScorerConfig, build_backend, score
-from .stdc import StdcConfig, compress, evaluate_holdout
 from .triplet import build_triplet, meta_tuning_instances
+
+# The scoring stack (scorer, stdc, requests, concurrent.futures) is imported
+# by the commands that score, so ablate, triplet and report never load it.
+if TYPE_CHECKING:
+    from .scorer import ScorerConfig
 
 logger = logging.getLogger(__name__)
 
@@ -89,6 +99,8 @@ def _load_parse_lines(path: str, tasks: list[Task]):
 
 
 def _scorer_config(args) -> ScorerConfig:
+    from .scorer import ScorerConfig
+
     return ScorerConfig(
         backend=args.backend,
         endpoint_url=args.endpoint_url,
@@ -183,6 +195,11 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_compress(args) -> int:
+    from concurrent.futures import ThreadPoolExecutor
+
+    from .scorer import ScoreCache, build_backend
+    from .stdc import StdcConfig, compress, evaluate_holdout
+
     try:
         cfg = _scorer_config(args)
         stdc_cfg = StdcConfig(
@@ -338,10 +355,27 @@ def _label_set(task: Task) -> frozenset[str] | None:
     return frozenset(label.strip().casefold() for label in task.label_list)
 
 
+def _verbalizer_groups(train_dir: str, test_dir: str) -> dict[str, str]:
+    """Classification test task id -> "seen" if a training task has its label set."""
+    train = load_task_dir(train_dir, lenient=True)
+    test = load_task_dir(test_dir, lenient=True)
+    seen_sets = {s for t in train if (s := _label_set(t)) is not None}
+    return {
+        t.id: ("seen" if _label_set(t) in seen_sets else "unseen")
+        for t in test
+        if t.kind is TaskKind.CLASSIFICATION
+    }
+
+
 def cmd_report(args) -> int:
     try:
         conditions = [(path, _read_score_rows(path)) for path in args.scores]
-    except (OSError, ValidationError) as exc:
+        group_of = (
+            _verbalizer_groups(args.train_tasks, args.test_tasks)
+            if args.train_tasks and args.test_tasks
+            else None
+        )
+    except (OSError, SchemaError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     reports = [(path, aggregate(rows)) for path, rows in conditions]
@@ -372,15 +406,7 @@ def cmd_report(args) -> int:
         print()
         print(_format_table(["task", "A", "B", "delta"], delta_rows))
 
-    if args.train_tasks and args.test_tasks:
-        train = load_task_dir(args.train_tasks, lenient=True)
-        test = load_task_dir(args.test_tasks, lenient=True)
-        seen_sets = {s for t in train if (s := _label_set(t)) is not None}
-        group_of = {
-            t.id: ("seen" if _label_set(t) in seen_sets else "unseen")
-            for t in test
-            if t.kind is TaskKind.CLASSIFICATION
-        }
+    if group_of is not None:
         print()
         group_rows = []
         for group in ("seen", "unseen"):
@@ -470,6 +496,8 @@ def cmd_triplet(args) -> int:
 
 
 def cmd_score(args) -> int:
+    from .scorer import ScoreCache, build_backend, score
+
     try:
         cfg = _scorer_config(args)
     except InvariantError as exc:
@@ -486,9 +514,13 @@ def cmd_score(args) -> int:
         definition = args.definition
     else:
         definition = task.definition
-    backend = build_backend(cfg)
     n = args.n if args.n is not None else len(task.instances)
-    fit, _ = split_examples(task, n, 0, args.seed)
+    try:
+        fit, _ = split_examples(task, n, 0, args.seed)
+    except SizeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    backend = build_backend(cfg)
     cache = ScoreCache(args.cache) if args.cache else None
     try:
         record = score(definition, task, fit, backend, cfg.params, cache)
@@ -519,13 +551,23 @@ def _add_backend_args(p: _Parser):
     p.add_argument("--cache", default=None, help="append-only JSONL score cache path")
 
 
+def _positive_int(value: str) -> int:
+    try:
+        n = int(value)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value!r}")
+    return n
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="defkit", description=__doc__)
     parser.add_argument("--version", action="version", version=f"defkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: _Parser):
-        p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+        p.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--lenient", action="store_true")
         p.add_argument("--csv", action="store_true")

@@ -225,6 +225,8 @@ def load_task_file(path: str | Path, *, lenient: bool = False) -> Task:
 
 def load_task_dir(directory: str | Path, *, lenient: bool = False) -> list[Task]:
     """Load every *.json file in a directory, sorted by filename."""
+    if not Path(directory).is_dir():
+        raise FileNotFoundError(f"no task directory at {directory}")
     files = sorted(Path(directory).glob("*.json"))
     return [load_task_file(f, lenient=lenient) for f in files]
 

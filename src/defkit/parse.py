@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import NamedTuple
 
 from .errors import (
@@ -128,6 +129,12 @@ class ParseTree:
 _LEXER = re.compile(r"\(|\)|[^\s()]+")
 
 
+def _token_offset(text: str, k: int) -> int:
+    """Offset of the k-th lexer token of text, or len(text) past the last one."""
+    match = next(islice(_LEXER.finditer(text), k, None), None)
+    return match.start() if match else len(text)
+
+
 def parse_bracketed(text: str) -> ParseTree:
     """Read a Penn-Treebank-style bracketed expression.
 
@@ -138,14 +145,15 @@ def parse_bracketed(text: str) -> ParseTree:
     Ids are handed out in pre-order from 1; the root takes id 0, so a lone
     top-level tree leaves id 1 unused.
     """
-    tokens = [(m.group(0), m.start()) for m in _LEXER.finditer(text)]
+    # Offsets are only needed for error messages; they are found again then.
+    tokens = _LEXER.findall(text)
     if not tokens:
         raise EmptyError("no tree in input")
 
     # A lone top-level tree is the root, at depth 1; several sit at depth 2
     # under TOP. Counting them first fixes every depth in one pass below.
     nesting = top_level = 0
-    for tok, _ in tokens:
+    for tok in tokens:
         if tok == "(":
             top_level += nesting == 0
             nesting += 1
@@ -155,23 +163,24 @@ def parse_bracketed(text: str) -> ParseTree:
     top_depth = 1 if single else 2
 
     roots: list[ParseNode] = []
-    # one entry per open constituent: (id, label, offset of its '(', children)
+    # one entry per open constituent: (id, label, token index of its '(', children)
     open_nodes: list[tuple[int, str, int, list[ParseNode]]] = []
     next_id = 1
     pos = 0
     while pos < len(tokens):
-        tok, at = tokens[pos]
+        tok = tokens[pos]
         pos += 1
         depth = top_depth + len(open_nodes)
         if tok == "(":
-            if pos >= len(tokens) or tokens[pos][0] in "()":
-                at = tokens[pos][1] if pos < len(tokens) else len(text)
+            if pos >= len(tokens) or tokens[pos] in "()":
+                at = _token_offset(text, pos)
                 raise UnbalancedError(f"expected a constituent label at offset {at}", position=at)
             node_id = 0 if single and not open_nodes else next_id
             next_id += 1
-            open_nodes.append((node_id, tokens[pos][0], at, []))
+            open_nodes.append((node_id, tokens[pos], pos - 1, []))
             pos += 1
         elif not open_nodes:
+            at = _token_offset(text, pos - 1)
             if tok == ")":
                 raise UnbalancedError(f"unmatched ')' at offset {at}", position=at)
             raise UnbalancedError(f"stray token {tok!r} at offset {at}", position=at)
@@ -186,7 +195,7 @@ def parse_bracketed(text: str) -> ParseTree:
             next_id += 1
             open_nodes[-1][3].append(leaf)
     if open_nodes:
-        at = open_nodes[-1][2]
+        at = _token_offset(text, open_nodes[-1][2])
         raise UnbalancedError(f"unclosed '(' opened at offset {at}", position=at)
     if single:
         return ParseTree(root=roots[0])

@@ -1,3 +1,6 @@
+import re
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -86,6 +89,83 @@ class TestApplyAblation:
             out = apply_ablation(review_task, review_annotation, AblationSpec(name))
             it = iter(review_task.definition)
             assert all(c in it for c in out.text.replace(" ", ""))
+
+
+def mask_ablation(task, ann, spec):
+    """Reference for apply_ablation: (text, tokens_kept, tokens_full) from a
+    per-character deletion mask."""
+    removed = spec.removed_categories
+    delete = []
+    deleted_actions = []
+    for span in ann.spans:
+        if span.category in removed and span.category is not ContentCategory.INPUT_MENTION:
+            delete.append((span.start, span.end))
+            if span.category is ContentCategory.ACTION_CONTENT:
+                deleted_actions.append(span)
+    if ContentCategory.INPUT_MENTION in removed:
+        for span in ann.by_category(ContentCategory.INPUT_MENTION):
+            if any(a.start <= span.start and span.end <= a.end for a in deleted_actions):
+                delete.append((span.start, span.end))
+    text = task.definition
+    deleted_mask = [False] * len(text)
+    for start, end in delete:
+        for i in range(start, end):
+            deleted_mask[i] = True
+    kept_raw = "".join(c for i, c in enumerate(text) if not deleted_mask[i])
+    kept = re.sub(r"\s+", " ", kept_raw).strip()
+    return kept, len(kept.split()), len(text.split())
+
+
+TOP_LEVEL = [c for c in ContentCategory if c is not ContentCategory.INPUT_MENTION]
+
+
+@st.composite
+def annotated_definitions(draw):
+    """A definition with valid spans: adjacent or gapped top-level spans, and
+    input mentions strictly inside action content."""
+    definition = draw(st.text(st.sampled_from("ab.,  \t\n"), min_size=20, max_size=80))
+    definition = "x" + definition  # never blank after trimming
+    cuts = sorted(draw(st.sets(st.integers(0, len(definition)), min_size=2, max_size=12)))
+    spans = []
+    for start, end in zip(cuts, cuts[1:]):
+        category = draw(st.sampled_from(TOP_LEVEL + [None]))  # None leaves a gap
+        if category is None:
+            continue
+        spans.append(Span(start, end, category))
+        if category is ContentCategory.ACTION_CONTENT and end - start >= 3:
+            inner = sorted(draw(st.sets(st.integers(start + 1, end - 1), min_size=2, max_size=4)))
+            spans += [
+                Span(a, b, ContentCategory.INPUT_MENTION) for a, b in zip(inner[::2], inner[1::2])
+            ]
+    spans = draw(st.permutations(spans))
+    task = make_task(definition=definition)
+    return task, AnnotationSet(task.id, tuple(spans), "a1")
+
+
+@dataclass(frozen=True)
+class CategorySpec(AblationSpec):
+    """A spec outside the table, so nested deletions (an input mention inside
+    deleted action content) are reached too."""
+
+    categories: frozenset = frozenset()
+
+    @property
+    def removed_categories(self):
+        return self.categories
+
+
+@given(annotated_definitions(), st.sets(st.sampled_from(ContentCategory)))
+@settings(max_examples=300, deadline=None)
+def test_span_slices_equal_character_mask(task_ann, categories):
+    task, ann = task_ann
+    nested = {ContentCategory.ACTION_CONTENT, ContentCategory.INPUT_MENTION}
+    specs = [AblationSpec(name) for name in AblationName] + [
+        CategorySpec(AblationName.ALL_INPUT, frozenset(categories)),
+        CategorySpec(AblationName.ALL_INPUT, frozenset(categories | nested)),
+    ]
+    for spec in specs:
+        out = apply_ablation(task, ann, spec)
+        assert (out.text, out.tokens_kept, out.tokens_full) == mask_ablation(task, ann, spec)
 
 
 class TestShuffle:

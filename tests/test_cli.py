@@ -552,3 +552,114 @@ class TestConfigErrors:
         )
         self.assert_usage_error(proc, "remote backend requires endpoint_url")
         assert not cache.exists()
+
+
+class TestBadInputs:
+    """Bad input ends with a documented exit code and one line on stderr."""
+
+    def test_score_more_instances_than_the_task_has(self, tmp_path):
+        path = write_task_file(tmp_path / "t.json", make_task(task_id="t", n_instances=4))
+        proc = TestDeepTrees.run_cli(
+            ["score", "--task", str(path), "--backend", "constant", "--n", "1000"]
+        )
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.splitlines() == ["error: task t: need 1000+0 instances, have 4"]
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("command", ["ablate", "compress", "triplet", "report"])
+    def test_missing_task_directory_exit1(self, tmp_path, capsys, command):
+        _, ann_file = review_corpus(tmp_path)
+        _, parses = fox_corpus(tmp_path)
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text(json.dumps({"task_id": "t", "kind": "generation", "score": 1.0}) + "\n")
+        missing = str(tmp_path / "nonexistent")
+        out = str(tmp_path / "out")
+        args = {
+            "ablate": ["--tasks", missing, "--annotations", str(ann_file), "--spec", "all"],
+            "compress": [
+                "--tasks", missing, "--parses", str(parses), "--backend", "constant",
+                "--fit-n", "1", "--holdout-n", "1",
+            ],
+            "triplet": [
+                "--tasks", missing, "--annotations", str(ann_file), "--parses", str(parses),
+            ],
+            "report": [str(scores), "--train-tasks", missing, "--test-tasks", missing],
+        }[command]
+        if command != "report":
+            args += ["--out", out]
+        assert main([command, *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: no task directory at {missing}"]
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+    def test_jobs_below_one_is_usage_error(self, tmp_path, capsys, jobs):
+        tasks_dir, ann_file = review_corpus(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "ablate",
+                    "--tasks", str(tasks_dir),
+                    "--annotations", str(ann_file),
+                    "--spec", "all",
+                    "--out", str(tmp_path / "out"),
+                    "--jobs", jobs,
+                ]
+            )
+        assert exc.value.code == 64
+        assert f"--jobs: expected an integer >= 1, got '{jobs}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+def test_ablate_triplet_report_leave_the_scoring_stack_unloaded(tmp_path):
+    """Only compress and score import the scorer, STDC, requests and a thread pool."""
+    review_tasks, review_ann = review_corpus(tmp_path)
+    fox_tasks, parses = fox_corpus(tmp_path)
+    fox_ann = write_annotations(
+        tmp_path / "fox_ann.jsonl",
+        [
+            AnnotationSet(
+                "task_fox",
+                (
+                    Span(0, 13, ContentCategory.INPUT_CONTENT),
+                    Span(14, 32, ContentCategory.ACTION_CONTENT),
+                ),
+                "a1",
+            )
+        ],
+    )
+    scores = tmp_path / "scores.jsonl"
+    scores.write_text(
+        json.dumps({"task_id": "task_review", "kind": "classification", "score": 1.0}) + "\n"
+    )
+    commands = [
+        [
+            "ablate", "--tasks", str(review_tasks), "--annotations", str(review_ann),
+            "--spec", "all", "--out", str(tmp_path / "ablated"),
+        ],
+        [
+            "triplet", "--tasks", str(fox_tasks), "--annotations", str(fox_ann),
+            "--parses", str(parses), "--out", str(tmp_path / "triplets"),
+        ],
+        [
+            "report", str(scores), str(scores),
+            "--train-tasks", str(fox_tasks), "--test-tasks", str(review_tasks),
+        ],
+    ]
+    script = (
+        "import json, sys\n"
+        "from defkit.cli import main\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "heavy = ('defkit.scorer', 'defkit.stdc', 'requests', 'concurrent.futures')\n"
+        "print(json.dumps([codes, [m for m in heavy if m in sys.modules]]))\n"
+    )
+    src = Path(defkit.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(commands)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0]
+    assert loaded == []

@@ -1,6 +1,9 @@
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defkit.errors import (
     DepthError,
@@ -196,3 +199,51 @@ def test_deep_tree_compares_hashes_and_prints_without_recursion():
     assert repr(tree.root) == "ParseNode(id=0, label='X', depth=1, children=1)"
     assert repr(tree) == f"ParseTree(root={tree.root!r})"
     assert repr(tree.leaves()[0]) == "ParseNode(id=2002, label='deep', depth=2002, children=0)"
+
+
+def reference_parse_error(text):
+    """(class, message, offset) that parse_bracketed raises for text, or None.
+
+    A bracket-balance check over (token, start offset) pairs, each offset
+    taken from its own regex match.
+    """
+    tokens = [(m.group(0), m.start()) for m in re.finditer(r"\(|\)|[^\s()]+", text)]
+    if not tokens:
+        return EmptyError, "no tree in input", None
+    open_at = []
+    k = 0
+    while k < len(tokens):
+        tok, at = tokens[k]
+        k += 1
+        if tok == "(":
+            if k == len(tokens) or tokens[k][0] in "()":
+                at = tokens[k][1] if k < len(tokens) else len(text)
+                return UnbalancedError, f"expected a constituent label at offset {at}", at
+            open_at.append(at)
+            k += 1
+        elif not open_at:
+            if tok == ")":
+                return UnbalancedError, f"unmatched ')' at offset {at}", at
+            return UnbalancedError, f"stray token {tok!r} at offset {at}", at
+        elif tok == ")":
+            open_at.pop()
+    if open_at:
+        return UnbalancedError, f"unclosed '(' opened at offset {open_at[-1]}", open_at[-1]
+    return None
+
+
+@given(st.lists(st.sampled_from(["(", ")", "NP", "dog", " ", "\t\n"]), max_size=40))
+@settings(max_examples=500, deadline=None)
+def test_errors_name_the_offending_token(pieces):
+    text = "".join(pieces)
+    expected = reference_parse_error(text)
+    if expected is None:
+        parse_bracketed(text)
+        return
+    cls, message, offset = expected
+    with pytest.raises(cls) as exc:
+        parse_bracketed(text)
+    assert type(exc.value) is cls
+    assert str(exc.value) == message
+    if cls is UnbalancedError:
+        assert exc.value.position == offset
