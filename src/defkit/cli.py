@@ -33,7 +33,7 @@ from .metrics import aggregate
 from .parse import parse_bracketed
 from .triplet import build_triplet, meta_tuning_instances
 
-# The scoring stack (scorer, stdc, requests, concurrent.futures) is imported
+# The scoring stack (scorer, stdc, concurrent.futures) is imported
 # by the commands that score, so ablate, triplet and report never load it.
 if TYPE_CHECKING:
     from .scorer import ScorerConfig

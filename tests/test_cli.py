@@ -553,6 +553,41 @@ class TestConfigErrors:
         self.assert_usage_error(proc, "remote backend requires endpoint_url")
         assert not cache.exists()
 
+    @pytest.mark.parametrize("command", ["compress", "score"])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (
+                ["--endpoint-url", url],
+                f"endpoint_url must be an http or https URL with a host, got {url!r}",
+            )
+            for url in ["localhost:8000/generate", "ftp://x/y", "http://", "not a url"]
+        ]
+        + [
+            (
+                ["--endpoint-url", "http://127.0.0.1:1/generate", "--temperature", "nan"],
+                "temperature must be finite, got nan",
+            )
+        ],
+    )
+    def test_bad_endpoint_or_temperature(self, tmp_path, command, flags, message):
+        tasks_dir, parses = fox_corpus(tmp_path)
+        out_dir = tmp_path / "out"
+        cache = tmp_path / "cache.jsonl"
+        args = {
+            "compress": [
+                "--tasks", str(tasks_dir), "--parses", str(parses),
+                "--fit-n", "2", "--holdout-n", "2", "--out", str(out_dir),
+            ],
+            "score": ["--task", str(tasks_dir / "task_fox.json")],
+        }[command]
+        proc = TestDeepTrees.run_cli(
+            [command, *args, "--backend", "remote", "--cache", str(cache), *flags]
+        )
+        self.assert_usage_error(proc, message)
+        assert not out_dir.exists()
+        assert not cache.exists()
+
 
 class TestBadInputs:
     """Bad input ends with a documented exit code and one line on stderr."""
@@ -612,8 +647,27 @@ class TestBadInputs:
         assert not (tmp_path / "out").exists()
 
 
+def _modules_loaded_by(commands, modules):
+    """Exit codes of `commands` run one after another in a fresh interpreter,
+    and which of `modules` that run loaded."""
+    script = (
+        "import json, sys\n"
+        "from defkit.cli import main\n"
+        "commands, modules = json.loads(sys.argv[1])\n"
+        "codes = [main(argv) for argv in commands]\n"
+        "print(json.dumps([codes, [m for m in modules if m in sys.modules]]))\n"
+    )
+    src = Path(defkit.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps([commands, modules])],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 def test_ablate_triplet_report_leave_the_scoring_stack_unloaded(tmp_path):
-    """Only compress and score import the scorer, STDC, requests and a thread pool."""
+    """Only compress and score import the scorer, STDC and a thread pool."""
     review_tasks, review_ann = review_corpus(tmp_path)
     fox_tasks, parses = fox_corpus(tmp_path)
     fox_ann = write_annotations(
@@ -647,19 +701,38 @@ def test_ablate_triplet_report_leave_the_scoring_stack_unloaded(tmp_path):
             "--train-tasks", str(fox_tasks), "--test-tasks", str(review_tasks),
         ],
     ]
-    script = (
-        "import json, sys\n"
-        "from defkit.cli import main\n"
-        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
-        "heavy = ('defkit.scorer', 'defkit.stdc', 'requests', 'concurrent.futures')\n"
-        "print(json.dumps([codes, [m for m in heavy if m in sys.modules]]))\n"
-    )
-    src = Path(defkit.__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-c", script, json.dumps(commands)],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    heavy = ["defkit.scorer", "defkit.stdc", "requests", "concurrent.futures"]
+    codes, loaded = _modules_loaded_by(commands, heavy)
     assert codes == [0, 0, 0]
     assert loaded == []
+
+
+HTTP_CLIENTS = ["requests", "urllib.request", "http.client"]
+
+
+def test_in_process_backends_load_no_http_client(tmp_path):
+    tasks_dir, parses = fox_corpus(tmp_path)
+    commands = [
+        [
+            "compress", "--tasks", str(tasks_dir), "--parses", str(parses),
+            "--backend", "keyword", "--fit-n", "2", "--holdout-n", "2",
+            "--allow-empty", "--out", str(tmp_path / "out"),
+        ],
+        ["score", "--task", str(tasks_dir / "task_fox.json"), "--backend", "keyword"],
+    ]
+    codes, loaded = _modules_loaded_by(commands, HTTP_CLIENTS)
+    assert codes == [0, 0]
+    assert loaded == []
+
+
+def test_remote_backend_posts_with_the_standard_library(tmp_path):
+    tasks_dir, _ = fox_corpus(tmp_path)
+    with StubServer() as server:
+        command = [
+            "score", "--task", str(tasks_dir / "task_fox.json"),
+            "--backend", "remote", "--endpoint-url", server.url,
+        ]
+        codes, loaded = _modules_loaded_by([command], HTTP_CLIENTS)
+        assert len(server.requests) == 1
+    assert codes == [0]
+    assert loaded == ["urllib.request", "http.client"]

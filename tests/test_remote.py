@@ -4,6 +4,8 @@ import sys
 import tempfile
 import threading
 import time
+from contextlib import contextmanager
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -11,7 +13,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from defkit.corpus import TaskKind, split_examples
-from defkit.errors import BackendError
+from defkit.cli import main
+from defkit.errors import BackendError, BackendTimeoutError
 from defkit.parse import nodes_at_depth, parse_bracketed, render
 from defkit.scorer import (
     GenerationContext,
@@ -24,7 +27,7 @@ from defkit.scorer import (
 from defkit.stdc import StdcConfig, compress, evaluate_holdout
 from defkit.stubserver import StubServer, echo_generation
 
-from conftest import make_task
+from conftest import make_task, write_task_file
 from test_stdc import _TREE_TEXTS
 
 
@@ -129,6 +132,105 @@ class TestRemoteBackend:
             sizes = sorted(len(r["body"]["prompts"]) for r in server.requests)
         assert record.per_instance == (1.0,) * 5
         assert sizes == [1, 2, 2]
+
+
+@contextmanager
+def serving(status, body=b"", delay=0.0, content_type="application/json"):
+    """A local endpoint that answers every POST with `status` and `body`
+    after `delay` seconds; yields its URL and the list of requests served."""
+    served = []
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            self.rfile.read(int(self.headers.get("Content-Length", "0")))
+            served.append(self.path)
+            time.sleep(delay)
+            try:
+                self.send_response(status)
+                self.send_header("Content-Type", content_type)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+            except OSError:  # the client gave up waiting
+                pass
+
+        def log_message(self, fmt, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}/generate", served
+    finally:
+        server.shutdown()
+        thread.join(timeout=5)
+        server.server_close()
+
+
+class TestTransportFailures:
+    """How each kind of endpoint failure surfaces: which are retried, and
+    the message each ends with."""
+
+    def generate(self, url, **kwargs):
+        task = echo_task(2)
+        backend = RemoteBackend(url, GenerationParams(), backoffs=(0, 0), **kwargs)
+        try:
+            backend.generate(GenerationContext(task.definition, task, task.instances))
+        finally:
+            self.calls = backend.calls
+
+    def test_slow_response_times_out_after_retries(self):
+        with serving(200, b'{"generations": ["a", "b"]}', delay=0.5) as (url, _):
+            with pytest.raises(BackendTimeoutError, match="timed out after retries"):
+                self.generate(url, request_timeout=0.05)
+        assert self.calls == 3  # initial attempt + 2 retries
+
+    def test_503_on_every_attempt_is_retried(self):
+        with serving(503, b"busy", content_type="text/plain") as (url, served):
+            with pytest.raises(BackendError, match="after retries") as exc:
+                self.generate(url)
+            assert len(served) == 3
+        assert self.calls == 3
+        assert not isinstance(exc.value, BackendTimeoutError)
+
+    def test_404_reports_the_first_200_characters_of_the_body(self):
+        body = "".join(str(i % 10) for i in range(300))
+        with serving(404, body.encode(), content_type="text/plain") as (url, _):
+            with pytest.raises(BackendError) as exc:
+                self.generate(url)
+        assert str(exc.value) == f"endpoint returned 404: {body[:200]}"
+        assert self.calls == 1
+
+    def test_html_body_is_malformed(self):
+        with serving(200, b"<html><body>hi</body></html>", content_type="text/html") as (url, _):
+            with pytest.raises(BackendError, match="malformed response body"):
+                self.generate(url)
+        assert self.calls == 1
+
+    def test_json_array_body_is_malformed(self):
+        with serving(200, b'["a"]') as (url, _):
+            with pytest.raises(BackendError, match="malformed response body"):
+                self.generate(url)
+        assert self.calls == 1
+
+    def test_generations_not_a_list_is_misaligned(self):
+        with serving(200, b'{"generations": "a"}') as (url, _):
+            with pytest.raises(BackendError, match="misaligned response"):
+                self.generate(url)
+        assert self.calls == 1
+
+    def test_json_array_body_exits_3_from_the_cli(self, tmp_path, capsys):
+        path = write_task_file(tmp_path / "task_one.json", make_task(task_id="task_one"))
+        with serving(200, b'["a"]') as (url, served):
+            rc = main(["score", "--task", str(path), "--backend", "remote", "--endpoint-url", url])
+            assert len(served) == 1
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()]
+        assert "malformed response body" in err
 
 
 _VOCAB = ["ref", "0", "1", "2", "cat", "sat"]
