@@ -4,6 +4,7 @@ deterministic test backends."""
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -136,7 +137,8 @@ class RemoteBackend(Backend):
     chunks of `batch_size`; up to `max_in_flight` POSTs of one
     `generate_many` call are in flight at once. The POST goes through
     `urllib.request`, imported on first use so that the in-process backends
-    load no HTTP client; it honours HTTP_PROXY/HTTPS_PROXY/NO_PROXY.
+    load no HTTP client; it honours HTTP_PROXY/HTTPS_PROXY/NO_PROXY and
+    follows no redirect.
     """
 
     def __init__(
@@ -171,11 +173,11 @@ class RemoteBackend(Backend):
         failures raise OSError (timeouts TimeoutError, possibly wrapped in
         URLError) or http.client.HTTPException."""
         from urllib.error import HTTPError
-        from urllib.request import Request, urlopen
+        from urllib.request import Request
 
         request = Request(self.endpoint_url, data=data, headers=self._headers(), method="POST")
         try:
-            with urlopen(request, timeout=self.request_timeout) as resp:
+            with _opener().open(request, timeout=self.request_timeout) as resp:
                 return resp.status, resp.read()
         except HTTPError as exc:  # any status outside 2xx
             with exc:
@@ -249,6 +251,21 @@ class RemoteBackend(Backend):
         return out
 
 
+@functools.cache
+def _opener():
+    """The opener every POST goes through: urllib's default handlers, proxy
+    variables included, except that no redirect is followed. urllib would
+    copy the Authorization header to whatever host a 3xx names, so every
+    3xx is answered as the status it is ("endpoint returned 302: ...")."""
+    from urllib.request import HTTPRedirectHandler, build_opener
+
+    class NoRedirect(HTTPRedirectHandler):
+        def redirect_request(self, req, fp, code, msg, headers, newurl):
+            return None
+
+    return build_opener(NoRedirect)
+
+
 @dataclass(frozen=True)
 class ScorerConfig:
     backend: str = "constant"  # remote | constant | planted | keyword
@@ -281,6 +298,8 @@ class ScorerConfig:
 def _is_http_url(url: str) -> bool:
     from urllib.parse import urlsplit
 
+    if not all("!" <= c <= "~" for c in url):
+        return False  # http.client sends no space, control or non-ASCII character
     try:
         parts = urlsplit(url)
         parts.port  # raises ValueError on a port that is not a number in range
@@ -500,8 +519,9 @@ def score_many(
 def __getattr__(name: str):
     # The benchmark tracer still wraps `scorer.requests.post`, so this bridge
     # imports `requests` when, and only when, code asks for that name; nothing
-    # in defkit does. The paired `[benchmark]` change deletes it when the
-    # tracer wraps the urllib transport instead (ROADMAP item 3).
+    # in defkit does. `pip install -e '.[benchmark]'` provides it. The paired
+    # `[benchmark]` change deletes the bridge and that extra when the tracer
+    # wraps the urllib transport instead (ROADMAP item 3).
     if name == "requests":
         import requests
 

@@ -561,7 +561,14 @@ class TestConfigErrors:
                 ["--endpoint-url", url],
                 f"endpoint_url must be an http or https URL with a host, got {url!r}",
             )
-            for url in ["localhost:8000/generate", "ftp://x/y", "http://", "not a url"]
+            for url in [
+                "localhost:8000/generate",
+                "ftp://x/y",
+                "http://",
+                "not a url",
+                "http://127.0.0.1:1/gen erate",
+                "http://127.0.0.1:1/gén",
+            ]
         ]
         + [
             (

@@ -112,9 +112,11 @@ class TestRemoteBackend:
         task = echo_task(2)
         with StubServer(mode="error") as server:
             backend = RemoteBackend(server.url, GenerationParams(), backoffs=(0, 0))
-            with pytest.raises(BackendError, match="after retries"):
+            with pytest.raises(BackendError, match="after retries") as exc:
                 score(task.definition, task, fit_set(task), backend)
             assert len(server.requests) == 3  # initial attempt + 2 retries
+        assert backend.calls == 3
+        assert not isinstance(exc.value, BackendTimeoutError)
 
     def test_unreachable_endpoint(self):
         task = echo_task(2)
@@ -135,24 +137,29 @@ class TestRemoteBackend:
 
 
 @contextmanager
-def serving(status, body=b"", delay=0.0, content_type="application/json"):
-    """A local endpoint that answers every POST with `status` and `body`
-    after `delay` seconds; yields its URL and the list of requests served."""
+def serving(status, body=b"", delay=0.0, content_type="application/json", headers=()):
+    """A local endpoint that answers every request with `status`, `headers`
+    and `body` after `delay` seconds; yields its URL and the headers of each
+    request served."""
     served = []
 
     class Handler(BaseHTTPRequestHandler):
         def do_POST(self):
             self.rfile.read(int(self.headers.get("Content-Length", "0")))
-            served.append(self.path)
+            served.append(self.headers)
             time.sleep(delay)
             try:
                 self.send_response(status)
                 self.send_header("Content-Type", content_type)
                 self.send_header("Content-Length", str(len(body)))
+                for name, value in headers:
+                    self.send_header(name, value)
                 self.end_headers()
                 self.wfile.write(body)
             except OSError:  # the client gave up waiting
                 pass
+
+        do_GET = do_POST
 
         def log_message(self, fmt, *args):
             pass
@@ -188,20 +195,23 @@ class TestTransportFailures:
                 self.generate(url, request_timeout=0.05)
         assert self.calls == 3  # initial attempt + 2 retries
 
-    def test_503_on_every_attempt_is_retried(self):
-        with serving(503, b"busy", content_type="text/plain") as (url, served):
-            with pytest.raises(BackendError, match="after retries") as exc:
-                self.generate(url)
-            assert len(served) == 3
-        assert self.calls == 3
-        assert not isinstance(exc.value, BackendTimeoutError)
-
     def test_404_reports_the_first_200_characters_of_the_body(self):
         body = "".join(str(i % 10) for i in range(300))
         with serving(404, body.encode(), content_type="text/plain") as (url, _):
             with pytest.raises(BackendError) as exc:
                 self.generate(url)
         assert str(exc.value) == f"endpoint returned 404: {body[:200]}"
+        assert self.calls == 1
+
+    @pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+    def test_redirect_is_not_followed(self, status, monkeypatch):
+        monkeypatch.setenv("DEFKIT_API_KEY", "sekrit")
+        with serving(200, b'{"generations": ["a", "b"]}') as (target, reached):
+            with serving(status, headers=[("Location", target)]) as (url, served):
+                with pytest.raises(BackendError, match=f"endpoint returned {status}: "):
+                    self.generate(url)
+            assert served[0]["Authorization"] == "Bearer sekrit"
+            assert reached == []  # the token never reaches the second server
         assert self.calls == 1
 
     def test_html_body_is_malformed(self):
