@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import Task
+from .corpus import Task, _require
 from .errors import DegenerateError, InvariantError, SchemaError
 
 
@@ -184,11 +184,14 @@ def fleiss_kappa(m: RatingMatrix | Sequence[Sequence[int]]) -> float:
 
 
 def annotation_from_dict(data: dict, *, where: str = "annotation") -> AnnotationSet:
-    for key in ("task_id", "annotator", "spans"):
-        if key not in data:
-            raise SchemaError(f"{where}: missing field '{key}'")
+    if not isinstance(data, dict):
+        raise SchemaError(f"{where}: record must be a JSON object")
+    task_id = _require(data, "task_id", str, where)
+    annotator = _require(data, "annotator", str, where)
     spans = []
-    for i, s in enumerate(data["spans"]):
+    for i, s in enumerate(_require(data, "spans", list, where)):
+        if not isinstance(s, dict):
+            raise SchemaError(f"{where}: spans[{i}] must be an object")
         try:
             category = ContentCategory(s["category"])
         except (KeyError, ValueError) as exc:
@@ -196,7 +199,7 @@ def annotation_from_dict(data: dict, *, where: str = "annotation") -> Annotation
         if not isinstance(s.get("start"), int) or not isinstance(s.get("end"), int):
             raise SchemaError(f"{where}: spans[{i}]: start/end must be integers")
         spans.append(Span(s["start"], s["end"], category))
-    return AnnotationSet(task_id=data["task_id"], spans=tuple(spans), annotator=data["annotator"])
+    return AnnotationSet(task_id=task_id, spans=tuple(spans), annotator=annotator)
 
 
 def load_annotations(path: str | Path) -> list[AnnotationSet]:

@@ -20,14 +20,7 @@ from .ablation import (
 )
 from .annotations import AnnotationSet, load_annotations
 from .corpus import Task, TaskKind, load_task_dir, load_task_file, split_examples
-from .errors import (
-    BackendError,
-    DefkitError,
-    InvariantError,
-    SchemaError,
-    SizeError,
-    ValidationError,
-)
+from .errors import BackendError, ConfigError, DefkitError, UnbalancedError, ValidationError
 from .manifest import RunManifest, file_digest
 from .metrics import aggregate
 from .parse import parse_bracketed
@@ -45,6 +38,16 @@ EXIT_IO = 1
 EXIT_VALIDATION = 2
 EXIT_BACKEND = 3
 EXIT_USAGE = 64
+
+# What `main` does with an exception a command raises: the first class that
+# matches gives the exit code. A command that goes on past a failed task
+# collects that failure itself and prints it as a "validation failure".
+_EXIT_CODES = (
+    (ConfigError, EXIT_USAGE),
+    (BackendError, EXIT_BACKEND),
+    (OSError, EXIT_IO),
+    ((DefkitError, UnicodeDecodeError), EXIT_VALIDATION),
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -89,13 +92,23 @@ def _annotations_by_task(path: str) -> dict[str, AnnotationSet]:
 
 
 def _load_parse_lines(path: str, tasks: list[Task]):
-    lines = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln.strip()]
+    lines = [
+        (lineno, line)
+        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1)
+        if line.strip()
+    ]
     if len(lines) != len(tasks):
         raise ValidationError(
             f"{path}: {len(lines)} parse lines for {len(tasks)} tasks "
             "(lines align by index to the sorted task files)"
         )
-    return [parse_bracketed(line) for line in lines]
+    trees = []
+    for lineno, line in lines:
+        try:
+            trees.append(parse_bracketed(line))
+        except UnbalancedError as exc:
+            raise UnbalancedError(f"{path}:{lineno}: {exc}", exc.position) from exc
+    return trees
 
 
 def _scorer_config(args) -> ScorerConfig:
@@ -116,12 +129,8 @@ def _scorer_config(args) -> ScorerConfig:
 
 
 def cmd_ablate(args) -> int:
-    try:
-        tasks = load_task_dir(args.tasks, lenient=args.lenient)
-        anns = _annotations_by_task(args.annotations)
-    except (OSError, SchemaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    tasks = load_task_dir(args.tasks, lenient=args.lenient)
+    anns = _annotations_by_task(args.annotations)
     if args.spec == "all":
         specs = [AblationSpec(name) for name in AblationName]
     else:
@@ -130,11 +139,7 @@ def cmd_ablate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_files = [out_dir / f"{spec.name.value}.jsonl" for spec in specs]
-    try:
-        _check_overwrite(out_files, args.force)
-    except FileExistsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    _check_overwrite(out_files, args.force)
 
     failures: list[str] = []
     summary_rows: list[list[str]] = []
@@ -200,59 +205,40 @@ def cmd_compress(args) -> int:
     from .scorer import ScoreCache, build_backend
     from .stdc import StdcConfig, compress, evaluate_holdout
 
-    try:
-        cfg = _scorer_config(args)
-        stdc_cfg = StdcConfig(
-            baseline_mode=args.mode,
-            epsilon=args.epsilon,
-            allow_empty_result=args.allow_empty,
-        )
-    except InvariantError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        tasks = load_task_dir(args.tasks, lenient=args.lenient)
-        trees = _load_parse_lines(args.parses, tasks)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (SchemaError, ValidationError, DefkitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    cfg = _scorer_config(args)
+    stdc_cfg = StdcConfig(
+        baseline_mode=args.mode,
+        epsilon=args.epsilon,
+        allow_empty_result=args.allow_empty,
+    )
+    tasks = load_task_dir(args.tasks, lenient=args.lenient)
+    trees = _load_parse_lines(args.parses, tasks)
+
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _check_overwrite([out_dir / f"{t.id}.json" for t in tasks], args.force)
 
     backend = build_backend(cfg)
     cache = ScoreCache(args.cache) if args.cache else None
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        _check_overwrite([out_dir / f"{t.id}.json" for t in tasks], args.force)
-    except FileExistsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-
     failures: list[str] = []
+    backend_errors: list[BackendError] = []
     table_rows: list[list[str]] = []
     aggregates: list[tuple[float, float, float, float]] = []
-    backend_failed = False
-
-    def run_one(task_tree):
-        task, tree = task_tree
-        fit, holdout = split_examples(task, args.fit_n, args.holdout_n, args.seed)
-        result = compress(task, tree, fit, backend, cfg.params, stdc_cfg, cache)
-        report = evaluate_holdout(
-            task, result, holdout, backend, cfg.params, cache,
-            strict=not args.non_strict_coverage,
-        )
-        return task, result, report
 
     def safe_run(task_tree):
+        """(task, result, report), or (task, the error, None) if the task failed."""
+        task, tree = task_tree
         try:
-            return ("ok", run_one(task_tree))
-        except BackendError as exc:
-            return ("backend", (task_tree[0], exc))
+            fit, holdout = split_examples(task, args.fit_n, args.holdout_n, args.seed)
+            result = compress(task, tree, fit, backend, cfg.params, stdc_cfg, cache)
+            report = evaluate_holdout(
+                task, result, holdout, backend, cfg.params, cache,
+                strict=not args.non_strict_coverage,
+            )
         except DefkitError as exc:
-            return ("fail", (task_tree[0], exc))
+            return task, exc, None
+        return task, result, report
 
     pairs = list(zip(tasks, trees))
     try:
@@ -265,17 +251,13 @@ def cmd_compress(args) -> int:
         if cache is not None:
             cache.close()
 
-    for status, payload_ in outcomes:
-        if status == "backend":
-            task, exc = payload_
-            print(f"backend error: {exc}", file=sys.stderr)
-            backend_failed = True
+    for task, result, report in outcomes:
+        if isinstance(result, BackendError):
+            backend_errors.append(result)
             continue
-        if status == "fail":
-            task, exc = payload_
-            failures.append(f"{task.id}: {exc}")
+        if isinstance(result, DefkitError):
+            failures.append(f"{task.id}: {result}")
             continue
-        task, result, report = payload_
         payload = {"compression": result.to_dict(), "holdout": report.to_dict()}
         (out_dir / f"{task.id}.json").write_text(
             json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -322,13 +304,11 @@ def cmd_compress(args) -> int:
         },
     ).write(out_dir)
 
-    if backend_failed:
-        return EXIT_BACKEND
-    if failures:
-        for failure in failures:
-            print(f"validation failure: {failure}", file=sys.stderr)
-        return EXIT_VALIDATION
-    return EXIT_OK
+    for failure in failures:
+        print(f"validation failure: {failure}", file=sys.stderr)
+    if backend_errors:
+        raise backend_errors[0]
+    return EXIT_VALIDATION if failures else EXIT_OK
 
 
 # ---------------------------------------------------------------- report
@@ -341,6 +321,8 @@ def _read_score_rows(path: str) -> list[tuple[str, TaskKind, float]]:
             continue
         try:
             data = json.loads(line)
+            if not isinstance(data["task_id"], str):
+                raise TypeError("task_id must be a string")
             rows.append((data["task_id"], TaskKind(data["kind"]), float(data["score"])))
         except (ValueError, KeyError, TypeError) as exc:
             raise ValidationError(f"{path}:{lineno}: malformed score row: {exc}")
@@ -368,16 +350,10 @@ def _verbalizer_groups(train_dir: str, test_dir: str) -> dict[str, str]:
 
 
 def cmd_report(args) -> int:
-    try:
-        conditions = [(path, _read_score_rows(path)) for path in args.scores]
-        group_of = (
-            _verbalizer_groups(args.train_tasks, args.test_tasks)
-            if args.train_tasks and args.test_tasks
-            else None
-        )
-    except (OSError, SchemaError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    conditions = [(path, _read_score_rows(path)) for path in args.scores]
+    group_of = (
+        _verbalizer_groups(args.train_tasks, args.test_tasks) if args.train_tasks else None
+    )
     reports = [(path, aggregate(rows)) for path, rows in conditions]
 
     headers = ["condition", "All", "Cls.", "Gen."]
@@ -434,26 +410,15 @@ def cmd_report(args) -> int:
 
 
 def cmd_triplet(args) -> int:
-    try:
-        tasks = load_task_dir(args.tasks, lenient=args.lenient)
-        anns = _annotations_by_task(args.annotations)
-        trees = _load_parse_lines(args.parses, tasks)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (SchemaError, ValidationError, DefkitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    tasks = load_task_dir(args.tasks, lenient=args.lenient)
+    anns = _annotations_by_task(args.annotations)
+    trees = _load_parse_lines(args.parses, tasks)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     triplet_file = out_dir / "triplets.jsonl"
     meta_file = out_dir / "meta_tuning.jsonl"
-    try:
-        _check_overwrite([triplet_file, meta_file], args.force)
-    except FileExistsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    _check_overwrite([triplet_file, meta_file], args.force)
 
     failures = []
     n_triplets = n_meta = 0
@@ -498,16 +463,8 @@ def cmd_triplet(args) -> int:
 def cmd_score(args) -> int:
     from .scorer import ScoreCache, build_backend, score
 
-    try:
-        cfg = _scorer_config(args)
-    except InvariantError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        task = load_task_file(args.task, lenient=args.lenient)
-    except (OSError, SchemaError, DefkitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    cfg = _scorer_config(args)
+    task = load_task_file(args.task, lenient=args.lenient)
     if args.definition_file:
         definition = Path(args.definition_file).read_text(encoding="utf-8")
     elif args.definition is not None:
@@ -515,18 +472,11 @@ def cmd_score(args) -> int:
     else:
         definition = task.definition
     n = args.n if args.n is not None else len(task.instances)
-    try:
-        fit, _ = split_examples(task, n, 0, args.seed)
-    except SizeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    fit, _ = split_examples(task, n, 0, args.seed)
     backend = build_backend(cfg)
     cache = ScoreCache(args.cache) if args.cache else None
     try:
         record = score(definition, task, fit, backend, cfg.params, cache)
-    except BackendError as exc:
-        print(f"backend error: {exc}", file=sys.stderr)
-        return EXIT_BACKEND
     finally:
         if cache is not None:
             cache.close()
@@ -566,13 +516,20 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"defkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: _Parser):
-        p.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--lenient", action="store_true")
-        p.add_argument("--csv", action="store_true")
-        p.add_argument("--force", action="store_true")
+    shared = {
+        "--jobs": dict(type=_positive_int, default=os.cpu_count() or 1),
+        "--seed": dict(type=int, default=0),
+        "--lenient": dict(action="store_true"),
+        "--csv": dict(action="store_true"),
+        "--force": dict(action="store_true"),
+    }
 
+    def common(p: _Parser, *names: str):
+        for name in names:
+            p.add_argument(name, **shared[name])
+
+    # ablate, report and triplet accept --jobs and --seed but read neither: the
+    # benchmark's variants workload passes both to all three.
     p = sub.add_parser("ablate", help="build ablated definition variants")
     p.add_argument("--tasks", required=True)
     p.add_argument("--annotations", required=True)
@@ -582,7 +539,7 @@ def build_parser() -> _Parser:
         choices=["all"] + [n.value for n in AblationName],
     )
     p.add_argument("--out", required=True)
-    common(p)
+    common(p, "--jobs", "--seed", "--lenient", "--csv", "--force")
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("compress", help="syntax-guided definition compression")
@@ -596,7 +553,7 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=["current", "paper"], default="current")
     p.add_argument("--allow-empty", action="store_true")
     p.add_argument("--non-strict-coverage", action="store_true")
-    common(p)
+    common(p, "--jobs", "--seed", "--lenient", "--csv", "--force")
     p.set_defaults(func=cmd_compress)
 
     p = sub.add_parser("report", help="aggregate score rows into All/Cls./Gen. tables")
@@ -605,7 +562,7 @@ def build_parser() -> _Parser:
     p.add_argument("--test-tasks", default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--verbose", action="store_true")
-    common(p)
+    common(p, "--jobs", "--seed", "--csv")
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("triplet", help="emit triplet definitions and meta-tuning instances")
@@ -614,7 +571,7 @@ def build_parser() -> _Parser:
     p.add_argument("--parses", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--split-outputs", action="store_true")
-    common(p)
+    common(p, "--jobs", "--seed", "--lenient", "--force")
     p.set_defaults(func=cmd_triplet)
 
     p = sub.add_parser("score", help="score one definition against a backend")
@@ -623,7 +580,7 @@ def build_parser() -> _Parser:
     p.add_argument("--definition-file", default=None)
     p.add_argument("--n", type=int, default=None)
     _add_backend_args(p)
-    common(p)
+    common(p, "--seed", "--lenient")
     p.set_defaults(func=cmd_score)
 
     return parser
@@ -633,11 +590,17 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "report" and (args.train_tasks is None) != (args.test_tasks is None):
+        parser.error("report: --train-tasks and --test-tasks go together")
     try:
         return args.func(args)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    except (DefkitError, OSError, UnicodeDecodeError) as exc:
+        code = next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
+        if code == EXIT_BACKEND:
+            print(f"backend error: {exc}", file=sys.stderr)
+        else:
+            print(f"error: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

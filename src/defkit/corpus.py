@@ -218,9 +218,12 @@ def load_task_file(path: str | Path, *, lenient: bool = False) -> Task:
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
-    return task_from_dict(data, lenient=lenient, where=str(path))
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError from read_text
+        raise SchemaError(f"{path}: not valid UTF-8 JSON: {exc}") from exc
+    try:
+        return task_from_dict(data, lenient=lenient, where=str(path))
+    except InvariantError as exc:
+        raise InvariantError(f"{path}: {exc}") from exc
 
 
 def load_task_dir(directory: str | Path, *, lenient: bool = False) -> list[Task]:

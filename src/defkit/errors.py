@@ -14,6 +14,10 @@ class InvariantError(DefkitError):
     """A domain invariant does not hold (e.g. classification task without labels)."""
 
 
+class ConfigError(InvariantError):
+    """A backend or search setting is invalid (a usage error, not bad input)."""
+
+
 class TemplateError(DefkitError):
     """Prompt template contains an unknown or missing placeholder."""
 

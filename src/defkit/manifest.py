@@ -54,19 +54,3 @@ class RunManifest:
         path = Path(out_dir) / MANIFEST_NAME
         path.write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
         return path
-
-
-def load_manifest(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text())
-
-
-def is_stale(manifest: dict) -> bool:
-    """True when any recorded input file digest no longer matches on disk."""
-    for file_path, digest in manifest.get("input_digests", {}).items():
-        p = Path(file_path)
-        if not p.exists() or file_digest(p) != digest:
-            return True
-    recorded = manifest.get("config_digest")
-    if recorded and config_digest(manifest.get("config", {})) != recorded:
-        return True
-    return False

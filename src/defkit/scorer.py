@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .corpus import DEFAULT_TEMPLATE, ExampleSet, Instance, Task, assemble_prompt
-from .errors import BackendError, BackendTimeoutError, InvariantError, ScorerError
+from .errors import BackendError, BackendTimeoutError, ConfigError, InvariantError, ScorerError
 from .metrics import normalize, rouge_l
 
 logger = logging.getLogger(__name__)
@@ -280,15 +280,15 @@ class ScorerConfig:
 
     def __post_init__(self):
         if self.backend == "remote" and not self.endpoint_url:
-            raise InvariantError("remote backend requires endpoint_url")
+            raise ConfigError("remote backend requires endpoint_url")
         if self.endpoint_url is not None and not _is_http_url(self.endpoint_url):
-            raise InvariantError(
+            raise ConfigError(
                 f"endpoint_url must be an http or https URL with a host, got {self.endpoint_url!r}"
             )
         if not math.isfinite(self.temperature):
-            raise InvariantError(f"temperature must be finite, got {self.temperature}")
+            raise ConfigError(f"temperature must be finite, got {self.temperature}")
         if self.max_in_flight < 1:
-            raise InvariantError("max_in_flight must be >= 1")
+            raise ConfigError("max_in_flight must be >= 1")
 
     @property
     def params(self) -> GenerationParams:

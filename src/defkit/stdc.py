@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from .ablation import compression_ratio
 from .annotations import AnnotationSet, ContentCategory, validate_annotation
 from .corpus import DEFAULT_TEMPLATE, ExampleSet, Task
-from .errors import EmptyResultError, InvariantError, ScorerError, ValidationError
+from .errors import ConfigError, EmptyResultError, InvariantError, ScorerError, ValidationError
 from .metrics import normalize
 from .parse import ParseTree, detokenize, nodes_at_depth, remove_subtree, render
 from .scorer import Backend, GenerationParams, ScoreCache, score_many
@@ -28,10 +28,10 @@ class StdcConfig:
     allow_empty_result: bool = False
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise InvariantError("epsilon must be >= 0")
+        if not self.epsilon >= 0:  # NaN too
+            raise ConfigError("epsilon must be >= 0")
         if self.baseline_mode not in (BASELINE_CURRENT, BASELINE_PAPER_LITERAL):
-            raise InvariantError(f"unknown baseline mode {self.baseline_mode!r}")
+            raise ConfigError(f"unknown baseline mode {self.baseline_mode!r}")
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,15 @@
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import defkit
 from defkit.annotations import AnnotationSet, ContentCategory, Span, annotation_to_dict
@@ -79,6 +83,18 @@ def fox_corpus(tmp_path):
     parses = tmp_path / "parses.txt"
     parses.write_text(FOX_TREE_TEXT + "\n", encoding="utf-8")
     return tasks_dir, parses
+
+
+def fox_annotations(tmp_path):
+    ann = AnnotationSet(
+        "task_fox",
+        (
+            Span(0, 13, ContentCategory.INPUT_CONTENT),
+            Span(14, 32, ContentCategory.ACTION_CONTENT),
+        ),
+        "a1",
+    )
+    return write_annotations(tmp_path / "fox_ann.jsonl", [ann])
 
 
 class TestAblateCommand:
@@ -220,6 +236,21 @@ class TestCompressCommand:
         assert manifest["extra"]["backend_calls"] == 0
         assert manifest["extra"]["cache_hits"] > 0
 
+    def test_backend_error_exit3_after_the_manifest(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(time, "sleep", lambda s: None)
+        tasks_dir, parses = fox_corpus(tmp_path)
+        out_dir = tmp_path / "out"
+        with StubServer(mode="error") as server:
+            rc = self.run_compress(
+                tasks_dir, parses, out_dir,
+                ["--backend", "remote", "--endpoint-url", server.url],
+            )
+        assert rc == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("backend error: ")
+        assert (out_dir / "manifest.json").exists()
+        assert not (out_dir / "task_fox.json").exists()
+
     def test_parse_line_mismatch_exit2(self, tmp_path, capsys):
         tasks_dir, parses = fox_corpus(tmp_path)
         parses.write_text(FOX_TREE_TEXT + "\n(S (NN extra))\n", encoding="utf-8")
@@ -301,10 +332,10 @@ class TestReportCommand:
         assert "0.8000" in seen_line
         assert "0.2000" in unseen_line
 
-    def test_empty_scores_exit1(self, tmp_path, capsys):
+    def test_empty_scores_exit2(self, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
-        assert main(["report", str(empty)]) == 1
+        assert main(["report", str(empty)]) == 2
         assert "no score rows" in capsys.readouterr().err
 
 
@@ -415,21 +446,13 @@ class TestDeepTrees:
     def test_triplet(self, tmp_path):
         tasks_dir, parses = fox_corpus(tmp_path)
         parses.write_text(self.tree + "\n", encoding="utf-8")
-        ann = AnnotationSet(
-            "task_fox",
-            (
-                Span(0, 13, ContentCategory.INPUT_CONTENT),
-                Span(14, 32, ContentCategory.ACTION_CONTENT),
-            ),
-            "a1",
-        )
-        write_annotations(tmp_path / "ann.jsonl", [ann])
+        ann_file = fox_annotations(tmp_path)
         out_dir = tmp_path / "out"
         proc = self.run_cli(
             [
                 "triplet",
                 "--tasks", str(tasks_dir),
-                "--annotations", str(tmp_path / "ann.jsonl"),
+                "--annotations", str(ann_file),
                 "--parses", str(parses),
                 "--out", str(out_dir),
             ]
@@ -528,21 +551,22 @@ class TestConfigErrors:
     def test_compress_negative_epsilon(self, tmp_path):
         tasks_dir, parses = fox_corpus(tmp_path)
         out_dir = tmp_path / "out"
-        proc = TestDeepTrees.run_cli(
-            [
-                "compress",
-                "--tasks", str(tasks_dir),
-                "--parses", str(parses),
-                "--backend", "planted",
-                "--phrase", "classifies reviews",
-                "--fit-n", "2",
-                "--holdout-n", "2",
-                "--out", str(out_dir),
-                "--epsilon", "-1",
-            ]
-        )
-        self.assert_usage_error(proc, "epsilon must be >= 0")
-        assert not out_dir.exists()
+        for epsilon in ("-1", "nan"):
+            proc = TestDeepTrees.run_cli(
+                [
+                    "compress",
+                    "--tasks", str(tasks_dir),
+                    "--parses", str(parses),
+                    "--backend", "planted",
+                    "--phrase", "classifies reviews",
+                    "--fit-n", "2",
+                    "--holdout-n", "2",
+                    "--out", str(out_dir),
+                    "--epsilon", epsilon,
+                ]
+            )
+            self.assert_usage_error(proc, "epsilon must be >= 0")
+            assert not out_dir.exists()
 
     def test_score_remote_without_endpoint(self, tmp_path):
         path = write_task_file(tmp_path / "task_one.json", make_task(task_id="task_one"))
@@ -654,6 +678,175 @@ class TestBadInputs:
         assert not (tmp_path / "out").exists()
 
 
+def pipeline(tmp_path):
+    """Valid input files for every subcommand, and the arguments that run each on them."""
+    tasks_dir, parses = fox_corpus(tmp_path)
+    ann_file = fox_annotations(tmp_path)
+    scores = tmp_path / "scores.jsonl"
+    scores.write_text(
+        json.dumps({"task_id": "task_fox", "kind": "generation", "score": 1.0}) + "\n"
+    )
+    files = {
+        "task": tasks_dir / "task_fox.json",
+        "annotations": ann_file,
+        "parses": parses,
+        "scores": scores,
+    }
+    tasks, out = str(tasks_dir), str(tmp_path / "out")
+    commands = {
+        "ablate": [
+            "ablate", "--tasks", tasks, "--annotations", str(ann_file), "--spec", "all",
+            "--out", out,
+        ],
+        "compress": [
+            "compress", "--tasks", tasks, "--parses", str(parses), "--backend", "planted",
+            "--phrase", "classifies reviews", "--fit-n", "2", "--holdout-n", "2", "--jobs", "1",
+            "--out", out,
+        ],
+        "triplet": [
+            "triplet", "--tasks", tasks, "--annotations", str(ann_file),
+            "--parses", str(parses), "--out", out,
+        ],
+        "report": ["report", str(scores), "--train-tasks", tasks, "--test-tasks", tasks],
+        "score": ["score", "--task", str(files["task"]), "--backend", "keyword"],
+    }
+    return files, commands
+
+
+def _with_task_fields(**fields):
+    return lambda text: json.dumps({**json.loads(text), **fields})
+
+
+ALL_COMMANDS = ("ablate", "compress", "triplet", "report", "score")
+
+# (case, file, its new content from the old text (None deletes it), exit code,
+#  the commands that read the file, what the one stderr line must name)
+BAD_INPUTS = [
+    ("task-bad-json", "task", lambda _: '{"id": ', 2, ALL_COMMANDS,
+     "{task}: not valid UTF-8 JSON"),
+    ("task-bad-utf8", "task", lambda text: b"\xff" + text.encode(), 2, ALL_COMMANDS,
+     "{task}: not valid UTF-8 JSON"),
+    ("task-empty-definition", "task", _with_task_fields(definition="   "), 2, ALL_COMMANDS,
+     "{task}: definition: empty after trimming"),
+    # report reads its task directories leniently: an unknown key is a warning there
+    ("task-unknown-key", "task", _with_task_fields(extra=1), 2,
+     ("ablate", "compress", "triplet", "score"), "{task}: unknown keys ['extra']"),
+    ("task-top-level-list", "task", lambda _: "[]", 2, ALL_COMMANDS,
+     "{task}: top level must be a JSON object"),
+    ("annotation-not-an-object", "annotations", lambda _: '\n"task_id spans annotator"\n', 2,
+     ("ablate", "triplet"), "{annotations}:2: record must be a JSON object"),
+    ("annotation-spans-a-number", "annotations",
+     lambda _: '\n{"task_id": "task_fox", "annotator": "a1", "spans": 5}\n', 2,
+     ("ablate", "triplet"), "{annotations}:2: field 'spans' has wrong type, expected list"),
+    ("annotation-span-a-string", "annotations",
+     lambda _: '\n{"task_id": "task_fox", "annotator": "a1", "spans": ["x"]}\n', 2,
+     ("ablate", "triplet"), "{annotations}:2: spans[0] must be an object"),
+    ("parse-unclosed", "parses", lambda _: "\n(S (NN fox)\n", 2, ("compress", "triplet"),
+     "{parses}:2: unclosed '(' opened at offset 0"),
+    ("parse-file-missing", "parses", lambda _: None, 1, ("compress", "triplet"), "{parses}"),
+    ("annotation-file-missing", "annotations", lambda _: None, 1, ("ablate", "triplet"),
+     "{annotations}"),
+    ("score-row-bad-kind", "scores", lambda _: '{"task_id": "t", "kind": "x", "score": 1}\n', 2,
+     ("report",), "{scores}:1: malformed score row"),
+    ("score-row-list-task-id", "scores",
+     lambda _: '{"task_id": ["t"], "kind": "generation", "score": 1}\n', 2,
+     ("report",), "{scores}:1: malformed score row"),
+]
+
+
+class TestErrorTable:
+    """Every subcommand ends a bad input with the README's exit code and one
+    `error:` line on stderr, before it writes any output."""
+
+    @pytest.mark.parametrize("command", ALL_COMMANDS)
+    def test_valid_pipeline(self, tmp_path, command):
+        _, commands = pipeline(tmp_path)
+        assert main(commands[command]) == 0
+
+    @pytest.mark.parametrize(
+        "command, file, content, code, names",
+        [
+            pytest.param(command, file, content, code, names, id=f"{command}-{case}")
+            for case, file, content, code, commands, names in BAD_INPUTS
+            for command in commands
+        ],
+    )
+    def test_bad_input(self, tmp_path, capsys, command, file, content, code, names):
+        files, commands = pipeline(tmp_path)
+        path = files[file]
+        new = content(path.read_text(encoding="utf-8"))
+        if new is None:
+            path.unlink()
+        elif isinstance(new, bytes):
+            path.write_bytes(new)
+        else:
+            path.write_text(new, encoding="utf-8")
+        assert main(commands[command]) == code
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, captured.err
+        assert lines[0].startswith("error: ")
+        assert names.format(**files) in lines[0]
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("report", ["--lenient"]),
+            ("report", ["--force"]),
+            ("triplet", ["--csv"]),
+            ("score", ["--jobs", "2"]),
+            ("score", ["--csv"]),
+            ("score", ["--force"]),
+        ],
+    )
+    def test_flags_a_command_does_not_read_are_usage_errors(
+        self, tmp_path, capsys, command, flags
+    ):
+        _, commands = pipeline(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([*commands[command], *flags])
+        assert exc.value.code == 64
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--train-tasks", "--test-tasks"])
+    def test_report_train_and_test_tasks_go_together(self, tmp_path, capsys, flag):
+        files, _ = pipeline(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["report", str(files["scores"]), flag, str(files["task"].parent)])
+        assert exc.value.code == 64
+        assert "--train-tasks and --test-tasks go together" in capsys.readouterr().err
+
+    JSON_VALUES = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+        lambda children: st.lists(children, max_size=3)
+        | st.dictionaries(st.text(), children, max_size=3),
+        max_leaves=6,
+    )
+
+    @settings(
+        max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(data=st.data())
+    def test_score_any_value_in_one_task_field(self, tmp_path, data):
+        """One field of a valid task, of its first instance or of its first
+        demonstration set to any JSON value: `score` exits 0 or 2 and prints
+        at most one stderr line."""
+        task = make_task(task_id="t").to_dict()
+        holder = data.draw(
+            st.sampled_from([task, task["instances"][0], task["demonstrations"][0]])
+        )
+        holder[data.draw(st.sampled_from(sorted(holder)))] = data.draw(self.JSON_VALUES)
+        path = tmp_path / "task.json"
+        path.write_text(json.dumps(task), encoding="utf-8")
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            rc = main(["score", "--task", str(path), "--backend", "keyword"])
+        assert rc in (0, 2)
+        assert len(err.getvalue().splitlines()) <= 1, err.getvalue()
+
+
 def _modules_loaded_by(commands, modules):
     """Exit codes of `commands` run one after another in a fresh interpreter,
     and which of `modules` that run loaded."""
@@ -677,19 +870,7 @@ def test_ablate_triplet_report_leave_the_scoring_stack_unloaded(tmp_path):
     """Only compress and score import the scorer, STDC and a thread pool."""
     review_tasks, review_ann = review_corpus(tmp_path)
     fox_tasks, parses = fox_corpus(tmp_path)
-    fox_ann = write_annotations(
-        tmp_path / "fox_ann.jsonl",
-        [
-            AnnotationSet(
-                "task_fox",
-                (
-                    Span(0, 13, ContentCategory.INPUT_CONTENT),
-                    Span(14, 32, ContentCategory.ACTION_CONTENT),
-                ),
-                "a1",
-            )
-        ],
-    )
+    fox_ann = fox_annotations(tmp_path)
     scores = tmp_path / "scores.jsonl"
     scores.write_text(
         json.dumps({"task_id": "task_review", "kind": "classification", "score": 1.0}) + "\n"
