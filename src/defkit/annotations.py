@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import Task, _require
+from .corpus import Task, _require, numbered_lines
 from .errors import DegenerateError, InvariantError, SchemaError
 
 
@@ -205,9 +205,7 @@ def annotation_from_dict(data: dict, *, where: str = "annotation") -> Annotation
 def load_annotations(path: str | Path) -> list[AnnotationSet]:
     """Read a JSONL annotation file, one record per (task, annotator)."""
     out = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
+    for lineno, line in numbered_lines(path):
         try:
             data = json.loads(line)
         except json.JSONDecodeError as exc:

@@ -6,6 +6,7 @@ import argparse
 import csv as csv_mod
 import json
 import logging
+import math
 import os
 import shlex
 import sys
@@ -19,8 +20,15 @@ from .ablation import (
     apply_ablation,
 )
 from .annotations import AnnotationSet, load_annotations
-from .corpus import Task, TaskKind, load_task_dir, load_task_file, split_examples
-from .errors import BackendError, ConfigError, DefkitError, UnbalancedError, ValidationError
+from .corpus import Task, TaskKind, load_task_dir, load_task_file, numbered_lines, split_examples
+from .errors import (
+    BackendError,
+    ConfigError,
+    DefkitError,
+    SchemaError,
+    UnbalancedError,
+    ValidationError,
+)
 from .manifest import RunManifest, file_digest
 from .metrics import aggregate
 from .parse import parse_bracketed
@@ -46,7 +54,7 @@ _EXIT_CODES = (
     (ConfigError, EXIT_USAGE),
     (BackendError, EXIT_BACKEND),
     (OSError, EXIT_IO),
-    ((DefkitError, UnicodeDecodeError), EXIT_VALIDATION),
+    (DefkitError, EXIT_VALIDATION),
 )
 
 
@@ -92,11 +100,7 @@ def _annotations_by_task(path: str) -> dict[str, AnnotationSet]:
 
 
 def _load_parse_lines(path: str, tasks: list[Task]):
-    lines = [
-        (lineno, line)
-        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1)
-        if line.strip()
-    ]
+    lines = list(numbered_lines(path))
     if len(lines) != len(tasks):
         raise ValidationError(
             f"{path}: {len(lines)} parse lines for {len(tasks)} tasks "
@@ -316,15 +320,17 @@ def cmd_compress(args) -> int:
 
 def _read_score_rows(path: str) -> list[tuple[str, TaskKind, float]]:
     rows = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
+    for lineno, line in numbered_lines(path):
         try:
             data = json.loads(line)
             if not isinstance(data["task_id"], str):
                 raise TypeError("task_id must be a string")
-            rows.append((data["task_id"], TaskKind(data["kind"]), float(data["score"])))
-        except (ValueError, KeyError, TypeError) as exc:
+            score = data["score"]
+            number = isinstance(score, (int, float)) and not isinstance(score, bool)
+            if not number or not math.isfinite(score):
+                raise ValueError(f"score must be a finite number, got {score!r}")
+            rows.append((data["task_id"], TaskKind(data["kind"]), float(score)))
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise ValidationError(f"{path}:{lineno}: malformed score row: {exc}")
     if not rows:
         raise ValidationError(f"{path}: no score rows")
@@ -466,7 +472,10 @@ def cmd_score(args) -> int:
     cfg = _scorer_config(args)
     task = load_task_file(args.task, lenient=args.lenient)
     if args.definition_file:
-        definition = Path(args.definition_file).read_text(encoding="utf-8")
+        try:
+            definition = Path(args.definition_file).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{args.definition_file}: not valid UTF-8: {exc}") from exc
     elif args.definition is not None:
         definition = args.definition
     else:
@@ -594,7 +603,7 @@ def main(argv=None) -> int:
         parser.error("report: --train-tasks and --test-tasks go together")
     try:
         return args.func(args)
-    except (DefkitError, OSError, UnicodeDecodeError) as exc:
+    except (DefkitError, OSError) as exc:
         code = next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
         if code == EXIT_BACKEND:
             print(f"backend error: {exc}", file=sys.stderr)

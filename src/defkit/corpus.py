@@ -6,24 +6,23 @@ import enum
 import json
 import logging
 import random
-import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from pathlib import Path
+from typing import Callable, Iterator
 
-from .errors import InvariantError, SchemaError, SizeError, TemplateError
+from .errors import InvariantError, SchemaError, SizeError
 
 logger = logging.getLogger(__name__)
 
+# The one prompt every definition is scored through: the Super-NaturalInstructions
+# layout of definition, two positive examples, then the instance input.
 DEFAULT_TEMPLATE = (
     "Definition: {definition}\n\n"
     "Positive Example 1-\nInput: {demo1_in}\nOutput: {demo1_out}\n\n"
     "Positive Example 2-\nInput: {demo2_in}\nOutput: {demo2_out}\n\n"
     "Now complete the following example-\nInput: {input}\nOutput:"
 )
-
-_PLACEHOLDERS = {"definition", "demo1_in", "demo1_out", "demo2_in", "demo2_out", "input"}
-_PLACEHOLDER = re.compile(r"\{(\w+)\}")
 
 
 class TaskKind(enum.Enum):
@@ -226,6 +225,29 @@ def load_task_file(path: str | Path, *, lenient: bool = False) -> Task:
         raise InvariantError(f"{path}: {exc}") from exc
 
 
+def numbered_lines(
+    path: str | Path, on_undecodable: Callable[[int], None] | None = None
+) -> Iterator[tuple[int, str]]:
+    """(line number, text) of each non-blank line of a UTF-8 file.
+
+    Lines end at "\n" only, so U+0085, U+2028 and U+2029 inside a JSON
+    string neither split a record nor shift the line numbers after it. A
+    line that is not UTF-8 raises SchemaError naming path:line, or, given
+    `on_undecodable`, is passed to it by number and skipped.
+    """
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                line = raw.decode("utf-8").rstrip("\r\n")
+            except UnicodeDecodeError as exc:
+                if on_undecodable is None:
+                    raise SchemaError(f"{path}:{lineno}: not valid UTF-8: {exc}") from exc
+                on_undecodable(lineno)
+                continue
+            if line.strip():
+                yield lineno, line
+
+
 def load_task_dir(directory: str | Path, *, lenient: bool = False) -> list[Task]:
     """Load every *.json file in a directory, sorted by filename."""
     if not Path(directory).is_dir():
@@ -234,38 +256,18 @@ def load_task_dir(directory: str | Path, *, lenient: bool = False) -> list[Task]
     return [load_task_file(f, lenient=lenient) for f in files]
 
 
-@lru_cache(maxsize=64)
-def _check_template(template: str) -> None:
-    """Raise TemplateError for a bad template; a good one is checked once."""
-    names = set(_PLACEHOLDER.findall(template))
-    unknown = names - _PLACEHOLDERS
-    if unknown:
-        raise TemplateError(f"unresolved placeholder(s): {sorted(unknown)}")
-    if "input" not in names:
-        raise TemplateError("template is missing the {input} placeholder")
-
-
-def assemble_prompt(
-    task: Task,
-    definition: str,
-    instance: Instance,
-    template: str = DEFAULT_TEMPLATE,
-) -> str:
-    """Substitute the template placeholders verbatim; no other text is altered.
-
-    Exactly the first two demonstrations are used. The template must contain
-    the {input} placeholder and no placeholders outside the supported set.
-    """
-    _check_template(template)
-    values = {
-        "definition": definition,
-        "demo1_in": task.demonstrations[0].input,
-        "demo1_out": task.demonstrations[0].output,
-        "demo2_in": task.demonstrations[1].input,
-        "demo2_out": task.demonstrations[1].output,
-        "input": instance.input,
-    }
-    return _PLACEHOLDER.sub(lambda m: values[m.group(1)], template)
+def assemble_prompt(task: Task, definition: str, instance: Instance) -> str:
+    """Fill DEFAULT_TEMPLATE with the definition, the first two
+    demonstrations and the instance input; the values go in verbatim."""
+    demo1, demo2 = task.demonstrations[:2]
+    return DEFAULT_TEMPLATE.format(
+        definition=definition,
+        demo1_in=demo1.input,
+        demo1_out=demo1.output,
+        demo2_in=demo2.input,
+        demo2_out=demo2.output,
+        input=instance.input,
+    )
 
 
 def split_examples(

@@ -18,10 +18,6 @@ class ConfigError(InvariantError):
     """A backend or search setting is invalid (a usage error, not bad input)."""
 
 
-class TemplateError(DefkitError):
-    """Prompt template contains an unknown or missing placeholder."""
-
-
 class SizeError(DefkitError):
     """Requested split sizes exceed the available instances."""
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import DEFAULT_TEMPLATE, ExampleSet, Instance, Task, assemble_prompt
+from .corpus import ExampleSet, Instance, Task, assemble_prompt, numbered_lines
 from .errors import BackendError, BackendTimeoutError, ConfigError, InvariantError, ScorerError
 from .metrics import normalize, rouge_l
 
@@ -44,12 +44,11 @@ class GenerationParams:
 @dataclass(frozen=True)
 class GenerationContext:
     """One definition to generate for, over a task's instances; a backend
-    that needs prompts assembles them with `template`."""
+    that needs prompts assembles them with `assemble_prompt`."""
 
     definition: str
     task: Task
     instances: tuple[Instance, ...]
-    template: str = DEFAULT_TEMPLATE
 
 
 class Backend:
@@ -133,12 +132,12 @@ class RemoteBackend(Backend):
     Transport failures, timeouts and 5xx answers are retried (3 retries,
     backoff 0.5s/2s/8s); other statuses and contract violations (a body
     that is not a JSON object with "generations", length mismatch) raise
-    BackendError at once. Each context's prompts go in one POST, or in
-    chunks of `batch_size`; up to `max_in_flight` POSTs of one
-    `generate_many` call are in flight at once. The POST goes through
-    `urllib.request`, imported on first use so that the in-process backends
-    load no HTTP client; it honours HTTP_PROXY/HTTPS_PROXY/NO_PROXY and
-    follows no redirect.
+    BackendError at once. Each context's prompts go in one POST; up to
+    `max_in_flight` POSTs of one `generate_many` call are in flight at once.
+    The CLI keeps the defaults: a 60 s timeout and 4 POSTs in flight. The
+    POST goes through `urllib.request`, imported on first use so that the
+    in-process backends load no HTTP client; it honours
+    HTTP_PROXY/HTTPS_PROXY/NO_PROXY and follows no redirect.
     """
 
     def __init__(
@@ -146,8 +145,7 @@ class RemoteBackend(Backend):
         endpoint_url: str,
         params: GenerationParams,
         request_timeout: float = 60.0,
-        max_in_flight: int = 1,
-        batch_size: int | None = None,
+        max_in_flight: int = 4,
         backoffs: Sequence[float] = RETRY_BACKOFFS,
     ):
         super().__init__()
@@ -157,7 +155,6 @@ class RemoteBackend(Backend):
         self.params = params
         self.request_timeout = request_timeout
         self.max_in_flight = max_in_flight
-        self.batch_size = batch_size
         self.backoffs = tuple(backoffs)
         self.backend_id = f"remote:{endpoint_url}"
 
@@ -220,35 +217,27 @@ class RemoteBackend(Backend):
             raise BackendTimeoutError(f"endpoint timed out after retries: {last_error}")
         raise BackendError(f"endpoint unreachable after retries: {last_error}")
 
-    def _chunks(self, ctx: GenerationContext) -> list[list[str]]:
-        prompts = [
-            assemble_prompt(ctx.task, ctx.definition, inst, ctx.template)
-            for inst in ctx.instances
-        ]
-        if self.batch_size is None or len(prompts) <= self.batch_size:
-            return [prompts]
-        return [prompts[i : i + self.batch_size] for i in range(0, len(prompts), self.batch_size)]
-
     def generate(self, ctx: GenerationContext) -> list[str]:
         return self.generate_many([ctx])[0]
 
     def generate_many(self, ctxs: Sequence[GenerationContext]) -> list[list[str]]:
-        """One pool of `max_in_flight` threads sends every chunk of every
-        context. Results come back in input order; if requests fail, the
-        error of the first failing chunk in input order is raised."""
-        jobs = [(i, chunk) for i, ctx in enumerate(ctxs) for chunk in self._chunks(ctx)]
+        """One pool of `max_in_flight` threads sends one POST per context.
+        Results come back in input order; if requests fail, the error of
+        the first failing context in input order is raised."""
         with ThreadPoolExecutor(max_workers=self.max_in_flight) as pool:
-            futures = [pool.submit(self._post, chunk) for _, chunk in jobs]
+            futures = [
+                pool.submit(
+                    self._post,
+                    [assemble_prompt(ctx.task, ctx.definition, inst) for inst in ctx.instances],
+                )
+                for ctx in ctxs
+            ]
             try:
-                results = [f.result() for f in futures]
+                return [f.result() for f in futures]
             except BaseException:
                 for f in futures:
                     f.cancel()
                 raise
-        out: list[list[str]] = [[] for _ in ctxs]
-        for (i, _), generations in zip(jobs, results):
-            out[i] += generations
-        return out
 
 
 @functools.cache
@@ -273,8 +262,6 @@ class ScorerConfig:
     max_new_tokens: int = 128
     temperature: float = 0.0
     seed: int | None = None
-    request_timeout: float = 60.0
-    max_in_flight: int = 4
     constant_value: float = 0.5
     planted_phrase: str = ""
 
@@ -287,8 +274,6 @@ class ScorerConfig:
             )
         if not math.isfinite(self.temperature):
             raise ConfigError(f"temperature must be finite, got {self.temperature}")
-        if self.max_in_flight < 1:
-            raise ConfigError("max_in_flight must be >= 1")
 
     @property
     def params(self) -> GenerationParams:
@@ -310,12 +295,7 @@ def _is_http_url(url: str) -> bool:
 
 def build_backend(cfg: ScorerConfig) -> Backend:
     if cfg.backend == "remote":
-        return RemoteBackend(
-            cfg.endpoint_url,
-            cfg.params,
-            request_timeout=cfg.request_timeout,
-            max_in_flight=cfg.max_in_flight,
-        )
+        return RemoteBackend(cfg.endpoint_url, cfg.params)
     if cfg.backend == "constant":
         return ConstantBackend(cfg.constant_value)
     if cfg.backend == "planted":
@@ -397,15 +377,16 @@ class ScoreCache:
         self._fh = None
         self.hits = 0
         if self.path.exists():
-            for lineno, line in enumerate(self.path.read_text(encoding="utf-8").splitlines(), 1):
-                if not line.strip():
-                    continue
+            for lineno, line in numbered_lines(self.path, self._skip_line):
                 try:
                     record = ScoreRecord.from_dict(json.loads(line))
                 except (ValueError, KeyError, TypeError, InvariantError):
-                    logger.warning("%s:%d: skipping corrupted cache line", self.path, lineno)
+                    self._skip_line(lineno)
                     continue
                 self._records[record.cache_key] = record
+
+    def _skip_line(self, lineno: int) -> None:
+        logger.warning("%s:%d: skipping corrupted cache line", self.path, lineno)
 
     def __contains__(self, key: str) -> bool:
         return key in self._records
@@ -443,10 +424,9 @@ def score(
     backend: Backend,
     params: GenerationParams = GenerationParams(),
     cache: ScoreCache | None = None,
-    template: str = DEFAULT_TEMPLATE,
 ) -> ScoreRecord:
     """Mean Rouge-L of one definition; see `score_many`."""
-    return score_many([definition], task, examples, backend, params, cache, template)[0]
+    return score_many([definition], task, examples, backend, params, cache)[0]
 
 
 def score_many(
@@ -456,7 +436,6 @@ def score_many(
     backend: Backend,
     params: GenerationParams = GenerationParams(),
     cache: ScoreCache | None = None,
-    template: str = DEFAULT_TEMPLATE,
 ) -> list[ScoreRecord]:
     """Mean Rouge-L of each definition over the example set's instances, in
     input order.
@@ -480,7 +459,7 @@ def score_many(
         if cache is not None and (key in cache or key in pending):
             continue
         pending.add(key)
-        misses[i] = GenerationContext(definition, task, instances, template)
+        misses[i] = GenerationContext(definition, task, instances)
     per_miss = {i: backend.score_batch(ctx) for i, ctx in misses.items()}
     to_generate = [i for i, per in per_miss.items() if per is None]
     try:

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 from .ablation import compression_ratio
 from .annotations import AnnotationSet, ContentCategory, validate_annotation
-from .corpus import DEFAULT_TEMPLATE, ExampleSet, Task
+from .corpus import ExampleSet, Task
 from .errors import ConfigError, EmptyResultError, InvariantError, ScorerError, ValidationError
 from .metrics import normalize
 from .parse import ParseTree, detokenize, nodes_at_depth, remove_subtree, render
@@ -76,27 +76,6 @@ class CompressionResult:
             "steps": [s.to_dict() for s in self.steps],
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "CompressionResult":
-        return cls(
-            task_id=data["task_id"],
-            full_definition=data["full_definition"],
-            compressed_definition=data["compressed_definition"],
-            ratio=data["ratio"],
-            fit_score_before=data["fit_score_before"],
-            fit_score_after=data["fit_score_after"],
-            steps=tuple(
-                Step(
-                    node_id=s["node_id"],
-                    label=s["label"],
-                    leaves_removed=tuple(s["leaves_removed"]),
-                    candidate_score=s["candidate_score"],
-                    accepted=s["accepted"],
-                )
-                for s in data["steps"]
-            ),
-        )
-
 
 @dataclass(frozen=True)
 class HoldoutReport:
@@ -120,7 +99,6 @@ def compress(
     params: GenerationParams = GenerationParams(),
     cfg: StdcConfig = StdcConfig(),
     cache: ScoreCache | None = None,
-    template: str = DEFAULT_TEMPLATE,
 ) -> CompressionResult:
     """Greedy top-down, layer-ordered removal of parse-tree subtrees.
 
@@ -140,7 +118,7 @@ def compress(
         )
 
     def f(definitions: list[str]) -> list[float]:
-        records = score_many(definitions, task, fit, backend, params, cache, template)
+        records = score_many(definitions, task, fit, backend, params, cache)
         return [r.mean_score for r in records]
 
     [full_score] = f([full_text])
@@ -213,7 +191,6 @@ def evaluate_holdout(
     backend: Backend,
     params: GenerationParams = GenerationParams(),
     cache: ScoreCache | None = None,
-    template: str = DEFAULT_TEMPLATE,
     strict: bool = True,
 ) -> HoldoutReport:
     """Before/after means on the holdout set plus coverage: the fraction of
@@ -221,7 +198,7 @@ def evaluate_holdout(
     (strictly, unless strict=False)."""
     before, after = score_many(
         [result.full_definition, result.compressed_definition],
-        task, holdout, backend, params, cache, template,
+        task, holdout, backend, params, cache,
     )
     pairs = list(zip(before.per_instance, after.per_instance))
     if strict:

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -13,8 +14,9 @@ from hypothesis import strategies as st
 
 import defkit
 from defkit.annotations import AnnotationSet, ContentCategory, Span, annotation_to_dict
-from defkit.cli import main
+from defkit.cli import _scorer_config, build_parser, main
 from defkit.corpus import TaskKind
+from defkit.scorer import ScorerConfig
 from defkit.stubserver import StubServer
 
 from conftest import FOX_TREE_TEXT, REVIEW_DEFINITION, make_task, write_task_file
@@ -686,11 +688,14 @@ def pipeline(tmp_path):
     scores.write_text(
         json.dumps({"task_id": "task_fox", "kind": "generation", "score": 1.0}) + "\n"
     )
+    definition = tmp_path / "definition.txt"
+    definition.write_text("the quick fox", encoding="utf-8")
     files = {
         "task": tasks_dir / "task_fox.json",
         "annotations": ann_file,
         "parses": parses,
         "scores": scores,
+        "definition": definition,
     }
     tasks, out = str(tasks_dir), str(tmp_path / "out")
     commands = {
@@ -708,7 +713,10 @@ def pipeline(tmp_path):
             "--parses", str(parses), "--out", out,
         ],
         "report": ["report", str(scores), "--train-tasks", tasks, "--test-tasks", tasks],
-        "score": ["score", "--task", str(files["task"]), "--backend", "keyword"],
+        "score": [
+            "score", "--task", str(files["task"]), "--definition-file", str(definition),
+            "--backend", "keyword",
+        ],
     }
     return files, commands
 
@@ -751,6 +759,26 @@ BAD_INPUTS = [
     ("score-row-list-task-id", "scores",
      lambda _: '{"task_id": ["t"], "kind": "generation", "score": 1}\n', 2,
      ("report",), "{scores}:1: malformed score row"),
+    ("score-row-nan", "scores", lambda _: '{"task_id": "t", "kind": "generation", "score": NaN}\n',
+     2, ("report",), "{scores}:1: malformed score row"),
+    ("score-row-bool", "scores",
+     lambda _: '{"task_id": "t", "kind": "generation", "score": true}\n', 2,
+     ("report",), "{scores}:1: malformed score row"),
+    ("score-row-string", "scores",
+     lambda _: '{"task_id": "t", "kind": "generation", "score": "0.5"}\n', 2,
+     ("report",), "{scores}:1: malformed score row"),
+    ("score-row-huge-int", "scores",
+     lambda _: '{"task_id": "t", "kind": "generation", "score": 1%s}\n' % ("0" * 400), 2,
+     ("report",), "{scores}:1: malformed score row"),
+    # a byte that is not UTF-8 names the file and the line it is on
+    ("annotation-bad-utf8", "annotations", lambda text: ("\n" + text).encode() + b"\xff\n", 2,
+     ("ablate", "triplet"), "{annotations}:3: not valid UTF-8"),
+    ("parse-bad-utf8", "parses", lambda text: ("\n" + text).encode() + b"\xff\n", 2,
+     ("compress", "triplet"), "{parses}:3: not valid UTF-8"),
+    ("score-row-bad-utf8", "scores", lambda text: ("\n" + text).encode() + b"\xff\n", 2,
+     ("report",), "{scores}:3: not valid UTF-8"),
+    ("definition-bad-utf8", "definition", lambda text: b"\xff" + text.encode(), 2, ("score",),
+     "{definition}: not valid UTF-8"),
 ]
 
 
@@ -818,6 +846,20 @@ class TestErrorTable:
         assert exc.value.code == 64
         assert "--train-tasks and --test-tasks go together" in capsys.readouterr().err
 
+    def test_line_separators_inside_a_json_string_split_no_record(self, tmp_path, capsys):
+        """U+0085, U+2028 and U+2029 may stand unescaped in a JSON string; a
+        line-based file still ends its lines at "\\n" only."""
+        files, commands = pipeline(tmp_path)
+        record = json.loads(files["annotations"].read_text(encoding="utf-8"))
+        record["annotator"] = "a\u2028b\u0085c\u2029d"
+        text = json.dumps(record, ensure_ascii=False) + "\n"
+        files["annotations"].write_text(text, encoding="utf-8")
+        assert main(commands["ablate"]) == 0
+        capsys.readouterr()
+        files["annotations"].write_text(text + "5\n", encoding="utf-8")
+        assert main([*commands["ablate"], "--force"]) == 2
+        assert f"{files['annotations']}:2: record must be a JSON object" in capsys.readouterr().err
+
     JSON_VALUES = st.recursive(
         st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
         lambda children: st.lists(children, max_size=3)
@@ -845,6 +887,33 @@ class TestErrorTable:
             rc = main(["score", "--task", str(path), "--backend", "keyword"])
         assert rc in (0, 2)
         assert len(err.getvalue().splitlines()) <= 1, err.getvalue()
+
+
+# ScorerConfig field -> (the flag that sets it, a value for the flag, the value it
+# gives the field, which is not the field's default)
+SCORER_FLAGS = {
+    "backend": ("--backend", "planted", "planted"),
+    "endpoint_url": ("--endpoint-url", "http://127.0.0.1:9/x", "http://127.0.0.1:9/x"),
+    "max_new_tokens": ("--max-new-tokens", "7", 7),
+    "temperature": ("--temperature", "0.5", 0.5),
+    "seed": ("--seed", "3", 3),
+    "constant_value": ("--constant-value", "0.25", 0.25),
+    "planted_phrase": ("--phrase", "quick fox", "quick fox"),
+}
+
+
+@pytest.mark.parametrize("command", ["compress", "score"])
+def test_every_scorer_setting_has_a_flag(tmp_path, command):
+    """No ScorerConfig field is out of the CLI's reach: each has a flag on
+    both scoring commands that moves it off its default."""
+    _, commands = pipeline(tmp_path)
+    fields = dataclasses.fields(ScorerConfig)
+    assert {f.name for f in fields} == set(SCORER_FLAGS)
+    for f in fields:
+        flag, text, value = SCORER_FLAGS[f.name]
+        assert value != f.default
+        cfg = _scorer_config(build_parser().parse_args([*commands[command], flag, text]))
+        assert getattr(cfg, f.name) == value, f.name
 
 
 def _modules_loaded_by(commands, modules):

@@ -1,4 +1,6 @@
 import json
+import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from defkit.corpus import (
     split_examples,
     task_from_dict,
 )
-from defkit.errors import InvariantError, SchemaError, SizeError, TemplateError
+from defkit.errors import InvariantError, SchemaError, SizeError
 
 from conftest import make_task, write_task_file
 
@@ -109,35 +111,24 @@ class TestLoadTaskFile:
 class TestAssemblePrompt:
     def test_simple_substitution(self):
         task = make_task()
-        prompt = assemble_prompt(task, "d", task.instances[0], "D:{definition}|X:{input}")
-        assert prompt == "D:d|X:input 0"
+        prompt = assemble_prompt(task, "d", task.instances[0])
+        assert prompt == (
+            "Definition: d\n\n"
+            "Positive Example 1-\nInput: demo input one\nOutput: demo output one\n\n"
+            "Positive Example 2-\nInput: demo input two\nOutput: demo output two\n\n"
+            "Now complete the following example-\nInput: input 0\nOutput:"
+        )
 
     def test_default_template_empty_definition(self):
         task = make_task()
-        prompt = assemble_prompt(task, "", task.instances[0], DEFAULT_TEMPLATE)
+        prompt = assemble_prompt(task, "", task.instances[0])
         assert prompt.startswith("Definition: \n\nPositive Example 1-\n")
         assert "Input: demo input one\nOutput: demo output one" in prompt
         assert prompt.endswith("Input: input 0\nOutput:")
 
-    def test_missing_input_placeholder(self):
-        task = make_task()
-        with pytest.raises(TemplateError, match="input"):
-            assemble_prompt(task, "d", task.instances[0], "D:{definition}")
-
-    def test_unknown_placeholder(self):
-        task = make_task()
-        with pytest.raises(TemplateError, match="demo3_in"):
-            assemble_prompt(task, "d", task.instances[0], "{input}{demo3_in}")
-
-    def test_bad_template_raises_on_every_call(self):
-        task = make_task()
-        for _ in range(2):
-            with pytest.raises(TemplateError, match="demo3_in"):
-                assemble_prompt(task, "d", task.instances[0], "{input}{demo3_in}")
-
     def test_uses_exactly_first_two_demos(self):
         task = make_task()
-        prompt = assemble_prompt(task, "d", task.instances[0], DEFAULT_TEMPLATE)
+        prompt = assemble_prompt(task, "d", task.instances[0])
         assert "demo input one" in prompt and "demo input two" in prompt
 
     @given(definition=st.text(max_size=40), inp=st.text(max_size=40))
@@ -145,16 +136,42 @@ class TestAssemblePrompt:
         # no hidden normalization: output length is exactly template length
         # minus placeholders plus substitutions
         task = make_task(inputs=[inp, "b", "c"])
-        template = "D:{definition}|X:{input}"
-        prompt = assemble_prompt(task, definition, task.instances[0], template)
+        prompt = assemble_prompt(task, definition, task.instances[0])
+        demo1, demo2 = task.demonstrations[:2]
+        values = [definition, demo1.input, demo1.output, demo2.input, demo2.output, inp]
+        names = ["definition", "demo1_in", "demo1_out", "demo2_in", "demo2_out", "input"]
         expected = (
-            len(template)
-            - len("{definition}")
-            - len("{input}")
-            + len(definition)
-            + len(inp)
+            len(DEFAULT_TEMPLATE)
+            - sum(len(f"{{{name}}}") for name in names)
+            + sum(map(len, values))
         )
         assert len(prompt) == expected
+
+    # text built from braces, placeholder names and format specs
+    BRACED = st.lists(
+        st.sampled_from(["{", "}", "{{", "}}", "{input}", "{definition}", "{0}", "{x!r:>3}"])
+        | st.text(max_size=3),
+        max_size=6,
+    ).map("".join)
+
+    @given(definition=BRACED, inp=BRACED, demo=BRACED)
+    def test_braces_in_values_go_in_verbatim(self, definition, inp, demo):
+        """Values holding braces or placeholder names are not templates: the
+        prompt equals substituting each placeholder of the template once."""
+        task = make_task(inputs=[inp, "b", "c"])
+        demos = (replace(task.demonstrations[0], input=demo or "x"), task.demonstrations[1])
+        task = replace(task, demonstrations=demos)
+        prompt = assemble_prompt(task, definition, task.instances[0])
+        values = {
+            "definition": definition,
+            "demo1_in": demos[0].input,
+            "demo1_out": demos[0].output,
+            "demo2_in": demos[1].input,
+            "demo2_out": demos[1].output,
+            "input": inp,
+        }
+        assert prompt == re.sub(r"\{(\w+)\}", lambda m: values[m.group(1)], DEFAULT_TEMPLATE)
+        assert definition in prompt and inp in prompt and demos[0].input in prompt
 
 
 class TestSplitExamples:

@@ -124,17 +124,6 @@ class TestRemoteBackend:
         with pytest.raises(BackendError, match="unreachable"):
             score(task.definition, task, fit_set(task), backend)
 
-    def test_batched_requests_preserve_order(self):
-        task = echo_task(5)
-        with StubServer() as server:
-            backend = RemoteBackend(
-                server.url, GenerationParams(), batch_size=2, max_in_flight=2
-            )
-            record = score(task.definition, task, fit_set(task), backend)
-            sizes = sorted(len(r["body"]["prompts"]) for r in server.requests)
-        assert record.per_instance == (1.0,) * 5
-        assert sizes == [1, 2, 2]
-
 
 @contextmanager
 def serving(status, body=b"", delay=0.0, content_type="application/json", headers=()):

@@ -125,6 +125,15 @@ class TestCache:
         assert cache.get("k1") == good
         assert len(cache) == 1
 
+    def test_line_not_utf8_skipped_with_a_warning(self, tmp_path, caplog):
+        path = tmp_path / "cache.jsonl"
+        good = ScoreRecord("k1", "d", "fp", 0.5, (0.5,), "b")
+        path.write_bytes(b"\xff{}\n" + json.dumps(good.to_dict()).encode() + b"\n")
+        cache = ScoreCache(path)
+        assert cache.get("k1") == good
+        assert len(cache) == 1
+        assert f"{path}:1: skipping corrupted cache line" in caplog.text
+
     def test_each_put_is_on_disk_and_close_releases_the_file(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         cache = ScoreCache(path)
