@@ -74,15 +74,21 @@ class AblatedDefinition:
 
 
 def apply_ablation(task: Task, ann: AnnotationSet, spec: AblationSpec) -> AblatedDefinition:
+    """Check the annotation against the task, then `remove_spans`."""
+    report = validate_annotation(task, ann)
+    if not report.ok:
+        raise ValidationError("; ".join(report.problems))
+    return remove_spans(task, ann, spec)
+
+
+def remove_spans(task: Task, ann: AnnotationSet, spec: AblationSpec) -> AblatedDefinition:
     """Delete every annotated span of the spec's categories from the definition.
 
+    The annotation must already be valid for the task (`validate_annotation`).
     InputMention spans are deleted only when their enclosing ActionContent
     span is deleted. Whitespace is collapsed afterwards; token counts are
     over whitespace tokens of the raw text.
     """
-    report = validate_annotation(task, ann)
-    if not report.ok:
-        raise ValidationError("; ".join(report.problems))
     removed = spec.removed_categories
     delete: list[tuple[int, int]] = []
     deleted_actions = []

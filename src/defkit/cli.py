@@ -14,12 +14,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .ablation import (
-    AblationName,
-    AblationSpec,
-    apply_ablation,
-)
-from .annotations import AnnotationSet, load_annotations
+from .ablation import AblationName, AblationSpec, remove_spans
+from .annotations import AnnotationSet, load_annotations, validate_annotation
 from .corpus import Task, TaskKind, load_task_dir, load_task_file, numbered_lines, split_examples
 from .errors import (
     BackendError,
@@ -31,7 +27,7 @@ from .errors import (
 )
 from .manifest import RunManifest, file_digest
 from .metrics import aggregate
-from .parse import parse_bracketed
+from .parse import check_bracketed, parse_bracketed
 from .triplet import build_triplet, meta_tuning_instances
 
 # The scoring stack (scorer, stdc, concurrent.futures) is imported
@@ -99,20 +95,38 @@ def _annotations_by_task(path: str) -> dict[str, AnnotationSet]:
     return by_task
 
 
-def _load_parse_lines(path: str, tasks: list[Task]):
+def _valid_annotation(
+    task: Task, anns: dict[str, AnnotationSet], failures: list[str]
+) -> AnnotationSet | None:
+    """The task's annotation record if it is valid for the task; otherwise
+    None, after adding the reason to failures."""
+    ann = anns.get(task.id)
+    if ann is None:
+        failures.append(f"{task.id}: no annotation record")
+        return None
+    report = validate_annotation(task, ann)
+    if not report.ok:
+        failures.append(f"{task.id}: {'; '.join(report.problems)}")
+        return None
+    return ann
+
+
+def _load_parse_lines(path: str, tasks: list[Task]) -> list[str]:
+    """The parse file's lines, one per task, each checked to hold bracketed
+    trees. Each task parses its own line when it runs, so at most one tree
+    per running task is alive."""
     lines = list(numbered_lines(path))
     if len(lines) != len(tasks):
         raise ValidationError(
             f"{path}: {len(lines)} parse lines for {len(tasks)} tasks "
             "(lines align by index to the sorted task files)"
         )
-    trees = []
     for lineno, line in lines:
         try:
-            trees.append(parse_bracketed(line))
+            check_bracketed(line)
         except UnbalancedError as exc:
             raise UnbalancedError(f"{path}:{lineno}: {exc}", exc.position) from exc
-    return trees
+    return [line for _, line in lines]
 
 
 def _scorer_config(args) -> ScorerConfig:
@@ -146,20 +160,13 @@ def cmd_ablate(args) -> int:
     _check_overwrite(out_files, args.force)
 
     failures: list[str] = []
+    valid = [(task, ann) for task in tasks if (ann := _valid_annotation(task, anns, failures))]
     summary_rows: list[list[str]] = []
     for spec, out_file in zip(specs, out_files):
         ratios = []
         with out_file.open("w", encoding="utf-8") as fh:
-            for task in tasks:
-                ann = anns.get(task.id)
-                if ann is None:
-                    failures.append(f"{task.id}: no annotation record")
-                    continue
-                try:
-                    ablated = apply_ablation(task, ann, spec)
-                except ValidationError as exc:
-                    failures.append(f"{task.id}: {exc}")
-                    continue
+            for task, ann in valid:
+                ablated = remove_spans(task, ann, spec)
                 if ablated.ratio == 1.0 and not any(
                     s.category in spec.removed_categories for s in ann.spans
                 ):
@@ -216,7 +223,7 @@ def cmd_compress(args) -> int:
         allow_empty_result=args.allow_empty,
     )
     tasks = load_task_dir(args.tasks, lenient=args.lenient)
-    trees = _load_parse_lines(args.parses, tasks)
+    lines = _load_parse_lines(args.parses, tasks)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -230,11 +237,12 @@ def cmd_compress(args) -> int:
     table_rows: list[list[str]] = []
     aggregates: list[tuple[float, float, float, float]] = []
 
-    def safe_run(task_tree):
+    def safe_run(task_line):
         """(task, result, report), or (task, the error, None) if the task failed."""
-        task, tree = task_tree
+        task, line = task_line
         try:
             fit, holdout = split_examples(task, args.fit_n, args.holdout_n, args.seed)
+            tree = parse_bracketed(line)  # parsed here, so only running tasks hold a tree
             result = compress(task, tree, fit, backend, cfg.params, stdc_cfg, cache)
             report = evaluate_holdout(
                 task, result, holdout, backend, cfg.params, cache,
@@ -244,7 +252,7 @@ def cmd_compress(args) -> int:
             return task, exc, None
         return task, result, report
 
-    pairs = list(zip(tasks, trees))
+    pairs = list(zip(tasks, lines))
     try:
         if args.jobs > 1:
             with ThreadPoolExecutor(max_workers=args.jobs) as pool:
@@ -418,7 +426,7 @@ def cmd_report(args) -> int:
 def cmd_triplet(args) -> int:
     tasks = load_task_dir(args.tasks, lenient=args.lenient)
     anns = _annotations_by_task(args.annotations)
-    trees = _load_parse_lines(args.parses, tasks)
+    lines = _load_parse_lines(args.parses, tasks)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -429,15 +437,12 @@ def cmd_triplet(args) -> int:
     failures = []
     n_triplets = n_meta = 0
     with triplet_file.open("w", encoding="utf-8") as tf, meta_file.open("w", encoding="utf-8") as mf:
-        trees.reverse()
-        for task in tasks:
-            tree = trees.pop()  # the list lets go of each tree, and its cached layout, once used
-            ann = anns.get(task.id)
+        for task, line in zip(tasks, lines):
+            ann = _valid_annotation(task, anns, failures)
             if ann is None:
-                failures.append(f"{task.id}: no annotation record")
                 continue
             try:
-                trip = build_triplet(task, ann, tree)
+                trip = build_triplet(task, ann, parse_bracketed(line))
             except DefkitError as exc:
                 failures.append(f"{task.id}: {exc}")
                 continue

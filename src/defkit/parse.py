@@ -38,17 +38,20 @@ _ATTACH_LEFT = set(".,;:!?')]%") | {"'s", "n't", "'re", "'ve", "'ll", "'d", "'m"
 _ATTACH_RIGHT = set("([$")
 
 
-# Trees compare and hash by identity, and a node's repr stops at its own
-# fields: generated ones would recurse through children, which fails on
-# deep trees.
-@dataclass(frozen=True, eq=False)
-class ParseNode:
+# Nodes are tuples, so they carry no __dict__, but they compare and hash by
+# identity, as trees do, and a node's repr stops at its own fields: the
+# tuple's would recurse through children, which fails on deep trees.
+class ParseNode(NamedTuple):
     id: int
     label: str
     depth: int
     children: tuple["ParseNode", ...] = ()
     token: str | None = None  # literal form, escapes resolved (leaves only)
     raw: str | None = None  # original token text as read (leaves only)
+
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
 
     def __repr__(self) -> str:
         return (
@@ -77,13 +80,19 @@ class ParseTree:
 
     @cached_property
     def _layout(self) -> _Layout:
-        """One iterative pre-order pass; every traversal reads from it."""
+        """One iterative pre-order pass; every traversal reads from it.
+
+        `parse_bracketed` fills the layout while it reads, so this walk runs
+        only for trees built another way (`remove_subtree`, `ParseNode.leaves`).
+        """
         layout = _Layout({}, [], {}, {})
         index, leaves, ranges, layers = layout
         stack: list[ParseNode | tuple[int, int]] = [self.root]
         while stack:
             node = stack.pop()
-            if isinstance(node, tuple):  # (id, lo): every leaf below that node has been seen
+            # an (id, lo) mark, not a node (nodes are tuples too): every leaf
+            # below that node has been seen
+            if type(node) is tuple:
                 ranges[node[0]] = (node[1], len(leaves))
                 continue
             index[node.id] = node
@@ -129,10 +138,44 @@ class ParseTree:
 _LEXER = re.compile(r"\(|\)|[^\s()]+")
 
 
-def _token_offset(text: str, k: int) -> int:
-    """Offset of the k-th lexer token of text, or len(text) past the last one."""
+def _unbalanced(text: str, k: int, what: str) -> UnbalancedError:
+    """The error for the k-th lexer token of text, or for the end past the last one."""
     match = next(islice(_LEXER.finditer(text), k, None), None)
-    return match.start() if match else len(text)
+    at = match.start() if match else len(text)
+    return UnbalancedError(f"{what} at offset {at}", position=at)
+
+
+def check_bracketed(text: str) -> list[str]:
+    """The lexer tokens of text, once they are known to form bracketed trees.
+
+    Raises EmptyError if text holds no token, and UnbalancedError naming the
+    offset of the offending token if the tokens are not one or more
+    bracketed trees.
+    """
+    # Offsets are only needed for error messages; they are found again then.
+    tokens = _LEXER.findall(text)
+    if not tokens:
+        raise EmptyError("no tree in input")
+    open_at: list[int] = []  # token index of each open '('
+    label_at = -1  # token index where a constituent label must stand
+    for k, tok in enumerate(tokens):
+        if k == label_at:
+            if tok == "(" or tok == ")":
+                raise _unbalanced(text, k, "expected a constituent label")
+        elif tok == "(":
+            open_at.append(k)
+            label_at = k + 1
+        elif not open_at:
+            if tok == ")":
+                raise _unbalanced(text, k, "unmatched ')'")
+            raise _unbalanced(text, k, f"stray token {tok!r}")
+        elif tok == ")":
+            open_at.pop()
+    if label_at == len(tokens):
+        raise _unbalanced(text, label_at, "expected a constituent label")
+    if open_at:
+        raise _unbalanced(text, open_at[-1], "unclosed '(' opened")
+    return tokens
 
 
 def parse_bracketed(text: str) -> ParseTree:
@@ -143,65 +186,72 @@ def parse_bracketed(text: str) -> ParseTree:
     value; the raw form is kept for bracketed re-serialization.
 
     Ids are handed out in pre-order from 1; the root takes id 0, so a lone
-    top-level tree leaves id 1 unused.
+    top-level tree leaves id 1 unused. The tree's layout is filled in the
+    same pass, so no traversal walks the tree again.
     """
-    # Offsets are only needed for error messages; they are found again then.
-    tokens = _LEXER.findall(text)
-    if not tokens:
-        raise EmptyError("no tree in input")
-
+    tokens = check_bracketed(text)
     # A lone top-level tree is the root, at depth 1; several sit at depth 2
-    # under TOP. Counting them first fixes every depth in one pass below.
-    nesting = top_level = 0
-    for tok in tokens:
-        if tok == "(":
-            top_level += nesting == 0
-            nesting += 1
-        elif tok == ")":
-            nesting -= 1
-    single = top_level == 1
-    top_depth = 1 if single else 2
+    # under TOP. A lone tree is the rule, so several are read twice.
+    return _read(tokens, single=True) or _read(tokens, single=False)
 
+
+def _read(tokens: list[str], single: bool) -> ParseTree | None:
+    """The tree of checked tokens, or None if `single` and they hold several."""
+    top_depth = 1 if single else 2
+    new = tuple.__new__  # a ParseNode without the generated __new__'s argument handling
+    index: dict[int, ParseNode | None] = {}
+    leaves: list[ParseNode] = []
+    ranges: dict[int, tuple[int, int]] = {}
+    layers: list[list[int]] = [[], []]  # layers[d]: node ids at depth d, left to right
+    if not single:
+        index[0] = None
+        layers[1].append(0)
     roots: list[ParseNode] = []
-    # one entry per open constituent: (id, label, token index of its '(', children)
+    # one entry per open constituent: (id, label, its first leaf, children)
     open_nodes: list[tuple[int, str, int, list[ParseNode]]] = []
     next_id = 1
-    pos = 0
-    while pos < len(tokens):
-        tok = tokens[pos]
-        pos += 1
-        depth = top_depth + len(open_nodes)
+    lexemes = iter(tokens)
+    for tok in lexemes:
         if tok == "(":
-            if pos >= len(tokens) or tokens[pos] in "()":
-                at = _token_offset(text, pos)
-                raise UnbalancedError(f"expected a constituent label at offset {at}", position=at)
             node_id = 0 if single and not open_nodes else next_id
             next_id += 1
-            open_nodes.append((node_id, tokens[pos], pos - 1, []))
-            pos += 1
-        elif not open_nodes:
-            at = _token_offset(text, pos - 1)
-            if tok == ")":
-                raise UnbalancedError(f"unmatched ')' at offset {at}", position=at)
-            raise UnbalancedError(f"stray token {tok!r} at offset {at}", position=at)
+            depth = top_depth + len(open_nodes)
+            if depth == len(layers):
+                layers.append([])
+            layers[depth].append(node_id)
+            index[node_id] = None  # its pre-order slot, filled at its ')'
+            open_nodes.append((node_id, next(lexemes), len(leaves), []))
         elif tok == ")":
-            node_id, label, _, children = open_nodes.pop()
-            node = ParseNode(id=node_id, label=label, depth=depth - 1, children=tuple(children))
+            node_id, label, lo, children = open_nodes.pop()
+            depth = top_depth + len(open_nodes)
+            node = new(ParseNode, (node_id, label, depth, tuple(children), None, None))
+            index[node_id] = node
+            ranges[node_id] = (lo, len(leaves))
             (open_nodes[-1][3] if open_nodes else roots).append(node)
         else:
-            leaf = ParseNode(
-                id=next_id, label=tok, depth=depth, token=PTB_ESCAPES.get(tok, tok), raw=tok
-            )
-            next_id += 1
+            depth = top_depth + len(open_nodes)
+            if depth == len(layers):
+                layers.append([])
+            layers[depth].append(next_id)
+            leaf = new(ParseNode, (next_id, tok, depth, (), PTB_ESCAPES.get(tok, tok), tok))
+            index[next_id] = leaf
+            ranges[next_id] = (len(leaves), len(leaves) + 1)
+            leaves.append(leaf)
             open_nodes[-1][3].append(leaf)
-    if open_nodes:
-        at = _token_offset(text, open_nodes[-1][2])
-        raise UnbalancedError(f"unclosed '(' opened at offset {at}", position=at)
+            next_id += 1
     if single:
-        return ParseTree(root=roots[0])
-    return ParseTree(
-        root=ParseNode(id=0, label=SYNTHETIC_ROOT_LABEL, depth=1, children=tuple(roots))
+        if len(roots) > 1:
+            return None
+        root = roots[0]
+    else:
+        root = index[0] = ParseNode(0, SYNTHETIC_ROOT_LABEL, 1, tuple(roots))
+        ranges[0] = (0, len(leaves))
+    tree = ParseTree(root=root)
+    # what the cached property would compute
+    tree.__dict__["_layout"] = _Layout(
+        index, leaves, ranges, {d: ids for d, ids in enumerate(layers) if ids}
     )
+    return tree
 
 
 def nodes_at_depth(tree: ParseTree, d: int) -> list[int]:

@@ -332,14 +332,35 @@ class ScoreRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScoreRecord":
+        """The record a `to_dict` dict holds. A field of the wrong type raises
+        TypeError, ValueError or OverflowError."""
+        per_instance = data["per_instance"]
+        if not isinstance(per_instance, list):
+            raise TypeError(f"per_instance must be a list, got {per_instance!r}")
         return cls(
-            cache_key=data["cache_key"],
-            definition=data["definition"],
-            example_fingerprint=data["example_fingerprint"],
-            mean_score=data["mean_score"],
-            per_instance=tuple(data["per_instance"]),
-            backend_id=data["backend_id"],
+            cache_key=_string(data["cache_key"]),
+            definition=_string(data["definition"]),
+            example_fingerprint=_string(data["example_fingerprint"]),
+            mean_score=_finite(data["mean_score"]),
+            per_instance=tuple(map(_finite, per_instance)),
+            backend_id=_string(data["backend_id"]),
         )
+
+
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def _finite(value) -> float:
+    """A JSON number as a float; a bool is not one, and it must be finite."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    number = float(value)  # OverflowError for an int past the float range
+    if not math.isfinite(number):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return number
 
 
 def example_fingerprint(examples: ExampleSet) -> str:
@@ -380,7 +401,7 @@ class ScoreCache:
             for lineno, line in numbered_lines(self.path, self._skip_line):
                 try:
                     record = ScoreRecord.from_dict(json.loads(line))
-                except (ValueError, KeyError, TypeError, InvariantError):
+                except (ValueError, KeyError, TypeError, OverflowError, InvariantError):
                     self._skip_line(lineno)
                     continue
                 self._records[record.cache_key] = record

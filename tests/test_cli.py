@@ -13,7 +13,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import defkit
-from defkit.annotations import AnnotationSet, ContentCategory, Span, annotation_to_dict
+from defkit import cli
+from defkit.annotations import (
+    AnnotationSet,
+    ContentCategory,
+    Span,
+    annotation_to_dict,
+    validate_annotation,
+)
 from defkit.cli import _scorer_config, build_parser, main
 from defkit.corpus import TaskKind
 from defkit.scorer import ScorerConfig
@@ -177,6 +184,28 @@ class TestAblateCommand:
         assert main(args) == 1
         assert "--force" in capsys.readouterr().err
         assert main(args + ["--force"]) == 0
+
+    def test_validates_each_annotation_once(self, tmp_path, monkeypatch):
+        """Not once per spec: the eight specs share one check per task."""
+        tasks_dir, ann_file = review_corpus(tmp_path)
+        checked = []
+
+        def validate(task, ann):
+            checked.append(task.id)
+            return validate_annotation(task, ann)
+
+        monkeypatch.setattr(cli, "validate_annotation", validate)
+        rc = main(
+            [
+                "ablate",
+                "--tasks", str(tasks_dir),
+                "--annotations", str(ann_file),
+                "--spec", "all",
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert rc == 0
+        assert checked == ["task_fox", "task_review"]
 
     def test_missing_tasks_dir_exit1(self, tmp_path):
         rc = main(
@@ -406,6 +435,20 @@ class TestTripletCommand:
         assert [m["tag"] for m in meta] == ["<Task input>", "<Task action>", "<Task output>"]
         assert all(m["source"].startswith("Generate segments") for m in meta)
         assert (out_dir / "manifest.json").exists()
+
+    def test_invalid_annotation_fails_as_in_ablate(self, tmp_path, capsys):
+        """An annotation span past the end of the definition is a validation
+        failure in triplet, with ablate's line, and yields no triplet."""
+        files, commands = pipeline(tmp_path)
+        record = json.loads(files["annotations"].read_text(encoding="utf-8"))
+        record["spans"][1]["end"] = 40  # the definition has 32 characters
+        files["annotations"].write_text(json.dumps(record) + "\n", encoding="utf-8")
+        line = "validation failure: task_fox: span 1: out of bounds [14,40) over length 32"
+        assert main(commands["ablate"]) == 2
+        assert capsys.readouterr().err.splitlines() == [line]
+        assert main([*commands["triplet"], "--force"]) == 2
+        assert capsys.readouterr().err.splitlines() == [line]
+        assert (tmp_path / "out" / "triplets.jsonl").read_text() == ""
 
 
 class TestDeepTrees:
@@ -845,6 +888,24 @@ class TestErrorTable:
             main(["report", str(files["scores"]), flag, str(files["task"].parent)])
         assert exc.value.code == 64
         assert "--train-tasks and --test-tasks go together" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["compress", "triplet"])
+    def test_bad_second_parse_line_fails_before_the_first_task_runs(
+        self, tmp_path, capsys, command
+    ):
+        """Each task parses its tree when it runs, but every line is checked
+        before any task does."""
+        files, commands = pipeline(tmp_path)
+        review = make_task(task_id="task_review", definition=REVIEW_DEFINITION)
+        write_task_file(files["task"].parent / "task_review.json", review)
+        files["parses"].write_text(FOX_TREE_TEXT + "\n(S (NN review)\n", encoding="utf-8")
+        assert main(commands[command]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: {files['parses']}:2: unclosed '(' opened at offset 0"
+        ]
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
 
     def test_line_separators_inside_a_json_string_split_no_record(self, tmp_path, capsys):
         """U+0085, U+2028 and U+2029 may stand unescaped in a JSON string; a

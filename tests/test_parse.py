@@ -13,7 +13,9 @@ from defkit.errors import (
     UnknownNodeError,
 )
 from defkit.parse import (
+    ParseNode,
     ParseTree,
+    check_bracketed,
     detokenize,
     nodes_at_depth,
     parse_bracketed,
@@ -239,11 +241,61 @@ def test_errors_name_the_offending_token(pieces):
     expected = reference_parse_error(text)
     if expected is None:
         parse_bracketed(text)
+        assert check_bracketed(text) == re.findall(r"\(|\)|[^\s()]+", text)
         return
     cls, message, offset = expected
-    with pytest.raises(cls) as exc:
-        parse_bracketed(text)
-    assert type(exc.value) is cls
-    assert str(exc.value) == message
-    if cls is UnbalancedError:
-        assert exc.value.position == offset
+    for read in (parse_bracketed, check_bracketed):
+        with pytest.raises(cls) as exc:
+            read(text)
+        assert type(exc.value) is cls
+        assert str(exc.value) == message
+        if cls is UnbalancedError:
+            assert exc.value.position == offset
+
+
+LABELS = st.sampled_from(TAGS)
+TOKENS = st.sampled_from(WORDS + ["-LRB-", "-RRB-", ",", "n't"])
+TREES = st.recursive(
+    st.tuples(LABELS, TOKENS).map(lambda lt: f"({lt[0]} {lt[1]})"),
+    lambda children: st.tuples(LABELS, st.lists(children, min_size=1, max_size=4)).map(
+        lambda lc: f"({lc[0]} {' '.join(lc[1])})"
+    ),
+    max_leaves=30,
+)
+
+
+def _deep(tree, levels):
+    return "(X " * levels + tree + ")" * levels
+
+
+@given(
+    st.one_of(
+        TREES,  # one root
+        st.lists(TREES, min_size=2, max_size=4).map(" ".join),  # several, joined under TOP
+        st.tuples(TREES, st.integers(200, 3000)).map(lambda t: _deep(*t)),
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_layout_read_with_the_tree_equals_the_walk(text):
+    """parse_bracketed fills the layout as it reads; ParseTree's walk over
+    the same nodes is the reference."""
+    tree = parse_bracketed(text)
+    fast = tree._layout
+    walked = ParseTree(root=tree.root)._layout
+    assert fast == walked
+    assert list(fast.index) == list(walked.index)  # pre-order
+    assert list(fast.layers) == list(walked.layers)
+    assert None not in fast.index.values()
+
+
+def test_nodes_are_immutable_tuples_without_a_dict():
+    tree = parse_bracketed(CAT_TREE)
+    node = tree.root
+    assert not hasattr(node, "__dict__")
+    with pytest.raises(AttributeError):
+        node.label = "NP"
+    twin = ParseNode(*node)
+    assert tuple(twin) == tuple(node)
+    assert twin != node and not twin == node
+    leaf = tree.leaves()[0]
+    assert leaf != ParseNode(leaf.id, leaf.label, leaf.depth, (), leaf.token, leaf.raw)

@@ -134,6 +134,55 @@ class TestCache:
         assert len(cache) == 1
         assert f"{path}:1: skipping corrupted cache line" in caplog.text
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"mean_score": "high", "per_instance": []},
+            {"mean_score": True, "per_instance": []},
+            {"mean_score": None, "per_instance": []},
+            {"mean_score": float("nan"), "per_instance": []},
+            {"mean_score": float("inf"), "per_instance": []},
+            {"mean_score": 10**400, "per_instance": []},
+            {"mean_score": 0.5, "per_instance": "0.5"},
+            {"mean_score": 0.5, "per_instance": {"0": 0.5}},
+            {"mean_score": 0.5, "per_instance": ["0.5"]},
+            {"mean_score": 1.0, "per_instance": [True]},
+            {"mean_score": 0.5, "per_instance": [10**400]},
+            {"definition": 5},
+            {"example_fingerprint": ["fp"]},
+            {"backend_id": None},
+        ],
+    )
+    def test_record_of_the_wrong_types_is_rescored(self, tmp_path, caplog, gen_task, fields):
+        """A line whose key matches but whose fields do not hold a score is a
+        corrupt line, not a hit."""
+        path = tmp_path / "cache.jsonl"
+        fit = fit_set(gen_task)
+        backend = ConstantBackend(0.5)
+        cache = ScoreCache(path)
+        record = score("defn", gen_task, fit, backend, cache=cache)
+        cache.close()
+        path.write_text(json.dumps({**record.to_dict(), **fields}) + "\n")
+        cache = ScoreCache(path)
+        assert len(cache) == 0
+        assert f"{path}:1: skipping corrupted cache line" in caplog.text
+        calls = backend.calls
+        assert score("defn", gen_task, fit, backend, cache=cache) == record
+        cache.close()
+        assert backend.calls > calls and cache.hits == 0
+
+    def test_record_over_no_instances_is_a_hit(self, tmp_path, gen_task):
+        """`score --n 0` writes mean_score 0.0 over an empty per_instance."""
+        path = tmp_path / "cache.jsonl"
+        backend = ConstantBackend(0.5)
+        cache = ScoreCache(path)
+        record = score("defn", gen_task, fit_set(gen_task, 0), backend, cache=cache)
+        cache.close()
+        assert (record.mean_score, record.per_instance) == (0.0, ())
+        cache = ScoreCache(path)
+        assert cache.get(record.cache_key) == record
+        assert cache.hits == 1
+
     def test_each_put_is_on_disk_and_close_releases_the_file(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         cache = ScoreCache(path)
