@@ -152,17 +152,24 @@ def check_bracketed(text: str) -> list[str]:
     offset of the offending token if the tokens are not one or more
     bracketed trees.
     """
+    return _check(text)[0]
+
+
+def _check(text: str) -> tuple[list[str], int]:
+    """`check_bracketed`'s tokens, and how many top-level trees they hold."""
     # Offsets are only needed for error messages; they are found again then.
     tokens = _LEXER.findall(text)
     if not tokens:
         raise EmptyError("no tree in input")
     open_at: list[int] = []  # token index of each open '('
     label_at = -1  # token index where a constituent label must stand
+    roots = 0
     for k, tok in enumerate(tokens):
         if k == label_at:
             if tok == "(" or tok == ")":
                 raise _unbalanced(text, k, "expected a constituent label")
         elif tok == "(":
+            roots += not open_at
             open_at.append(k)
             label_at = k + 1
         elif not open_at:
@@ -175,7 +182,7 @@ def check_bracketed(text: str) -> list[str]:
         raise _unbalanced(text, label_at, "expected a constituent label")
     if open_at:
         raise _unbalanced(text, open_at[-1], "unclosed '(' opened")
-    return tokens
+    return tokens, roots
 
 
 def parse_bracketed(text: str) -> ParseTree:
@@ -189,14 +196,14 @@ def parse_bracketed(text: str) -> ParseTree:
     top-level tree leaves id 1 unused. The tree's layout is filled in the
     same pass, so no traversal walks the tree again.
     """
-    tokens = check_bracketed(text)
-    # A lone top-level tree is the root, at depth 1; several sit at depth 2
-    # under TOP. A lone tree is the rule, so several are read twice.
-    return _read(tokens, single=True) or _read(tokens, single=False)
+    tokens, roots = _check(text)
+    return _read(tokens, single=roots == 1)
 
 
-def _read(tokens: list[str], single: bool) -> ParseTree | None:
-    """The tree of checked tokens, or None if `single` and they hold several."""
+def _read(tokens: list[str], single: bool) -> ParseTree:
+    """The tree of checked tokens; `single` says whether they hold one
+    top-level tree, which is the root at depth 1. Several sit at depth 2
+    under TOP."""
     top_depth = 1 if single else 2
     new = tuple.__new__  # a ParseNode without the generated __new__'s argument handling
     index: dict[int, ParseNode | None] = {}
@@ -240,8 +247,6 @@ def _read(tokens: list[str], single: bool) -> ParseTree | None:
             open_nodes[-1][3].append(leaf)
             next_id += 1
     if single:
-        if len(roots) > 1:
-            return None
         root = roots[0]
     else:
         root = index[0] = ParseNode(0, SYNTHETIC_ROOT_LABEL, 1, tuple(roots))

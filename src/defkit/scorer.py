@@ -315,10 +315,10 @@ class ScoreRecord:
     backend_id: str
 
     def __post_init__(self):
-        if self.per_instance:
-            mean = sum(self.per_instance) / len(self.per_instance)
-            if abs(mean - self.mean_score) > 1e-12:
-                raise InvariantError("mean_score inconsistent with per_instance")
+        # the mean over no instance is 0.0, as `score` writes it
+        mean = sum(self.per_instance) / len(self.per_instance) if self.per_instance else 0.0
+        if abs(mean - self.mean_score) > 1e-12:
+            raise InvariantError("mean_score inconsistent with per_instance")
 
     def to_dict(self) -> dict:
         return {

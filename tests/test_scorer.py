@@ -143,6 +143,7 @@ class TestCache:
             {"mean_score": float("nan"), "per_instance": []},
             {"mean_score": float("inf"), "per_instance": []},
             {"mean_score": 10**400, "per_instance": []},
+            {"mean_score": 0.5, "per_instance": []},
             {"mean_score": 0.5, "per_instance": "0.5"},
             {"mean_score": 0.5, "per_instance": {"0": 0.5}},
             {"mean_score": 0.5, "per_instance": ["0.5"]},
