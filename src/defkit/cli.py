@@ -6,17 +6,19 @@ import argparse
 import csv as csv_mod
 import json
 import logging
-import math
 import os
 import shlex
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
 from .ablation import AblationName, AblationSpec, remove_spans
 from .annotations import AnnotationSet, load_annotations, validate_annotation
-from .corpus import Task, TaskKind, load_task_dir, load_task_file, numbered_lines, split_examples
+from .corpus import (
+    Task, TaskKind, finite_number, load_task_dir, load_task_file, numbered_lines, split_examples
+)
 from .errors import (
     BackendError,
     ConfigError,
@@ -89,9 +91,16 @@ def _check_overwrite(paths: list[Path], force: bool) -> None:
 
 
 def _annotations_by_task(path: str) -> dict[str, AnnotationSet]:
-    by_task: dict[str, AnnotationSet] = {}
-    for ann in load_annotations(path):
-        by_task.setdefault(ann.task_id, ann)
+    """Each task's first annotation record. A task with more than one gets a
+    warning that names the annotator whose record is used."""
+    anns = load_annotations(path)
+    by_task = {ann.task_id: ann for ann in reversed(anns)}  # the first record wins
+    for task_id, n in Counter(ann.task_id for ann in anns).items():
+        if n > 1:
+            logger.warning(
+                "task %s: %d annotation records; using annotator %s's",
+                task_id, n, by_task[task_id].annotator,
+            )
     return by_task
 
 
@@ -270,9 +279,9 @@ def cmd_compress(args) -> int:
         if isinstance(result, DefkitError):
             failures.append(f"{task.id}: {result}")
             continue
-        payload = {"compression": result.to_dict(), "holdout": report.to_dict()}
-        (out_dir / f"{task.id}.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        payload = {"compression": result, "holdout": report}
+        (out_dir / f"{task.id}.json").write_text(  # each dataclass as its fields
+            json.dumps(payload, indent=2, sort_keys=True, default=vars) + "\n"
         )
         aggregates.append((result.ratio, report.before, report.after, report.coverage))
         table_rows.append(
@@ -333,11 +342,7 @@ def _read_score_rows(path: str) -> list[tuple[str, TaskKind, float]]:
             data = json.loads(line)
             if not isinstance(data["task_id"], str):
                 raise TypeError("task_id must be a string")
-            score = data["score"]
-            number = isinstance(score, (int, float)) and not isinstance(score, bool)
-            if not number or not math.isfinite(score):
-                raise ValueError(f"score must be a finite number, got {score!r}")
-            rows.append((data["task_id"], TaskKind(data["kind"]), float(score)))
+            rows.append((data["task_id"], TaskKind(data["kind"]), finite_number(data["score"])))
         except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise ValidationError(f"{path}:{lineno}: malformed score row: {exc}")
     if not rows:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import enum
 import json
 import logging
+import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -246,6 +247,17 @@ def numbered_lines(
                 continue
             if line.strip():
                 yield lineno, line
+
+
+def finite_number(value) -> float:
+    """A JSON number as a float: not a bool, and finite. Raises TypeError,
+    ValueError, or OverflowError for an int past the float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return number
 
 
 def load_task_dir(directory: str | Path, *, lenient: bool = False) -> list[Task]:

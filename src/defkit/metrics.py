@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 from .corpus import Instance, Task, TaskKind
 from .errors import EmptyReferenceListError
 
-_NON_ALNUM = re.compile(r"[^a-z0-9]+")
+_WORD = re.compile(r"[a-z0-9]+")
 
 # Distinct reference texts whose match masks are kept, so memory stays bounded
 # on any corpus (about 3 KB for a 25-token reference, 35 KB for 300 tokens).
@@ -19,8 +19,18 @@ _PREPARED_REFERENCES_MAX = 1024
 
 
 def normalize(text: str) -> list[str]:
-    """Lowercase, map every non-alphanumeric character to a space, split."""
-    return _NON_ALNUM.sub(" ", text.lower()).split()
+    """The words of text: lowercase it, keep each run of [a-z0-9]."""
+    return _WORD.findall(text.lower())
+
+
+def word_spans(text: str) -> list[tuple[str, int, int]]:
+    """Each `normalize` word of text with its [start, end) in text itself.
+    A character can lowercase to several (U+0130 to "i" and a combining
+    dot), so offsets into text.lower() map back to the character that
+    wrote them."""
+    origin = [i for i, c in enumerate(text) for _ in c.lower()]
+    words = _WORD.finditer(text.lower())
+    return [(m.group(), origin[m.start()], origin[m.end() - 1] + 1) for m in words]
 
 
 def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:

@@ -290,17 +290,21 @@ def remove_subtree(tree: ParseTree, node_id: int) -> ParseTree:
     return ParseTree(root=kept[tree.root.id])
 
 
+def written_tokens(tokens: list[str]) -> list[str]:
+    """Each token as `detokenize` writes it: after a space, or glued to its
+    neighbour (punctuation and contraction pieces attach left, opening
+    brackets and "$" attach right)."""
+    out: list[str] = []
+    glue_next = True  # nothing stands before the first token
+    for tok in tokens:
+        out.append(tok if glue_next or tok in _ATTACH_LEFT else " " + tok)
+        glue_next = tok in _ATTACH_RIGHT
+    return out
+
+
 def detokenize(tokens: list[str]) -> str:
     """Join tokens with spaces, attaching punctuation and contraction pieces."""
-    out: list[str] = []
-    glue_next = False
-    for tok in tokens:
-        if not out or glue_next or tok in _ATTACH_LEFT:
-            out.append(tok)
-        else:
-            out.append(" " + tok)
-        glue_next = tok in _ATTACH_RIGHT
-    return "".join(out)
+    return "".join(written_tokens(tokens))
 
 
 def render(tree: ParseTree) -> str:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import ExampleSet, Instance, Task, assemble_prompt, numbered_lines
+from .corpus import ExampleSet, Instance, Task, assemble_prompt, finite_number, numbered_lines
 from .errors import BackendError, BackendTimeoutError, ConfigError, InvariantError, ScorerError
 from .metrics import normalize, rouge_l
 
@@ -272,8 +272,9 @@ class ScorerConfig:
             raise ConfigError(
                 f"endpoint_url must be an http or https URL with a host, got {self.endpoint_url!r}"
             )
-        if not math.isfinite(self.temperature):
-            raise ConfigError(f"temperature must be finite, got {self.temperature}")
+        for name in ("temperature", "constant_value"):
+            if not math.isfinite(value := getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {value}")
 
     @property
     def params(self) -> GenerationParams:
@@ -341,8 +342,8 @@ class ScoreRecord:
             cache_key=_string(data["cache_key"]),
             definition=_string(data["definition"]),
             example_fingerprint=_string(data["example_fingerprint"]),
-            mean_score=_finite(data["mean_score"]),
-            per_instance=tuple(map(_finite, per_instance)),
+            mean_score=finite_number(data["mean_score"]),
+            per_instance=tuple(map(finite_number, per_instance)),
             backend_id=_string(data["backend_id"]),
         )
 
@@ -351,16 +352,6 @@ def _string(value) -> str:
     if not isinstance(value, str):
         raise TypeError(f"expected a string, got {value!r}")
     return value
-
-
-def _finite(value) -> float:
-    """A JSON number as a float; a bool is not one, and it must be finite."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {value!r}")
-    number = float(value)  # OverflowError for an int past the float range
-    if not math.isfinite(number):
-        raise ValueError(f"expected a finite number, got {value!r}")
-    return number
 
 
 def example_fingerprint(examples: ExampleSet) -> str:

@@ -4,15 +4,14 @@ retention accounting."""
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .ablation import compression_ratio
-from .annotations import AnnotationSet, ContentCategory, validate_annotation
+from .annotations import AnnotationSet, validate_annotation
 from .corpus import ExampleSet, Task
-from .errors import ConfigError, EmptyResultError, InvariantError, ScorerError, ValidationError
-from .metrics import normalize
-from .parse import ParseTree, detokenize, nodes_at_depth, remove_subtree, render
+from .errors import ConfigError, EmptyResultError, InvariantError, ValidationError
+from .metrics import normalize, word_spans
+from .parse import ParseTree, detokenize, nodes_at_depth, remove_subtree, render, written_tokens
 from .scorer import Backend, GenerationParams, ScoreCache, score_many
 
 BASELINE_CURRENT = "current"
@@ -42,15 +41,6 @@ class Step:
     candidate_score: float
     accepted: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "node_id": self.node_id,
-            "label": self.label,
-            "leaves_removed": list(self.leaves_removed),
-            "candidate_score": self.candidate_score,
-            "accepted": self.accepted,
-        }
-
 
 @dataclass(frozen=True)
 class CompressionResult:
@@ -65,17 +55,6 @@ class CompressionResult:
     def accepted_node_ids(self) -> list[int]:
         return [s.node_id for s in self.steps if s.accepted]
 
-    def to_dict(self) -> dict:
-        return {
-            "task_id": self.task_id,
-            "full_definition": self.full_definition,
-            "compressed_definition": self.compressed_definition,
-            "ratio": self.ratio,
-            "fit_score_before": self.fit_score_before,
-            "fit_score_after": self.fit_score_after,
-            "steps": [s.to_dict() for s in self.steps],
-        }
-
 
 @dataclass(frozen=True)
 class HoldoutReport:
@@ -83,12 +62,18 @@ class HoldoutReport:
     after: float
     coverage: float
 
-    def to_dict(self) -> dict:
-        return {"before": self.before, "after": self.after, "coverage": self.coverage}
-
 
 def _kept_text(tokens: list[str], kept: list[bool]) -> str:
     return detokenize([tok for tok, k in zip(tokens, kept) if k])
+
+
+def _render_checked(task: Task, tree: ParseTree) -> str:
+    """render(tree), once it is known to hold the definition's words, so
+    that word i of the one is word i of the other."""
+    text = render(tree)
+    if normalize(text) != normalize(task.definition):
+        raise InvariantError(f"task {task.id}: rendered tree does not token-equal the definition")
+    return text
 
 
 def compress(
@@ -111,11 +96,7 @@ def compress(
     """
     if not fit.instance_ids:
         raise InvariantError("fit set must be non-empty")
-    full_text = render(tree)
-    if normalize(full_text) != normalize(task.definition):
-        raise InvariantError(
-            f"task {task.id}: rendered tree does not token-equal the definition"
-        )
+    full_text = _render_checked(task, tree)
 
     def f(definitions: list[str]) -> list[float]:
         records = score_many(definitions, task, fit, backend, params, cache)
@@ -212,59 +193,40 @@ def evaluate_holdout(
     )
 
 
-_WORD = re.compile(r"[a-z0-9]+")
-
-
-def _tokens_with_offsets(text: str) -> list[tuple[str, int, int]]:
-    return [(m.group(0), m.start(), m.end()) for m in _WORD.finditer(text.lower())]
-
-
 def category_retention(
     task: Task,
+    tree: ParseTree,
     result: CompressionResult,
     ann: AnnotationSet,
 ) -> dict[str, tuple[int, int, float]]:
-    """Per content category: (tokens before, tokens after, kept fraction).
+    """Per content category: (words before, words after, kept fraction).
 
-    Tokens inside no annotated span are reported under the "unannotated"
-    bucket. Only categories with at least one token are included.
+    The kept leaves are those outside every accepted node of the result,
+    the mask `compress` keeps. A definition word is kept when every leaf
+    that writes one of its characters is kept. Words inside no annotated
+    span are reported under the "unannotated" bucket. Only categories with
+    at least one word are included.
     """
     report = validate_annotation(task, ann)
     if not report.ok:
         raise ValidationError("; ".join(report.problems))
-    def_tokens = _tokens_with_offsets(task.definition)
-    full_tokens = normalize(result.full_definition)
-    if [t for t, _, _ in def_tokens] != full_tokens:
-        raise InvariantError(
-            f"task {task.id}: full definition does not token-align with the task definition"
-        )
-    # greedy subsequence alignment of the compressed tokens into the full stream
-    compressed_tokens = normalize(result.compressed_definition)
-    kept = [False] * len(full_tokens)
-    pos = 0
-    for tok in compressed_tokens:
-        while pos < len(full_tokens) and full_tokens[pos] != tok:
-            pos += 1
-        if pos >= len(full_tokens):
-            raise InvariantError(
-                f"task {task.id}: compressed text is not a token subsequence of the full text"
-            )
-        kept[pos] = True
-        pos += 1
+    full_text = _render_checked(task, tree)
+    if result.full_definition != full_text:
+        raise InvariantError(f"task {task.id}: the result was not compressed from this tree")
+    tokens = tree.source_tokens
+    kept = [True] * len(tokens)
+    for node_id in result.accepted_node_ids():
+        lo, hi = tree.leaf_range(node_id)
+        kept[lo:hi] = [False] * (hi - lo)
+    # per character of full_text: whether the leaf that writes it is kept
+    kept_chars = [k for piece, k in zip(written_tokens(tokens), kept) for _ in piece]
 
     counts: dict[str, list[int]] = {}
-    for i, (_, start, end) in enumerate(def_tokens):
-        buckets = [
-            span.category.value
-            for span in ann.spans
-            if span.start < end and start < span.end
-        ]
-        if not buckets:
-            buckets = [UNANNOTATED]
-        for bucket in set(buckets):
-            before_n, after_n = counts.setdefault(bucket, [0, 0])
-            counts[bucket][0] = before_n + 1
-            counts[bucket][1] = after_n + (1 if kept[i] else 0)
+    for (_, start, end), (_, lo, hi) in zip(word_spans(task.definition), word_spans(full_text)):
+        for bucket in _categories(ann, start, end) or {UNANNOTATED}:
+            count = counts.setdefault(bucket, [0, 0])
+            count[0] += 1
+            count[1] += all(kept_chars[lo:hi])
     return {
         bucket: (before_n, after_n, after_n / before_n)
         for bucket, (before_n, after_n) in counts.items()
@@ -272,13 +234,12 @@ def category_retention(
 
 
 def unannotated_share(task: Task, ann: AnnotationSet) -> float:
-    """Fraction of definition tokens lying in no annotated span."""
-    def_tokens = _tokens_with_offsets(task.definition)
-    if not def_tokens:
-        return 0.0
-    uncovered = sum(
-        1
-        for _, start, end in def_tokens
-        if not any(span.start < end and start < span.end for span in ann.spans)
-    )
-    return uncovered / len(def_tokens)
+    """Fraction of definition words lying in no annotated span."""
+    spans = word_spans(task.definition)
+    uncovered = sum(not _categories(ann, start, end) for _, start, end in spans)
+    return uncovered / len(spans) if spans else 0.0
+
+
+def _categories(ann: AnnotationSet, start: int, end: int) -> set[str]:
+    """The categories of the annotated spans that overlap [start, end)."""
+    return {s.category.value for s in ann.spans if s.start < end and start < s.end}

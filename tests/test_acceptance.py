@@ -242,7 +242,7 @@ def test_criterion_06_label_retention_direction():
         task, tree, ann = label_corpus_member(i)
         fit, _ = split_examples(task, 4, 0, 0)
         result = compress(task, tree, fit, KeywordLabelBackend())
-        retention = category_retention(task, result, ann)
+        retention = category_retention(task, tree, result, ann)
         label_fracs.append(retention["label_list"][2])
         input_fracs.append(retention["input_content"][2])
     gap = sum(label_fracs) / 20 - sum(input_fracs) / 20

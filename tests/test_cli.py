@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -370,6 +371,39 @@ class TestReportCommand:
         assert "no score rows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["ablate", "triplet"])
+def test_second_annotation_record_of_a_task_is_dropped_with_a_warning(
+    tmp_path, caplog, command
+):
+    tasks_dir, parses = fox_corpus(tmp_path)
+    first = AnnotationSet(
+        "task_fox",
+        (Span(0, 13, ContentCategory.INPUT_CONTENT), Span(14, 32, ContentCategory.ACTION_CONTENT)),
+        "a1",
+    )
+    second = AnnotationSet("task_fox", (Span(14, 32, ContentCategory.ACTION_CONTENT),), "a2")
+
+    def outputs(anns, name):
+        """The files the command writes, bar the manifest, which names its inputs."""
+        ann_file = write_annotations(tmp_path / f"{name}.jsonl", anns)
+        out = tmp_path / name
+        args = {"ablate": ["--spec", "all"], "triplet": ["--parses", str(parses)]}[command]
+        assert main([
+            command, "--tasks", str(tasks_dir), "--annotations", str(ann_file),
+            "--out", str(out), *args,
+        ]) == 0
+        return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+
+    def warnings():
+        return [r.getMessage() for r in caplog.records if "annotation records" in r.getMessage()]
+
+    caplog.set_level(logging.WARNING, logger="defkit.cli")
+    expected = outputs([first], "one")
+    assert warnings() == []
+    assert outputs([first, second], "two") == expected
+    assert warnings() == ["task task_fox: 2 annotation records; using annotator a1's"]
+
+
 class TestTripletCommand:
     def test_writes_triplets_and_meta(self, tmp_path):
         tasks_dir = tmp_path / "tasks"
@@ -641,9 +675,14 @@ class TestConfigErrors:
         ]
         + [
             (
-                ["--endpoint-url", "http://127.0.0.1:1/generate", "--temperature", "nan"],
-                "temperature must be finite, got nan",
+                ["--endpoint-url", "http://127.0.0.1:1/generate", flag, value],
+                f"{name} must be finite, got {value}",
             )
+            for flag, name, value in [
+                ("--temperature", "temperature", "nan"),
+                ("--constant-value", "constant_value", "nan"),
+                ("--constant-value", "constant_value", "inf"),
+            ]
         ],
     )
     def test_bad_endpoint_or_temperature(self, tmp_path, command, flags, message):

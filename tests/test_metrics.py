@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -17,6 +18,7 @@ from defkit.metrics import (
     lcs_length,
     normalize,
     rouge_l,
+    word_spans,
 )
 
 from conftest import make_task
@@ -127,6 +129,26 @@ class TestNormalize:
 
     def test_no_whitespace_tokens(self):
         assert all(" " not in t for t in normalize("a\tb\nc - d"))
+
+    @given(st.text(st.characters() | st.sampled_from("\u0130\u212aAz9 .'")))
+    @settings(max_examples=500)
+    def test_equals_mapping_non_alphanumerics_to_spaces(self, text):
+        assert normalize(text) == re.sub("[^a-z0-9]+", " ", text.lower()).split()
+
+    @given(st.text(st.characters() | st.sampled_from("\u0130\u212aAz9 .'")))
+    @settings(max_examples=500)
+    def test_word_spans_are_the_words_at_their_place_in_the_text(self, text):
+        spans = word_spans(text)
+        assert [word for word, _, _ in spans] == normalize(text)
+        for word, start, end in spans:
+            assert normalize(text[start:end]) == [word]
+        assert all(a[2] <= b[1] for a, b in zip(spans, spans[1:]))
+
+    def test_word_spans_after_a_character_that_lowercases_to_two(self):
+        text = "\u0130\u0130\u0130\u0130 read it. yes"  # each U+0130 lowercases to "i\u0307"
+        assert [text[start:end] for _, start, end in word_spans(text)] == [
+            "\u0130", "\u0130", "\u0130", "\u0130", "read", "it", "yes"
+        ]
 
 
 class TestRougeL:

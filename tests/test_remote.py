@@ -5,6 +5,7 @@ import tempfile
 import threading
 import time
 from contextlib import contextmanager
+from dataclasses import asdict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -360,7 +361,7 @@ def test_concurrency_never_changes_results(text, mode, cached):
             hits, data = (cache.hits, cache.path.read_bytes()) if cache else (0, b"")
             if cache:
                 cache.close()
-        outputs = json.dumps([result.to_dict(), report.to_dict()])
+        outputs = json.dumps([asdict(result), asdict(report)])
         return (outputs, backend.calls, hits, data), in_flight
 
     concurrent, in_flight = run(4)

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, settings
@@ -8,10 +9,12 @@ from defkit.annotations import AnnotationSet, ContentCategory, Span
 from defkit.corpus import TaskKind, split_examples
 from defkit.errors import EmptyResultError, InvariantError
 from defkit.metrics import normalize
-from defkit.parse import parse_bracketed, remove_subtree, render
+from defkit.parse import detokenize, parse_bracketed, remove_subtree, render
 from defkit.scorer import Backend, ConstantBackend, PlantedPhraseBackend
 from defkit.stdc import (
+    CompressionResult,
     StdcConfig,
+    Step,
     category_retention,
     compress,
     evaluate_holdout,
@@ -191,18 +194,25 @@ class RecordingBackend(Backend):
 
 
 _LABELS = st.sampled_from(["S", "NP", "VP", "PP"])
-_WORDS = st.sampled_from(["cat", "sat", "w1", ",", ".", "n't", "'s", "-LRB-", "-RRB-", "$"])
-_CONSTITUENTS = st.recursive(
-    st.builds("({} {})".format, _LABELS, _WORDS) | st.builds("({})".format, _LABELS),
-    lambda kids: st.builds(
-        lambda label, parts: f"({label} {' '.join(parts)})",
-        _LABELS,
-        st.lists(kids | _WORDS, min_size=1, max_size=3),
-    ),
-    max_leaves=14,
+
+
+def _tree_texts(words):
+    """Bracketed text of one tree, or of several joined under a synthetic root."""
+    constituents = st.recursive(
+        st.builds("({} {})".format, _LABELS, words) | st.builds("({})".format, _LABELS),
+        lambda kids: st.builds(
+            lambda label, parts: f"({label} {' '.join(parts)})",
+            _LABELS,
+            st.lists(kids | words, min_size=1, max_size=3),
+        ),
+        max_leaves=14,
+    )
+    return st.lists(constituents, min_size=1, max_size=3).map(" ".join)
+
+
+_TREE_TEXTS = _tree_texts(
+    st.sampled_from(["cat", "sat", "w1", ",", ".", "n't", "'s", "-LRB-", "-RRB-", "$"])
 )
-# one tree, or several joined under a synthetic root
-_TREE_TEXTS = st.lists(_CONSTITUENTS, min_size=1, max_size=3).map(" ".join)
 
 
 @given(
@@ -295,14 +305,12 @@ class TestCategoryRetention:
             ),
             "a1",
         )
-        retention = category_retention(fox_task, result, ann)
+        retention = category_retention(fox_task, fox_tree, result, ann)
         assert retention["input_content"] == (3, 0, 0.0)
         assert retention["action_content"] == (2, 2, 1.0)
         assert "unannotated" not in retention
 
     def test_no_removals_all_kept(self, fox_task, fox_tree):
-        from defkit.stdc import CompressionResult
-
         full = render(fox_tree)
         result = CompressionResult(
             fox_task.id, full, full, 1.0, 0.5, 0.5, ()
@@ -310,7 +318,7 @@ class TestCategoryRetention:
         ann = AnnotationSet(
             fox_task.id, (Span(0, 13, ContentCategory.INPUT_CONTENT),), "a1"
         )
-        retention = category_retention(fox_task, result, ann)
+        retention = category_retention(fox_task, fox_tree, result, ann)
         assert all(frac == 1.0 for _, _, frac in retention.values())
         assert retention["unannotated"][0] == 2
 
@@ -319,3 +327,120 @@ class TestCategoryRetention:
             fox_task.id, (Span(0, 13, ContentCategory.INPUT_CONTENT),), "a1"
         )
         assert unannotated_share(fox_task, ann) == pytest.approx(2 / 5)
+
+    def test_a_kept_word_repeated_in_a_removed_span_counts_as_kept(self):
+        """"the" stands in both sentences; only the second survives."""
+        definition = "Read the review. The label is yes."
+        task = make_task(task_id="t", definition=definition)
+        tree = parse_bracketed(
+            "(S (VP (VB Read) (NP (DT the) (NN review))) (. .)) "
+            "(S (NP (DT The) (NN label)) (VP (VBZ is) (ADJP (JJ yes))) (. .))"
+        )
+        fit, _ = fit_holdout(task, 2, 0)
+        result = compress(task, tree, fit, PlantedPhraseBackend("the label is yes"))
+        assert result.compressed_definition == "The label is yes"
+        ann = AnnotationSet(
+            task.id,
+            (
+                Span(0, 16, ContentCategory.INPUT_CONTENT),  # "Read the review."
+                Span(17, 34, ContentCategory.LABEL_LIST),  # "The label is yes."
+            ),
+            "a1",
+        )
+        assert category_retention(task, tree, result, ann) == {
+            "input_content": (3, 0, 0.0),
+            "label_list": (4, 4, 1.0),
+        }
+
+    def test_words_fall_in_the_span_that_covers_them_after_a_long_lowercase(self):
+        """U+0130 lowercases to two characters; the offsets stay on the text."""
+        definition = "\u0130\u0130\u0130\u0130 read it. yes"
+        task = make_task(task_id="t", definition=definition)
+        tree = parse_bracketed(
+            "(S (NP (NN \u0130\u0130\u0130\u0130)) (VP (VB read) (NP (PRP it))) (. .) (NP (UH yes)))"
+        )
+        fit, _ = fit_holdout(task, 2, 0)
+        result = compress(task, tree, fit, PlantedPhraseBackend("yes"))
+        assert result.compressed_definition == "yes"
+        ann = AnnotationSet(
+            task.id,
+            (
+                Span(5, 13, ContentCategory.INPUT_CONTENT),  # "read it."
+                Span(14, 17, ContentCategory.LABEL_LIST),  # "yes"
+            ),
+            "a1",
+        )
+        assert category_retention(task, tree, result, ann) == {
+            "unannotated": (4, 0, 0.0),
+            "input_content": (2, 0, 0.0),
+            "label_list": (1, 1, 1.0),
+        }
+        assert unannotated_share(task, ann) == pytest.approx(4 / 7)
+
+    def test_result_of_another_tree_is_rejected(self, fox_task, fox_tree):
+        other = "the quick fox"
+        result = CompressionResult(fox_task.id, other, other, 1.0, 0.5, 0.5, ())
+        ann = AnnotationSet(fox_task.id, (), "a1")
+        with pytest.raises(InvariantError, match="not compressed from this tree"):
+            category_retention(fox_task, fox_tree, result, ann)
+
+
+_RETENTION_TREE_TEXTS = _tree_texts(
+    st.sampled_from(["the", "yes", "it", "do", "n't", "'s", ",", ".", "-LRB-", "-RRB-", "$", "5"])
+)
+_CATEGORIES = st.sampled_from(
+    [ContentCategory.INPUT_CONTENT, ContentCategory.ACTION_CONTENT, ContentCategory.LABEL_LIST]
+)
+
+
+def reference_retention(task, tree, accepted, ann):
+    """category_retention by brute force: the surviving leaves come from
+    removing each accepted subtree from the tree, and leaf j is placed in
+    the rendered text as the tail of detokenize(tokens[:j + 1])."""
+    current = tree
+    for node_id in accepted:
+        if node_id in current:  # not pruned with an earlier removal
+            current = remove_subtree(current, node_id)
+    surviving = {leaf.id for leaf in current.leaves()}
+    leaves = tree.leaves()
+    tokens = [leaf.token for leaf in leaves]
+    ends = [len(detokenize(tokens[: j + 1])) for j in range(len(tokens))]
+    starts = [end - len(tok) for end, tok in zip(ends, tokens)]
+
+    def words(text):
+        return [m.span() for m in re.finditer("[a-z0-9]+", text.lower())]
+
+    counts = {}
+    for (lo, hi), (start, end) in zip(words(detokenize(tokens)), words(task.definition)):
+        writers = [leaf for leaf, s, e in zip(leaves, starts, ends) if s < hi and lo < e]
+        kept = all(leaf.id in surviving for leaf in writers)
+        buckets = {s.category.value for s in ann.spans if s.start < end and start < s.end}
+        for bucket in buckets or {"unannotated"}:
+            before, after = counts.get(bucket, (0, 0))
+            counts[bucket] = (before + 1, after + kept)
+    return {bucket: (before, after, after / before) for bucket, (before, after) in counts.items()}
+
+
+@given(text=_RETENTION_TREE_TEXTS, data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_category_retention_equals_a_brute_force_reference(text, data):
+    tree = parse_bracketed(text)
+    rendered = render(tree)
+    assume(rendered.strip())
+    gaps = data.draw(st.lists(st.booleans(), min_size=len(rendered), max_size=len(rendered)))
+    # the definition differs from the rendering in spaces that split no word
+    definition = "".join(
+        " " + c if gap and i and not (rendered[i - 1].isalnum() and c.isalnum()) else c
+        for i, (c, gap) in enumerate(zip(rendered, gaps))
+    )
+    task = make_task(task_id="prop", definition=definition)
+    cuts = sorted(data.draw(st.sets(st.integers(0, len(definition)), max_size=6)))
+    spans = tuple(Span(lo, hi, data.draw(_CATEGORIES)) for lo, hi in zip(cuts[::2], cuts[1::2]))
+    ann = AnnotationSet(task.id, spans, "a1")
+    candidates = [n.id for n in tree.nodes() if n.id != tree.root.id]
+    accepted = data.draw(st.lists(st.sampled_from(candidates), unique=True)) if candidates else []
+    steps = tuple(Step(n, tree.node(n).label, (), 0.0, True) for n in accepted)
+    result = CompressionResult(task.id, rendered, "", 0.0, 0.0, 0.0, steps)
+    assert category_retention(task, tree, result, ann) == reference_retention(
+        task, tree, accepted, ann
+    )
