@@ -515,19 +515,24 @@ def _add_backend_args(p: _Parser):
     p.add_argument("--endpoint-url", default=None)
     p.add_argument("--constant-value", type=float, default=0.5)
     p.add_argument("--phrase", default=None, help="planted phrase for the planted backend")
-    p.add_argument("--max-new-tokens", type=int, default=128)
+    p.add_argument("--max-new-tokens", type=_int_at_least(1), default=128)
     p.add_argument("--temperature", type=float, default=0.0)
     p.add_argument("--cache", default=None, help="append-only JSONL score cache path")
 
 
-def _positive_int(value: str) -> int:
-    try:
-        n = int(value)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value!r}")
-    return n
+def _int_at_least(least: int):
+    """An argparse type: an integer no smaller than `least`."""
+
+    def parse(value: str) -> int:
+        try:
+            n = int(value)
+        except ValueError:
+            n = least - 1
+        if n < least:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {value!r}")
+        return n
+
+    return parse
 
 
 def build_parser() -> _Parser:
@@ -536,7 +541,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     shared = {
-        "--jobs": dict(type=_positive_int, default=os.cpu_count() or 1),
+        "--jobs": dict(type=_int_at_least(1), default=os.cpu_count() or 1),
         "--seed": dict(type=int, default=0),
         "--lenient": dict(action="store_true"),
         "--csv": dict(action="store_true"),
@@ -565,8 +570,8 @@ def build_parser() -> _Parser:
     p.add_argument("--tasks", required=True)
     p.add_argument("--parses", required=True)
     _add_backend_args(p)
-    p.add_argument("--fit-n", type=int, required=True)
-    p.add_argument("--holdout-n", type=int, required=True)
+    p.add_argument("--fit-n", type=_int_at_least(1), required=True)
+    p.add_argument("--holdout-n", type=_int_at_least(0), required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--epsilon", type=float, default=0.0)
     p.add_argument("--mode", choices=["current", "paper"], default="current")
@@ -597,7 +602,7 @@ def build_parser() -> _Parser:
     p.add_argument("--task", required=True)
     p.add_argument("--definition", default=None)
     p.add_argument("--definition-file", default=None)
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=_int_at_least(1), default=None)
     _add_backend_args(p)
     common(p, "--seed", "--lenient")
     p.set_defaults(func=cmd_score)

@@ -1,5 +1,5 @@
 """Bracketed constituency trees: reading, layer traversal, subtree removal,
-and detokenized re-rendering.
+detokenized re-rendering, and the offsets of leaves in a text.
 
 Depth convention: the root sits at depth 1 and token nodes count as nodes
 one level below their preterminal, so leaves are traversable candidates for
@@ -136,6 +136,7 @@ class ParseTree:
 
 
 _LEXER = re.compile(r"\(|\)|[^\s()]+")
+_SPACES = re.compile(r"\s*")
 
 
 def _unbalanced(text: str, k: int, what: str) -> UnbalancedError:
@@ -290,21 +291,30 @@ def remove_subtree(tree: ParseTree, node_id: int) -> ParseTree:
     return ParseTree(root=kept[tree.root.id])
 
 
-def written_tokens(tokens: list[str]) -> list[str]:
-    """Each token as `detokenize` writes it: after a space, or glued to its
-    neighbour (punctuation and contraction pieces attach left, opening
-    brackets and "$" attach right)."""
+def detokenize(tokens: list[str]) -> str:
+    """Join tokens with spaces, attaching punctuation and contraction pieces
+    to the word before them and opening brackets and "$" to the word after."""
     out: list[str] = []
     glue_next = True  # nothing stands before the first token
     for tok in tokens:
         out.append(tok if glue_next or tok in _ATTACH_LEFT else " " + tok)
         glue_next = tok in _ATTACH_RIGHT
-    return out
+    return "".join(out)
 
 
-def detokenize(tokens: list[str]) -> str:
-    """Join tokens with spaces, attaching punctuation and contraction pieces."""
-    return "".join(written_tokens(tokens))
+def leaf_offsets(tree: ParseTree, text: str) -> list[tuple[int, int]] | None:
+    """[start, end) of each leaf's token in text, in leaf order, or None
+    unless text is the tokens in order with only whitespace before, between
+    and after them (none is needed between, so "don't" holds "do" "n't")."""
+    offsets: list[tuple[int, int]] = []
+    pos = 0
+    for tok in tree.source_tokens:
+        pos = _SPACES.match(text, pos).end()
+        if not text.startswith(tok, pos):
+            return None
+        offsets.append((pos, pos + len(tok)))
+        pos += len(tok)
+    return offsets if _SPACES.match(text, pos).end() == len(text) else None
 
 
 def render(tree: ParseTree) -> str:

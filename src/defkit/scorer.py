@@ -415,8 +415,14 @@ class ScoreCache:
         with self._lock:
             self._records[record.cache_key] = record
             if self._fh is None:
-                self._fh = self.path.open("a", encoding="utf-8")
-            self._fh.write(line)
+                self._fh = fh = self.path.open("a+b")
+                # a run killed mid-write leaves a torn last line: end it, or
+                # the next record joins it and is skipped along with it
+                if fh.tell():
+                    fh.seek(-1, os.SEEK_END)
+                    if fh.read(1) != b"\n":
+                        fh.write(b"\n")
+            self._fh.write(line.encode("utf-8"))
             self._fh.flush()
 
     def close(self) -> None:

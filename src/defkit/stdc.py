@@ -11,7 +11,7 @@ from .annotations import AnnotationSet, validate_annotation
 from .corpus import ExampleSet, Task
 from .errors import ConfigError, EmptyResultError, InvariantError, ValidationError
 from .metrics import normalize, word_spans
-from .parse import ParseTree, detokenize, nodes_at_depth, remove_subtree, render, written_tokens
+from .parse import ParseTree, detokenize, leaf_offsets, nodes_at_depth, remove_subtree, render
 from .scorer import Backend, GenerationParams, ScoreCache, score_many
 
 BASELINE_CURRENT = "current"
@@ -213,13 +213,13 @@ def category_retention(
     full_text = _render_checked(task, tree)
     if result.full_definition != full_text:
         raise InvariantError(f"task {task.id}: the result was not compressed from this tree")
-    tokens = tree.source_tokens
-    kept = [True] * len(tokens)
+    # per character of full_text: whether no removed leaf writes it
+    offsets = leaf_offsets(tree, full_text)
+    kept_chars = [True] * len(full_text)
     for node_id in result.accepted_node_ids():
         lo, hi = tree.leaf_range(node_id)
-        kept[lo:hi] = [False] * (hi - lo)
-    # per character of full_text: whether the leaf that writes it is kept
-    kept_chars = [k for piece, k in zip(written_tokens(tokens), kept) for _ in piece]
+        for start, end in offsets[lo:hi]:
+            kept_chars[start:end] = [False] * (end - start)
 
     counts: dict[str, list[int]] = {}
     for (_, start, end), (_, lo, hi) in zip(word_spans(task.definition), word_spans(full_text)):

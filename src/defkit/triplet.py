@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from .annotations import AnnotationSet, ContentCategory, Span
 from .corpus import Task, TaskKind
 from .errors import InvariantError, MissingSpanError
-from .parse import ParseNode, ParseTree
+from .parse import ParseNode, ParseTree, leaf_offsets
 
 META_FRAME = "Generate segments of task definitions based on the tag and two examples."
 
@@ -56,30 +56,6 @@ def _base_label(label: str) -> str:
     return label.split("-")[0].split("=")[0]
 
 
-def _align_leaves(tree: ParseTree, text: str) -> list[tuple[int, int]] | None:
-    """Char offsets of each leaf token in the original definition text, in
-    leaf order, or None when the tokens cannot be matched in order."""
-    spans: list[tuple[int, int]] = []
-    pos = 0
-    for leaf in tree.leaves():
-        tok = leaf.token
-        p = pos
-        while True:
-            p = text.find(tok, p)
-            if p < 0:
-                return None
-            if tok[0].isalnum():
-                left_ok = p == 0 or not text[p - 1].isalnum()
-                right_ok = p + len(tok) >= len(text) or not text[p + len(tok)].isalnum()
-                if not (left_ok and right_ok):
-                    p += 1
-                    continue
-            break
-        spans.append((p, p + len(tok)))
-        pos = p + len(tok)
-    return spans
-
-
 def _overlap(a: tuple[int, int], b: tuple[int, int]) -> int:
     return max(0, min(a[1], b[1]) - max(a[0], b[0]))
 
@@ -89,6 +65,7 @@ def build_triplet(task: Task, ann: AnnotationSet, tree: ParseTree) -> TripletDef
     definition via its parse tree.
 
     Falls back to the raw annotated span text (flagging needs_review) when
+    the tree's leaves do not spell the definition apart from whitespace, or
     the tree does not yield a usable constituent, mirroring a manual review
     queue for parser mistakes.
     """
@@ -103,7 +80,7 @@ def build_triplet(task: Task, ann: AnnotationSet, tree: ParseTree) -> TripletDef
     action_span = (action_spans[0].start, action_spans[0].end)
 
     needs_review = False
-    leaf_pos = _align_leaves(tree, text)
+    leaf_pos = leaf_offsets(tree, text)
     nodes = [n for n in tree.nodes() if not n.is_leaf] if leaf_pos is not None else []
     extents: dict[int, tuple[int, int] | None] = {}  # char extent of each internal node
     for node in nodes:

@@ -761,6 +761,35 @@ class TestBadInputs:
         assert f"--jobs: expected an integer >= 1, got '{jobs}'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "command, flag, value, least",
+        [
+            ("compress", "--fit-n", "0", 1),
+            ("compress", "--holdout-n", "-1", 0),
+            ("compress", "--max-new-tokens", "-5", 1),
+            ("score", "--n", "0", 1),
+            ("score", "--max-new-tokens", "-5", 1),
+        ],
+    )
+    def test_impossible_size_is_usage_error(self, tmp_path, capsys, command, flag, value, least):
+        tasks_dir, parses = fox_corpus(tmp_path)
+        cache = tmp_path / "cache.jsonl"
+        args = {
+            "compress": [
+                "--tasks", str(tasks_dir), "--parses", str(parses),
+                "--fit-n", "1", "--holdout-n", "1", "--out", str(tmp_path / "out"),
+            ],
+            "score": ["--task", str(tasks_dir / "task_fox.json")],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [command, *args, "--backend", "constant", "--cache", str(cache), flag, value]
+            )
+        assert exc.value.code == 64
+        assert f"{flag}: expected an integer >= {least}, got '{value}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert not cache.exists()
+
 
 def pipeline(tmp_path):
     """Valid input files for every subcommand, and the arguments that run each on them."""

@@ -17,6 +17,7 @@ from defkit.parse import (
     ParseTree,
     check_bracketed,
     detokenize,
+    leaf_offsets,
     nodes_at_depth,
     parse_bracketed,
     remove_subtree,
@@ -25,6 +26,7 @@ from defkit.parse import (
 )
 
 from conftest import FOX_TREE_TEXT
+from test_stdc import _TREE_TEXTS
 
 CAT_TREE = "(S (NP (DT the) (NN cat)) (VP (VBD sat)))"
 
@@ -138,6 +140,42 @@ class TestRender:
 
     def test_empty(self):
         assert detokenize([]) == ""
+
+
+class TestLeafOffsets:
+    def test_split_word_and_escapes(self):
+        tree = parse_bracketed("(S (VBP do) (RB n't) (NP (-LRB- -LRB-) (NN it) (-RRB- -RRB-)))")
+        assert leaf_offsets(tree, " don't (it)\n") == [(1, 3), (3, 6), (7, 8), (8, 10), (10, 11)]
+
+    def test_text_that_is_not_the_tokens(self):
+        tree = parse_bracketed(CAT_TREE)
+        assert leaf_offsets(tree, "the cat sat") == [(0, 3), (4, 7), (8, 11)]
+        assert leaf_offsets(tree, "the cat sat.") is None  # a character no leaf writes
+        assert leaf_offsets(tree, "the big cat sat") is None  # a skipped word
+        assert leaf_offsets(tree, "the cat") is None  # a leaf past the end
+
+
+@given(text=_TREE_TEXTS, data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_leaf_offsets_place_each_token(text, data):
+    tree = parse_bracketed(text)
+    tokens = tree.source_tokens
+
+    def spelled(written):
+        offsets = leaf_offsets(tree, written)
+        return offsets is not None and [written[s:e] for s, e in offsets] == tokens
+
+    assert spelled(detokenize(tokens))
+    spaces = st.text(alphabet=" \t\n", max_size=3)
+    gaps = data.draw(st.lists(spaces, min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    spaced = gaps[0] + "".join(tok + gap for tok, gap in zip(tokens, gaps[1:]))
+    assert spelled(spaced)
+    inked = [i for i, c in enumerate(spaced) if not c.isspace()]
+    if inked:
+        i = data.draw(st.sampled_from(inked))
+        other = data.draw(st.characters().filter(lambda c: c != spaced[i]))
+        assert leaf_offsets(tree, spaced[:i] + spaced[i + 1 :]) is None
+        assert leaf_offsets(tree, spaced[:i] + other + spaced[i + 1 :]) is None
 
 
 TAGS = ["S", "NP", "VP", "PP", "ADJP"]

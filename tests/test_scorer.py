@@ -200,6 +200,28 @@ class TestCache:
         cache.close()
         assert len(ScoreCache(path)) == 4
 
+    def test_record_after_a_torn_last_line_loads(self, tmp_path, gen_task):
+        # a run killed mid-write leaves half a record as the file's last line
+        path = tmp_path / "cache.jsonl"
+        backend = PlantedPhraseBackend("alpha")
+        cache = ScoreCache(path)
+        score("alpha one", gen_task, fit_set(gen_task), backend, cache=cache)
+        score("alpha two", gen_task, fit_set(gen_task), backend, cache=cache)
+        cache.close()
+        text = path.read_text()
+        path.write_text(text[: text.index("\n") + 40])
+        cache = ScoreCache(path)
+        assert len(cache) == 1
+        record = score("alpha three", gen_task, fit_set(gen_task), backend, cache=cache)
+        cache.close()
+        reloaded = ScoreCache(path)
+        assert reloaded.get(record.cache_key) == record
+        assert len(reloaded) == 2
+        calls = backend.calls
+        score("alpha three", gen_task, fit_set(gen_task), backend, cache=reloaded)
+        assert backend.calls == calls
+        reloaded.close()
+
     def test_hits_counted_under_threads(self, tmp_path):
         cache = ScoreCache(tmp_path / "cache.jsonl")
         cache.put(ScoreRecord("k", "d", "fp", 0.5, (0.5,), "b"))

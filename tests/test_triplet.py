@@ -120,6 +120,40 @@ class TestBuildTriplet:
         assert trip.needs_review
         assert trip.input_entry == "Given a statement,"
 
+    @pytest.mark.parametrize(
+        "verb, tags, action",
+        [
+            ("don't", "(VBP do) (RB n't)", "don't copy the review"),
+            ("cannot", "(MD can) (RB not)", "copy the review"),  # a modal is not a VB*
+        ],
+        ids=["dont", "cannot"],
+    )
+    def test_word_split_by_the_parser_aligns(self, verb, tags, action):
+        # the parser splits one written word into two leaves with no space
+        # between them; the leaves still spell the definition
+        definition = f"Given a review, {verb} copy the review and write a summary."
+        tree = parse_bracketed(
+            "(S (PP (VBN Given) (NP (DT a) (NN review))) (, ,) "
+            f"(VP (VP {tags} (VP (VB copy) (NP (DT the) (NN review)))) "
+            "(CC and) (VP (VB write) (NP (DT a) (NN summary)))) (. .))"
+        )
+        task = make_task(
+            task_id="task_split", definition=definition, kind=TaskKind.GENERATION, label_list=None
+        )
+        ann = AnnotationSet(
+            task.id,
+            (
+                Span(0, 15, ContentCategory.INPUT_CONTENT),
+                Span(16, len(definition) - 1, ContentCategory.ACTION_CONTENT),
+            ),
+            "a1",
+        )
+        trip = build_triplet(task, ann, tree)
+        assert trip.input_entry == "a review"
+        assert trip.action_entry == action
+        assert trip.output_entry == ("the review",)
+        assert not trip.needs_review
+
     def test_no_token_invented(self):
         trip = build_triplet(task6(), task6_annotation(), parse_bracketed(TASK6_TREE))
         for entry in (trip.input_entry, trip.action_entry, *trip.output_entry):
