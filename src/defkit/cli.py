@@ -253,10 +253,12 @@ def cmd_compress(args) -> int:
             fit, holdout = split_examples(task, args.fit_n, args.holdout_n, args.seed)
             tree = parse_bracketed(line)  # parsed here, so only running tasks hold a tree
             result = compress(task, tree, fit, backend, cfg.params, stdc_cfg, cache)
-            report = evaluate_holdout(
-                task, result, holdout, backend, cfg.params, cache,
-                strict=not args.non_strict_coverage,
-            )
+            report = None  # --holdout-n 0: no holdout to measure
+            if holdout.instance_ids:
+                report = evaluate_holdout(
+                    task, result, holdout, backend, cfg.params, cache,
+                    strict=not args.non_strict_coverage,
+                )
         except DefkitError as exc:
             return task, exc, None
         return task, result, report
@@ -283,23 +285,15 @@ def cmd_compress(args) -> int:
         (out_dir / f"{task.id}.json").write_text(  # each dataclass as its fields
             json.dumps(payload, indent=2, sort_keys=True, default=vars) + "\n"
         )
-        aggregates.append((result.ratio, report.before, report.after, report.coverage))
-        table_rows.append(
-            [
-                task.id,
-                f"{result.ratio:.2f}",
-                f"{report.before:.3f}",
-                f"{report.after:.3f}",
-                f"{report.coverage:.2f}",
-            ]
-        )
+        if report is None:
+            aggregates.append((result.ratio,))
+        else:
+            aggregates.append((result.ratio, report.before, report.after, report.coverage))
+        table_rows.append([task.id, *_compress_columns(aggregates[-1])])
 
     if aggregates:
         n = len(aggregates)
-        means = [sum(col) / n for col in zip(*aggregates)]
-        table_rows.append(
-            ["MEAN", f"{means[0]:.2f}", f"{means[1]:.3f}", f"{means[2]:.3f}", f"{means[3]:.2f}"]
-        )
+        table_rows.append(["MEAN", *_compress_columns([sum(col) / n for col in zip(*aggregates)])])
     headers = ["task", "ratio", "before", "after", "coverage"]
     print(_format_table(headers, table_rows))
     if args.csv:
@@ -330,6 +324,16 @@ def cmd_compress(args) -> int:
     if backend_errors:
         raise backend_errors[0]
     return EXIT_VALIDATION if failures else EXIT_OK
+
+
+def _compress_columns(values) -> list[str]:
+    """Ratio, holdout before, after and coverage as the table prints them;
+    "-" for the holdout columns when there are no holdout instances."""
+    ratio, *holdout = values
+    if not holdout:
+        return [f"{ratio:.2f}", "-", "-", "-"]
+    before, after, coverage = holdout
+    return [f"{ratio:.2f}", f"{before:.3f}", f"{after:.3f}", f"{coverage:.2f}"]
 
 
 # ---------------------------------------------------------------- report

@@ -17,6 +17,11 @@ _WORD = re.compile(r"[a-z0-9]+")
 # on any corpus (about 3 KB for a 25-token reference, 35 KB for 300 tokens).
 _PREPARED_REFERENCES_MAX = 1024
 
+# Distinct (candidate, references) pairs whose Rouge-L is kept. An entry keeps
+# its candidate text alive, the references being the task's own strings, plus
+# about 250 bytes of bookkeeping: about 3 MB for 500-character generations.
+_ROUGE_L_MEMO_MAX = 4096
+
 
 def normalize(text: str) -> list[str]:
     """The words of text: lowercase it, keep each run of [a-z0-9]."""
@@ -81,6 +86,14 @@ def rouge_l(candidate: str, references: Sequence[str]) -> float:
     """
     if not references:
         raise EmptyReferenceListError("rouge_l: references must be non-empty")
+    return _rouge_l(candidate, tuple(references))
+
+
+@lru_cache(maxsize=_ROUGE_L_MEMO_MAX)
+def _rouge_l(candidate: str, references: tuple[str, ...]) -> float:
+    """`rouge_l` of a pair, computed once per process while it stays in the
+    memo. STDC candidates differ by one phrase, so most generations repeat
+    from one candidate to the next; the float kept is the float computed."""
     cand = normalize(candidate)
     best = 0.0
     for reference in references:

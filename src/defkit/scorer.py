@@ -13,9 +13,10 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Generator, Sequence
 
 from .corpus import ExampleSet, Instance, Task, assemble_prompt, finite_number, numbered_lines
 from .errors import BackendError, BackendTimeoutError, ConfigError, InvariantError, ScorerError
@@ -68,10 +69,12 @@ class Backend:
     def generate(self, ctx: GenerationContext) -> list[str]:
         raise NotImplementedError
 
-    def generate_many(self, ctxs: Sequence[GenerationContext]) -> list[list[str]]:
-        """Generations for each context, in input order. In-process backends
-        generate one context after another."""
-        return [self.generate(ctx) for ctx in ctxs]
+    def generate_many(self, ctxs: Sequence[GenerationContext]) -> Generator[list[str], None, None]:
+        """Yields the generations of each context, in input order, so that a
+        caller can use those of one context before the next is ready or
+        fails. In-process backends generate a context when it is asked for."""
+        for ctx in ctxs:
+            yield self.generate(ctx)
 
     def score_batch(self, ctx: GenerationContext) -> list[float] | None:
         """Direct per-instance scores, bypassing generation; None for
@@ -120,8 +123,16 @@ class KeywordLabelBackend(Backend):
         out = []
         for inst in ctx.instances:
             gold = inst.references[0]
-            out.append(gold if set(normalize(gold)) <= def_tokens else "unknown")
+            out.append(gold if _label_tokens(gold) <= def_tokens else "unknown")
         return out
+
+
+# Distinct gold references whose token sets are kept, so memory stays bounded
+# on any corpus (about 4 KB for a 25-word reference, 4 MB in all).
+@functools.lru_cache(maxsize=1024)
+def _label_tokens(gold: str) -> frozenset[str]:
+    """The words of a gold reference, normalized once per process."""
+    return frozenset(normalize(gold))
 
 
 class RemoteBackend(Backend):
@@ -218,12 +229,15 @@ class RemoteBackend(Backend):
         raise BackendError(f"endpoint unreachable after retries: {last_error}")
 
     def generate(self, ctx: GenerationContext) -> list[str]:
-        return self.generate_many([ctx])[0]
+        [generations] = self.generate_many([ctx])
+        return generations
 
-    def generate_many(self, ctxs: Sequence[GenerationContext]) -> list[list[str]]:
-        """One pool of `max_in_flight` threads sends one POST per context.
-        Results come back in input order; if requests fail, the error of
-        the first failing context in input order is raised."""
+    def generate_many(self, ctxs: Sequence[GenerationContext]) -> Generator[list[str], None, None]:
+        """One pool of `max_in_flight` threads sends one POST per context,
+        all submitted on the first `next`. Results are yielded in input
+        order; the first failing context in input order raises its error
+        once the contexts before it are yielded. Closing the iterator
+        early cancels the POSTs not yet started."""
         with ThreadPoolExecutor(max_workers=self.max_in_flight) as pool:
             futures = [
                 pool.submit(
@@ -233,11 +247,11 @@ class RemoteBackend(Backend):
                 for ctx in ctxs
             ]
             try:
-                return [f.result() for f in futures]
-            except BaseException:
+                for f in futures:
+                    yield f.result()
+            finally:
                 for f in futures:
                     f.cancel()
-                raise
 
 
 @functools.cache
@@ -463,8 +477,9 @@ def score_many(
     (backend id, definition, example fingerprint, generation params). The
     definitions not in the cache go to the backend together; a definition
     repeated in the list is sent once when there is a cache. Rouge-L and
-    cache writes then run in input order, so backend calls, cache hits and
-    the cache file are those of scoring the definitions one after another.
+    cache writes then run in input order as each generation arrives, so
+    backend calls, cache hits and the cache file are those of scoring the
+    definitions one after another, up to the first that fails.
     """
     if examples.task_id != task.id:
         raise ScorerError(f"example set for {examples.task_id!r} used with task {task.id!r}")
@@ -479,37 +494,39 @@ def score_many(
         pending.add(key)
         misses[i] = GenerationContext(definition, task, instances)
     per_miss = {i: backend.score_batch(ctx) for i, ctx in misses.items()}
-    to_generate = [i for i, per in per_miss.items() if per is None]
-    try:
-        generated = backend.generate_many([misses[i] for i in to_generate])
-    except BackendError as exc:
-        raise BackendError(f"task {task.id}: {exc}") from exc
-    for i, generations in zip(to_generate, generated):
-        if len(generations) != len(instances):
-            raise BackendError(
-                f"task {task.id}: backend returned {len(generations)} generations "
-                f"for {len(instances)} instances"
-            )
-        per_miss[i] = [rouge_l(g, inst.references) for g, inst in zip(generations, instances)]
-
     records = []
-    for i, (definition, key) in enumerate(zip(definitions, keys)):
-        hit = cache.get(key) if cache is not None else None
-        if hit is not None:
-            records.append(hit)
-            continue
-        per = per_miss[i]
-        record = ScoreRecord(
-            cache_key=key,
-            definition=definition,
-            example_fingerprint=fingerprint,
-            mean_score=sum(per) / len(per) if per else 0.0,
-            per_instance=tuple(per),
-            backend_id=backend.backend_id,
-        )
-        if cache is not None:
-            cache.put(record)
-        records.append(record)
+    # the misses to generate for arrive in input order; closing the generator
+    # ends its requests, also when a miss fails
+    todo = [ctx for i, ctx in misses.items() if per_miss[i] is None]
+    with closing(backend.generate_many(todo)) as generated:
+        for i, (definition, key) in enumerate(zip(definitions, keys)):
+            hit = cache.get(key) if cache is not None else None
+            if hit is not None:
+                records.append(hit)
+                continue
+            per = per_miss[i]
+            if per is None:
+                try:
+                    generations = next(generated)
+                except BackendError as exc:
+                    raise BackendError(f"task {task.id}: {exc}") from exc
+                if len(generations) != len(instances):
+                    raise BackendError(
+                        f"task {task.id}: backend returned {len(generations)} generations "
+                        f"for {len(instances)} instances"
+                    )
+                per = [rouge_l(g, inst.references) for g, inst in zip(generations, instances)]
+            record = ScoreRecord(
+                cache_key=key,
+                definition=definition,
+                example_fingerprint=fingerprint,
+                mean_score=sum(per) / len(per) if per else 0.0,
+                per_instance=tuple(per),
+                backend_id=backend.backend_id,
+            )
+            if cache is not None:
+                cache.put(record)
+            records.append(record)
     return records
 
 

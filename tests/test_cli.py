@@ -23,8 +23,11 @@ from defkit.annotations import (
     validate_annotation,
 )
 from defkit.cli import _scorer_config, build_parser, main
-from defkit.corpus import TaskKind
-from defkit.scorer import ScorerConfig
+from defkit import metrics
+from defkit.corpus import TaskKind, load_task_file, split_examples
+from defkit.parse import parse_bracketed
+from defkit.scorer import PlantedPhraseBackend, ScorerConfig
+from defkit.stdc import compress
 from defkit.stubserver import StubServer
 
 from conftest import FOX_TREE_TEXT, REVIEW_DEFINITION, make_task, write_task_file
@@ -267,6 +270,51 @@ class TestCompressCommand:
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["extra"]["backend_calls"] == 0
         assert manifest["extra"]["cache_hits"] > 0
+
+    def test_holdout_n_0_measures_no_holdout(self, tmp_path, capsys):
+        tasks_dir, parses = fox_corpus(tmp_path)
+        out_dir = tmp_path / "out"
+        assert self.run_compress(tasks_dir, parses, out_dir, ["--holdout-n", "0"]) == 0
+        payload = json.loads((out_dir / "task_fox.json").read_text())
+        assert payload["holdout"] is None
+        assert payload["compression"]["compressed_definition"] == "classifies reviews"
+        rows = {line.split()[0]: line.split()[1:] for line in capsys.readouterr().out.splitlines()}
+        assert rows["task_fox"] == ["0.40", "-", "-", "-"]
+        assert rows["MEAN"] == ["0.40", "-", "-", "-"]
+        # the backend calls are those of the search over the fit set alone
+        task = load_task_file(tasks_dir / "task_fox.json")
+        fit, _ = split_examples(task, 2, 0, 0)
+        backend = PlantedPhraseBackend("classifies reviews")
+        compress(task, parse_bracketed(FOX_TREE_TEXT), fit, backend)
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["extra"]["backend_calls"] == backend.calls
+
+    def test_holdout_n_0_posts_no_empty_request(self, tmp_path):
+        tasks_dir, parses = fox_corpus(tmp_path)
+        with StubServer() as server:
+            rc = self.run_compress(
+                tasks_dir, parses, tmp_path / "out",
+                ["--backend", "remote", "--endpoint-url", server.url, "--holdout-n", "0",
+                 "--allow-empty"],
+            )
+            served = list(server.requests)
+        assert rc == 0
+        assert served and all(len(request["body"]["prompts"]) == 2 for request in served)
+
+    def test_rouge_l_memo_never_changes_outputs(self, tmp_path):
+        tasks_dir, parses = fox_corpus(tmp_path)
+
+        def run(name):
+            out_dir, cache = tmp_path / name, tmp_path / f"{name}.jsonl"
+            assert self.run_compress(tasks_dir, parses, out_dir, ["--cache", str(cache)]) == 0
+            return (out_dir / "task_fox.json").read_bytes(), cache.read_bytes()
+
+        metrics._rouge_l.cache_clear()
+        cold = run("cold")
+        misses = metrics._rouge_l.cache_info().misses
+        warm = run("warm")
+        assert metrics._rouge_l.cache_info().misses == misses  # every pair was a hit
+        assert warm == cold
 
     def test_backend_error_exit3_after_the_manifest(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(time, "sleep", lambda s: None)

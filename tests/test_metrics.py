@@ -13,6 +13,7 @@ from defkit.errors import EmptyReferenceListError
 from defkit.metrics import (
     _lcs_bits,
     _prepared_reference,
+    _rouge_l,
     aggregate,
     heuristic_predict,
     lcs_length,
@@ -98,6 +99,29 @@ class TestBitParallelLcs:
     def test_rouge_l_equals_dp_formula(self, candidate, references):
         assert rouge_l(candidate, references) == dp_rouge_l(candidate, references)
 
+    @given(
+        candidate=texts,
+        references=st.lists(texts, min_size=1, max_size=4),
+        as_tuple=st.booleans(),
+        cold=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_memo_returns_the_computed_float(self, candidate, references, as_tuple, cold):
+        refs = tuple(references) if as_tuple else references
+        expected = dp_rouge_l(candidate, references)
+        if cold:
+            _rouge_l.cache_clear()
+        first = rouge_l(candidate, refs)
+        misses = _rouge_l.cache_info().misses
+        again = rouge_l(candidate, list(references) if as_tuple else tuple(references))
+        assert _rouge_l.cache_info().misses == misses  # the repeat, in either type, is a hit
+        _rouge_l.cache_clear()
+        assert first == again == rouge_l(candidate, refs) == expected
+        with pytest.raises(EmptyReferenceListError):
+            rouge_l(candidate, [])
+        with pytest.raises(EmptyReferenceListError):
+            rouge_l(candidate, ())
+
     def test_references_that_normalize_to_nothing(self):
         assert rouge_l("a b", ["!!!", "", "a"]) == dp_rouge_l("a b", ["!!!", "", "a"])
         assert rouge_l("a b", ["!!!"]) == 0.0
@@ -112,6 +136,7 @@ class TestBitParallelLcs:
             for _ in range(200)
         ]
         _prepared_reference.cache_clear()
+        _rouge_l.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # threads preempt each other mid-preparation
         try:

@@ -320,7 +320,7 @@ class TestConcurrentRequests:
         ctxs = [GenerationContext(d, task, instances) for d in ("slow", "fast", "mid")]
         delays = {"slow": 0.03, "fast": 0.0, "mid": 0.01}
         backend = InProcessRemote(delay=delays.get)
-        out = backend.generate_many(ctxs)
+        out = list(backend.generate_many(ctxs))
         assert backend.in_flight_max == 3
         assert out == [backend.generate(ctx) for ctx in ctxs]
 
@@ -335,6 +335,25 @@ class TestConcurrentRequests:
         with pytest.raises(BackendError) as exc:
             score_many(definitions, task, fit_set(task), backend)
         assert str(exc.value) == "task task_echo: refused 'late failure'"
+
+    def test_failed_batch_caches_the_contexts_before_the_failure(self, tmp_path):
+        task = echo_task(2)
+        fit = fit_set(task)
+        definitions = ["one", "two", "three", "four", "five"]
+        # the contexts after the failing one answer first; they are not cached
+        delays = {"one": 0.05, "two": 0.05, "three": 0.01}
+        backend = InProcessRemote(delay=lambda d: delays.get(d, 0.0), fail={"three"})
+        batch = ScoreCache(tmp_path / "batch.jsonl")
+        with pytest.raises(BackendError, match="refused 'three'"):
+            score_many(definitions, task, fit, backend, cache=batch)
+        batch.close()
+        assert backend.calls == 5  # every POST was sent, at most 4 at once
+        one = ScoreCache(tmp_path / "one.jsonl")
+        for definition in definitions[:2]:
+            score(definition, task, fit, InProcessRemote(), cache=one)
+        one.close()
+        assert batch.path.exists(), "no record of the batch was cached"
+        assert batch.path.read_bytes() == one.path.read_bytes()
 
 
 @given(

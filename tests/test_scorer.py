@@ -3,9 +3,13 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from defkit import scorer
 from defkit.corpus import SplitRole, TaskKind, split_examples
-from defkit.errors import InvariantError
+from defkit.errors import BackendError, InvariantError
+from defkit.metrics import normalize
 from defkit.scorer import (
     Backend,
     ConstantBackend,
@@ -71,6 +75,32 @@ class TestBackends:
         assert hit.per_instance == (1.0, 1.0, 1.0)
         miss = score("Output something", task, fit_set(task, 3), backend)
         assert miss.mean_score == 0.0
+
+    @given(
+        definition=st.lists(st.sampled_from(["Yes", "no", "maybe", "x-y", "!"]), max_size=6),
+        golds=st.lists(
+            st.lists(st.sampled_from(["yes", "NO", "Maybe", "x", "y", "", "?"]), max_size=3),
+            min_size=1,
+            max_size=4,
+        ),
+        cold=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_keyword_label_equals_set_reference(self, definition, golds, cold):
+        definition = " ".join(definition)
+        golds = [" ".join(g) for g in golds]
+        task = make_task(
+            task_id="task_kw", kind=TaskKind.GENERATION, label_list=None,
+            n_instances=len(golds), references=[[g] for g in golds],
+        )
+        if cold:
+            scorer._label_tokens.cache_clear()
+        ctx = GenerationContext(definition, task, task.instances)
+        def_tokens = set(normalize(definition))
+        expected = [g if set(normalize(g)) <= def_tokens else "unknown" for g in golds]
+        backend = KeywordLabelBackend()
+        assert backend.generate(ctx) == expected
+        assert backend.generate(ctx) == expected
 
     def test_build_backend_requires_endpoint(self):
         with pytest.raises(InvariantError):
@@ -274,6 +304,27 @@ class TestScoreMany:
         assert [r.definition for r in records] == self.DEFINITIONS
         # a repeat is a hit with a cache and another backend call without one
         assert (calls, hits) == ((3, 2) if cached else (5, 0))
+
+    def test_failed_batch_caches_the_definitions_before_the_failure(self, tmp_path, gen_task):
+        class Refusing(PlantedPhraseBackend):
+            def generate(self, ctx):
+                if ctx.definition == "alpha three":
+                    raise BackendError("refused")
+                return super().generate(ctx)
+
+        definitions = ["alpha one", "beta two", "alpha three", "alpha four", "beta five"]
+        fit = fit_set(gen_task)
+        batch = ScoreCache(tmp_path / "batch.jsonl")
+        with pytest.raises(BackendError, match="^task task_gen: refused$"):
+            score_many(definitions, gen_task, fit, Refusing("alpha"), cache=batch)
+        batch.close()
+        one = ScoreCache(tmp_path / "one.jsonl")
+        for definition in definitions[:2]:
+            score(definition, gen_task, fit, PlantedPhraseBackend("alpha"), cache=one)
+        one.close()
+        assert batch.path.exists(), "no record of the batch was cached"
+        assert batch.path.read_bytes() == one.path.read_bytes()
+        assert len(one.path.read_text().splitlines()) == 2
 
     def test_repeat_inside_a_batch_hits_the_cache(self, tmp_path, gen_task):
         cache = ScoreCache(tmp_path / "cache.jsonl")
