@@ -29,7 +29,7 @@ from .errors import (
 )
 from .manifest import RunManifest, file_digest
 from .metrics import aggregate
-from .parse import check_bracketed, parse_bracketed
+from .parse import count_trees, parse_bracketed
 from .triplet import build_triplet, meta_tuning_instances
 
 # The scoring stack (scorer, stdc, concurrent.futures) is imported
@@ -120,22 +120,31 @@ def _valid_annotation(
     return ann
 
 
-def _load_parse_lines(path: str, tasks: list[Task]) -> list[str]:
+def _failure(task: Task, exc: DefkitError) -> str:
+    """What a "validation failure" line says of a task that failed: its id,
+    then the error without the "task ID: " its message may start with, so
+    that the line names the task once."""
+    return f"{task.id}: {str(exc).removeprefix(f'task {task.id}: ')}"
+
+
+def _load_parse_lines(path: str, tasks: list[Task]) -> list[tuple[str, int]]:
     """The parse file's lines, one per task, each checked to hold bracketed
-    trees. Each task parses its own line when it runs, so at most one tree
-    per running task is alive."""
+    trees, with the number of top-level trees it holds. Each task parses its
+    own line when it runs, with `parse_bracketed(line, trees)`, which skips a
+    second check; so at most one tree per running task is alive."""
     lines = list(numbered_lines(path))
     if len(lines) != len(tasks):
         raise ValidationError(
             f"{path}: {len(lines)} parse lines for {len(tasks)} tasks "
             "(lines align by index to the sorted task files)"
         )
+    checked = []
     for lineno, line in lines:
         try:
-            check_bracketed(line)
+            checked.append((line, count_trees(line)))
         except UnbalancedError as exc:
             raise UnbalancedError(f"{path}:{lineno}: {exc}", exc.position) from exc
-    return [line for _, line in lines]
+    return checked
 
 
 def _scorer_config(args) -> ScorerConfig:
@@ -248,10 +257,10 @@ def cmd_compress(args) -> int:
 
     def safe_run(task_line):
         """(task, result, report), or (task, the error, None) if the task failed."""
-        task, line = task_line
+        task, (line, trees) = task_line
         try:
             fit, holdout = split_examples(task, args.fit_n, args.holdout_n, args.seed)
-            tree = parse_bracketed(line)  # parsed here, so only running tasks hold a tree
+            tree = parse_bracketed(line, trees)  # parsed here, so only running tasks hold a tree
             result = compress(task, tree, fit, backend, cfg.params, stdc_cfg, cache)
             report = None  # --holdout-n 0: no holdout to measure
             if holdout.instance_ids:
@@ -279,7 +288,7 @@ def cmd_compress(args) -> int:
             backend_errors.append(result)
             continue
         if isinstance(result, DefkitError):
-            failures.append(f"{task.id}: {result}")
+            failures.append(_failure(task, result))
             continue
         payload = {"compression": result, "holdout": report}
         (out_dir / f"{task.id}.json").write_text(  # each dataclass as its fields
@@ -446,14 +455,14 @@ def cmd_triplet(args) -> int:
     failures = []
     n_triplets = n_meta = 0
     with triplet_file.open("w", encoding="utf-8") as tf, meta_file.open("w", encoding="utf-8") as mf:
-        for task, line in zip(tasks, lines):
+        for task, (line, trees) in zip(tasks, lines):
             ann = _valid_annotation(task, anns, failures)
             if ann is None:
                 continue
             try:
-                trip = build_triplet(task, ann, parse_bracketed(line))
+                trip = build_triplet(task, ann, parse_bracketed(line, trees))
             except DefkitError as exc:
-                failures.append(f"{task.id}: {exc}")
+                failures.append(_failure(task, exc))
                 continue
             tf.write(json.dumps(trip.to_dict(), sort_keys=True) + "\n")
             n_triplets += 1

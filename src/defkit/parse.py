@@ -146,18 +146,20 @@ def _unbalanced(text: str, k: int, what: str) -> UnbalancedError:
     return UnbalancedError(f"{what} at offset {at}", position=at)
 
 
-def check_bracketed(text: str) -> list[str]:
-    """The lexer tokens of text, once they are known to form bracketed trees.
+def count_trees(text: str) -> int:
+    """How many top-level trees text holds, once it is known to hold one or
+    more bracketed trees.
 
     Raises EmptyError if text holds no token, and UnbalancedError naming the
     offset of the offending token if the tokens are not one or more
     bracketed trees.
     """
-    return _check(text)[0]
+    return _check(text)[1]
 
 
 def _check(text: str) -> tuple[list[str], int]:
-    """`check_bracketed`'s tokens, and how many top-level trees they hold."""
+    """The lexer tokens of text and how many top-level trees they hold,
+    once `count_trees` accepts them."""
     # Offsets are only needed for error messages; they are found again then.
     tokens = _LEXER.findall(text)
     if not tokens:
@@ -186,7 +188,7 @@ def _check(text: str) -> tuple[list[str], int]:
     return tokens, roots
 
 
-def parse_bracketed(text: str) -> ParseTree:
+def parse_bracketed(text: str, trees: int | None = None) -> ParseTree:
     """Read a Penn-Treebank-style bracketed expression.
 
     Multiple top-level trees are joined under a synthetic TOP node. PTB
@@ -196,9 +198,15 @@ def parse_bracketed(text: str) -> ParseTree:
     Ids are handed out in pre-order from 1; the root takes id 0, so a lone
     top-level tree leaves id 1 unused. The tree's layout is filled in the
     same pass, so no traversal walks the tree again.
+
+    A caller that has checked text already passes what `count_trees`
+    returned for it as `trees`; text is then read without a second check.
     """
-    tokens, roots = _check(text)
-    return _read(tokens, single=roots == 1)
+    if trees is None:
+        tokens, trees = _check(text)
+    else:
+        tokens = _LEXER.findall(text)
+    return _read(tokens, single=trees == 1)
 
 
 def _read(tokens: list[str], single: bool) -> ParseTree:
@@ -291,15 +299,20 @@ def remove_subtree(tree: ParseTree, node_id: int) -> ParseTree:
     return ParseTree(root=kept[tree.root.id])
 
 
+def spelling(token: str, before: str | None) -> str:
+    """What token writes into a detokenized text after the token `before`
+    (None at the start): the token alone when it attaches left (punctuation,
+    contraction pieces) or `before` attaches right (opening brackets, "$"),
+    else a space and the token."""
+    if before is None or token in _ATTACH_LEFT or before in _ATTACH_RIGHT:
+        return token
+    return " " + token
+
+
 def detokenize(tokens: list[str]) -> str:
     """Join tokens with spaces, attaching punctuation and contraction pieces
     to the word before them and opening brackets and "$" to the word after."""
-    out: list[str] = []
-    glue_next = True  # nothing stands before the first token
-    for tok in tokens:
-        out.append(tok if glue_next or tok in _ATTACH_LEFT else " " + tok)
-        glue_next = tok in _ATTACH_RIGHT
-    return "".join(out)
+    return "".join(map(spelling, tokens, [None, *tokens]))
 
 
 def leaf_offsets(tree: ParseTree, text: str) -> list[tuple[int, int]] | None:

@@ -368,6 +368,8 @@ def _string(value) -> str:
     return value
 
 
+# Example sets whose fingerprints are kept; a compress run scores two per task.
+@functools.lru_cache(maxsize=1024)
 def example_fingerprint(examples: ExampleSet) -> str:
     payload = json.dumps(
         [examples.task_id, examples.role.value, list(examples.instance_ids)],
@@ -379,12 +381,26 @@ def example_fingerprint(examples: ExampleSet) -> str:
 def cache_key_for(
     backend_id: str, definition: str, fingerprint: str, params: GenerationParams
 ) -> str:
-    payload = json.dumps(
-        [backend_id, definition, fingerprint, params.to_dict()],
-        separators=(",", ":"),
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    """SHA-256 of the JSON text `[backend_id, definition, fingerprint,
+    params]` (compact separators, params' keys sorted). Only the definition
+    is encoded per call: the hash of the text before it and the text after
+    it are kept per (backend, fingerprint, params)."""
+    head, tail = _key_parts(backend_id, fingerprint, params)
+    key = head.copy()
+    key.update(json.dumps(definition).encode("ascii"))
+    key.update(tail)
+    return key.hexdigest()
+
+
+# One entry per backend, example set and params that a process scores with.
+@functools.lru_cache(maxsize=1024)
+def _key_parts(backend_id: str, fingerprint: str, params: GenerationParams):
+    """A SHA-256 fed the key text before the definition, and the text after
+    it. The hash object is shared by every caller: copy it, never update it."""
+    params_json = json.dumps(params.to_dict(), separators=(",", ":"), sort_keys=True)
+    head = f"[{json.dumps(backend_id)},"
+    tail = f",{json.dumps(fingerprint)},{params_json}]"
+    return hashlib.sha256(head.encode("ascii")), tail.encode("ascii")
 
 
 class ScoreCache:

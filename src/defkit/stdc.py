@@ -11,7 +11,7 @@ from .annotations import AnnotationSet, validate_annotation
 from .corpus import ExampleSet, Task
 from .errors import ConfigError, EmptyResultError, InvariantError, ValidationError
 from .metrics import normalize, word_spans
-from .parse import ParseTree, detokenize, leaf_offsets, nodes_at_depth, remove_subtree, render
+from .parse import ParseTree, leaf_offsets, nodes_at_depth, remove_subtree, render, spelling
 from .scorer import Backend, GenerationParams, ScoreCache, score_many
 
 BASELINE_CURRENT = "current"
@@ -63,8 +63,35 @@ class HoldoutReport:
     coverage: float
 
 
-def _kept_text(tokens: list[str], kept: list[bool]) -> str:
-    return detokenize([tok for tok, k in zip(tokens, kept) if k])
+def _respelled(tokens: list[str], written: list[str], lo: int, hi: int) -> tuple[int, str]:
+    """The first kept leaf j at or after hi, and what it writes once leaves
+    [lo, hi) are removed from `written` too: its token spelled against the
+    last kept leaf before lo. j is len(tokens), writing "", when no leaf
+    after the range is kept. Both scans walk removed leaves only."""
+    j = hi
+    while j < len(written) and not written[j]:
+        j += 1
+    if j == len(written):
+        return j, ""
+    i = lo - 1
+    while i >= 0 and not written[i]:
+        i -= 1
+    return j, spelling(tokens[j], tokens[i] if i >= 0 else None)
+
+
+def _spliced(tokens: list[str], written: list[str], lo: int, hi: int) -> str:
+    """The definition `written` holds, with leaves [lo, hi) removed as well."""
+    j, piece = _respelled(tokens, written, lo, hi)
+    return "".join(written[:lo]) + piece + "".join(written[j + 1 :])
+
+
+def _remove(tokens: list[str], written: list[str], lo: int, hi: int) -> None:
+    """Remove leaves [lo, hi) from the state `written`: they write nothing
+    now, and the first kept leaf after them is spelled anew."""
+    j, piece = _respelled(tokens, written, lo, hi)
+    written[lo:hi] = [""] * (hi - lo)
+    if j < len(written):
+        written[j] = piece
 
 
 def _render_checked(task: Task, tree: ParseTree) -> str:
@@ -104,10 +131,12 @@ def compress(
 
     [full_score] = f([full_text])
     baseline = full_score
-    # the compression state: kept[i] says whether leaf i is still in the definition
+    # The compression state: written[i] is what leaf i writes into the
+    # current definition, or "" once it is removed. Tokens are never empty,
+    # so a leaf is kept iff it writes something.
     tokens = tree.source_tokens
-    kept = [True] * len(tokens)
-    full = [True] * len(tokens)
+    written = list(map(spelling, tokens, [None, *tokens]))
+    full = tuple(written)
     paper = cfg.baseline_mode == BASELINE_PAPER_LITERAL
     steps: list[Step] = []
 
@@ -118,16 +147,13 @@ def compress(
         # definition in one batch; in current mode the base changes with
         # each acceptance, so its batches hold one node.
         ranges = [(n, *tree.leaf_range(n)) for n in nodes_at_depth(tree, depth)]
-        pending = [(n, lo, hi) for n, lo, hi in ranges if any(kept[lo:hi])]
+        pending = [(n, lo, hi) for n, lo, hi in ranges if any(written[lo:hi])]
         for batch in [pending] if paper else [[p] for p in pending]:
-            base = full if paper else kept
-            candidates = [
-                _kept_text(tokens, base[:lo] + [False] * (hi - lo) + base[hi:])
-                for _, lo, hi in batch
-            ]
+            base = full if paper else written
+            candidates = [_spliced(tokens, base, lo, hi) for _, lo, hi in batch]
             for (node_id, lo, hi), candidate_score in zip(batch, f(candidates)):
                 accepted = candidate_score >= baseline - cfg.epsilon
-                surviving = tuple(tok for tok, k in zip(tokens[lo:hi], kept[lo:hi]) if k)
+                surviving = tuple(tok for tok, w in zip(tokens[lo:hi], written[lo:hi]) if w)
                 steps.append(
                     Step(
                         node_id=node_id,
@@ -138,11 +164,11 @@ def compress(
                     )
                 )
                 if accepted:
-                    kept[lo:hi] = [False] * (hi - lo)
+                    _remove(tokens, written, lo, hi)
                     if not paper:
                         baseline = candidate_score
 
-    compressed = _kept_text(tokens, kept)
+    compressed = "".join(written)
     if not compressed.strip() and not cfg.allow_empty_result:
         raise EmptyResultError(f"task {task.id}: compression emptied the definition")
     ratio = compression_ratio(full_text, compressed)
@@ -202,10 +228,10 @@ def category_retention(
     """Per content category: (words before, words after, kept fraction).
 
     The kept leaves are those outside every accepted node of the result,
-    the mask `compress` keeps. A definition word is kept when every leaf
-    that writes one of its characters is kept. Words inside no annotated
-    span are reported under the "unannotated" bucket. Only categories with
-    at least one word are included.
+    the leaves that still write text when `compress` ends. A definition
+    word is kept when every leaf that writes one of its characters is kept.
+    Words inside no annotated span are reported under the "unannotated"
+    bucket. Only categories with at least one word are included.
     """
     report = validate_annotation(task, ann)
     if not report.ok:

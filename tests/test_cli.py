@@ -23,7 +23,7 @@ from defkit.annotations import (
     validate_annotation,
 )
 from defkit.cli import _scorer_config, build_parser, main
-from defkit import metrics
+from defkit import metrics, parse
 from defkit.corpus import TaskKind, load_task_file, split_examples
 from defkit.parse import parse_bracketed
 from defkit.scorer import PlantedPhraseBackend, ScorerConfig
@@ -331,6 +331,35 @@ class TestCompressCommand:
         assert (out_dir / "manifest.json").exists()
         assert not (out_dir / "task_fox.json").exists()
 
+    def test_failure_lines_name_the_task_once(self, tmp_path, capsys):
+        """Each failed task prints `validation failure: TASK: ...`, as ablate
+        and triplet do, although its error names the task too."""
+        tasks_dir, parses = fox_corpus(tmp_path)
+        other = make_task(
+            task_id="task_other", definition="sort the words", kind=TaskKind.GENERATION,
+            label_list=None, n_instances=4,
+        )
+        write_task_file(tasks_dir / "task_other.json", other)
+        parses.write_text(
+            FOX_TREE_TEXT + "\n(S (VP (VB sort) (NP (DT the) (NNS words))))\n", encoding="utf-8"
+        )
+        rc = self.run_compress(
+            tasks_dir, parses, tmp_path / "big", ["--fit-n", "100", "--holdout-n", "1"]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "validation failure: task_fox: need 100+1 instances, have 4",
+            "validation failure: task_other: need 100+1 instances, have 4",
+        ]
+        # the planted phrase is not in task_other's definition: every removal
+        # keeps its score of 0, so the search empties it
+        assert self.run_compress(tasks_dir, parses, tmp_path / "emptied") == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "validation failure: task_other: compression emptied the definition"
+        ]
+        assert (tmp_path / "emptied" / "task_fox.json").exists()
+        assert not (tmp_path / "emptied" / "task_other.json").exists()
+
     def test_parse_line_mismatch_exit2(self, tmp_path, capsys):
         tasks_dir, parses = fox_corpus(tmp_path)
         parses.write_text(FOX_TREE_TEXT + "\n(S (NN extra))\n", encoding="utf-8")
@@ -531,6 +560,16 @@ class TestTripletCommand:
         assert main([*commands["triplet"], "--force"]) == 2
         assert capsys.readouterr().err.splitlines() == [line]
         assert (tmp_path / "out" / "triplets.jsonl").read_text() == ""
+
+    def test_missing_span_names_the_task_once(self, tmp_path, capsys):
+        files, commands = pipeline(tmp_path)
+        record = json.loads(files["annotations"].read_text(encoding="utf-8"))
+        del record["spans"][0]  # the input_content span
+        files["annotations"].write_text(json.dumps(record) + "\n", encoding="utf-8")
+        assert main(commands["triplet"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "validation failure: task_fox: no input_content span annotated"
+        ]
 
 
 class TestDeepTrees:
@@ -1022,6 +1061,33 @@ class TestErrorTable:
         ]
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["compress", "triplet"])
+    def test_each_parse_line_is_checked_once(self, tmp_path, monkeypatch, command):
+        """The up-front check of every line is the only one: a task reads
+        its line without checking it again."""
+        files, commands = pipeline(tmp_path)
+        record = files["annotations"].read_text(encoding="utf-8")
+        for task_id in ("task_fox2", "task_fox3"):
+            fox = load_task_file(files["task"])
+            write_task_file(
+                files["task"].parent / f"{task_id}.json", dataclasses.replace(fox, id=task_id)
+            )
+            record += record.splitlines()[0].replace("task_fox", task_id) + "\n"
+        files["annotations"].write_text(record, encoding="utf-8")
+        files["parses"].write_text((FOX_TREE_TEXT + "\n") * 3, encoding="utf-8")
+        checks = []
+        check = parse._check
+        monkeypatch.setattr(parse, "_check", lambda text: checks.append(text) or check(text))
+        with redirect_stdout(io.StringIO()):
+            assert main(commands[command]) == 0
+        assert checks == [FOX_TREE_TEXT] * 3
+        out = tmp_path / "out"
+        if command == "compress":
+            written = list(out.glob("task_fox*.json"))
+        else:
+            written = (out / "triplets.jsonl").read_text(encoding="utf-8").splitlines()
+        assert len(written) == 3  # every task read its line
 
     def test_line_separators_inside_a_json_string_split_no_record(self, tmp_path, capsys):
         """U+0085, U+2028 and U+2029 may stand unescaped in a JSON string; a

@@ -15,7 +15,7 @@ from defkit.errors import (
 from defkit.parse import (
     ParseNode,
     ParseTree,
-    check_bracketed,
+    count_trees,
     detokenize,
     leaf_offsets,
     nodes_at_depth,
@@ -278,11 +278,18 @@ def test_errors_name_the_offending_token(pieces):
     text = "".join(pieces)
     expected = reference_parse_error(text)
     if expected is None:
-        parse_bracketed(text)
-        assert check_bracketed(text) == re.findall(r"\(|\)|[^\s()]+", text)
+        depth = roots = 0
+        for tok in re.findall(r"\(|\)|[^\s()]+", text):
+            roots += tok == "(" and depth == 0
+            depth += (tok == "(") - (tok == ")")
+        assert count_trees(text) == roots
+        # the read that skips the check builds the same tree
+        checked, unchecked = parse_bracketed(text), parse_bracketed(text, roots)
+        fields = lambda tree: [(n.id, n.label, n.depth, n.token) for n in tree.nodes()]
+        assert fields(unchecked) == fields(checked)
         return
     cls, message, offset = expected
-    for read in (parse_bracketed, check_bracketed):
+    for read in (parse_bracketed, count_trees):
         with pytest.raises(cls) as exc:
             read(text)
         assert type(exc.value) is cls

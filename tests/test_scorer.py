@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 import threading
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defkit import scorer
-from defkit.corpus import SplitRole, TaskKind, split_examples
+from defkit.corpus import ExampleSet, SplitRole, TaskKind, split_examples
 from defkit.errors import BackendError, InvariantError
 from defkit.metrics import normalize
 from defkit.scorer import (
@@ -22,6 +23,7 @@ from defkit.scorer import (
     ScorerConfig,
     build_backend,
     cache_key_for,
+    example_fingerprint,
     score,
     score_many,
 )
@@ -277,6 +279,79 @@ class TestCache:
         a = cache_key_for("b", "d", "fp", GenerationParams(max_new_tokens=10))
         b = cache_key_for("b", "d", "fp", GenerationParams(max_new_tokens=20))
         assert a != b
+
+    # quotes, backslashes, line and paragraph separators, control and non-BMP
+    # characters, mixed into any other text
+    KEY_TEXT = st.text(
+        st.characters() | st.sampled_from(['"', "\\", "\u2028", "\u2029", "\x00", "\U0001f600"])
+    )
+
+    @given(
+        backend_id=KEY_TEXT,
+        definition=KEY_TEXT,
+        fingerprint=KEY_TEXT,
+        params=st.builds(
+            GenerationParams,
+            st.integers(1, 10**6),
+            st.floats(),
+            st.none() | st.integers(-(2**63), 2**63),
+        ),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_key_is_the_hash_of_the_whole_payload(
+        self, backend_id, definition, fingerprint, params
+    ):
+        """The key hashes the JSON text of the four parts in one list, as it
+        always has, so keys written by earlier versions keep hitting."""
+        payload = json.dumps(
+            [backend_id, definition, fingerprint, params.to_dict()],
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        expected = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        assert cache_key_for(backend_id, definition, fingerprint, params) == expected
+
+    def test_keys_from_one_shared_prefix_under_threads(self):
+        """Threads copy the one cached prefix hash at once; every key they
+        make is still the hash of its own whole payload."""
+        params = GenerationParams(seed=7)
+        definitions = [f"definition {i} " * (i % 7) * 60 for i in range(200)]
+
+        def reference(definition):
+            payload = json.dumps(
+                ["b", definition, "fp", params.to_dict()], sort_keys=True, separators=(",", ":")
+            )
+            return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+        expected = [reference(d) for d in definitions]
+        results = []
+
+        def make_keys():
+            results.append([cache_key_for("b", d, "fp", params) for d in definitions])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=make_keys) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [expected] * 4
+
+    @given(
+        task_id=st.text(),
+        ids=st.lists(st.text(), unique=True, max_size=5),
+        role=st.sampled_from(SplitRole),
+    )
+    def test_equal_example_sets_share_a_fingerprint(self, task_id, ids, role):
+        payload = json.dumps([task_id, role.value, ids], separators=(",", ":"))
+        expected = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        first, second = (ExampleSet(task_id, tuple(ids), role) for _ in range(2))
+        assert example_fingerprint(first) == example_fingerprint(second) == expected
 
 
 class TestScoreMany:

@@ -9,6 +9,7 @@ from defkit.annotations import AnnotationSet, ContentCategory, Span
 from defkit.corpus import TaskKind, split_examples
 from defkit.errors import EmptyResultError, InvariantError
 from defkit.metrics import normalize
+from defkit import stdc
 from defkit.parse import detokenize, parse_bracketed, remove_subtree, render
 from defkit.scorer import Backend, ConstantBackend, PlantedPhraseBackend
 from defkit.stdc import (
@@ -246,6 +247,56 @@ def test_mask_candidates_equal_tree_removals(text, salt, mode, epsilon):
             current = remove_subtree(current, step.node_id)
     assert result.compressed_definition == render(current)
     assert result.compressed_definition == replay_removals(tree, result.accepted_node_ids())
+
+
+# Leaf tokens as `parse_bracketed` yields them, escapes resolved
+_PIECES = st.lists(
+    st.sampled_from(["cat", "sat", "w1", ",", ".", "n't", "'s", "(", ")", "$"]), max_size=12
+)
+
+
+def _state(tokens, kept):
+    """The written-leaf state of the kept tokens: each kept leaf writes what
+    `detokenize` adds to the text for it."""
+    written, so_far = [], []
+    for tok, k in zip(tokens, kept):
+        if k:
+            before = detokenize(so_far)
+            so_far.append(tok)
+        written.append(detokenize(so_far)[len(before) :] if k else "")
+    return written
+
+
+@given(tokens=_PIECES, data=st.data())
+@settings(max_examples=500, deadline=None)
+def test_spliced_candidate_equals_detokenize(tokens, data):
+    """A candidate spliced from any state equals `detokenize` of the tokens
+    kept in that state outside the removed range."""
+    n = len(tokens)
+    kept = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    lo = data.draw(st.integers(0, n))
+    hi = data.draw(st.integers(lo, n))
+    written = _state(tokens, kept)
+    assert "".join(written) == detokenize([t for t, k in zip(tokens, kept) if k])
+    outside = [t for i, (t, k) in enumerate(zip(tokens, kept)) if k and not lo <= i < hi]
+    assert stdc._spliced(tokens, written, lo, hi) == detokenize(outside)
+    assert written == _state(tokens, kept)  # splicing leaves the state alone
+
+
+@given(tokens=_PIECES, ranges=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12))))
+@settings(max_examples=500, deadline=None)
+def test_removals_keep_the_state_equal_to_detokenize(tokens, ranges):
+    """After any sequence of removals the state writes `detokenize` of the
+    tokens still kept, and a leaf writes something iff it is kept."""
+    n = len(tokens)
+    kept = [True] * n
+    written = _state(tokens, kept)
+    for a, b in ranges:
+        lo, hi = sorted((min(a, n), min(b, n)))
+        stdc._remove(tokens, written, lo, hi)
+        kept[lo:hi] = [False] * (hi - lo)
+        assert "".join(written) == detokenize([t for t, k in zip(tokens, kept) if k])
+        assert [bool(w) for w in written] == kept
 
 
 class TestHoldout:
