@@ -6,11 +6,12 @@ import enum
 import logging
 import random
 import re
-from dataclasses import dataclass
 
+from ._record import record
 from .annotations import AnnotationSet, ContentCategory, validate_annotation
 from .corpus import Task, TaskKind
-from .errors import EmptyDefinitionError, InvariantError, ValidationError
+from .errors import InvariantError, ValidationError
+from .metrics import compression_ratio  # also public here, as ablation.compression_ratio
 
 logger = logging.getLogger(__name__)
 
@@ -51,7 +52,7 @@ REMOVED_CATEGORIES: dict[AblationName, frozenset[ContentCategory]] = {
 }
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AblationSpec:
     name: AblationName
 
@@ -60,7 +61,7 @@ class AblationSpec:
         return REMOVED_CATEGORIES[self.name]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AblatedDefinition:
     task_id: str
     spec_name: str
@@ -149,14 +150,3 @@ def build_metadata_definition(task: Task) -> str:
         f"Domain: {', '.join(task.domains)}. "
         f"Label list: {labels}"
     )
-
-
-def compression_ratio(full_text: str, kept_text: str) -> float:
-    """Fraction of whitespace tokens of the full definition that remain."""
-    n_full = len(full_text.split())
-    n_kept = len(kept_text.split())
-    if n_full == 0:
-        raise EmptyDefinitionError("full definition has no tokens")
-    if n_kept > n_full:
-        raise InvariantError(f"kept tokens ({n_kept}) exceed full tokens ({n_full})")
-    return n_kept / n_full

@@ -9,10 +9,10 @@ from __future__ import annotations
 import enum
 import json
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from ._record import record
 from .corpus import Task, _require, numbered_lines
 from .errors import DegenerateError, InvariantError, SchemaError
 
@@ -28,14 +28,14 @@ class ContentCategory(enum.Enum):
     INPUT_MENTION = "input_mention"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Span:
     start: int
     end: int
     category: ContentCategory
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AnnotationSet:
     task_id: str
     spans: tuple[Span, ...]
@@ -45,7 +45,7 @@ class AnnotationSet:
         return [s for s in self.spans if s.category is category]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ValidationReport:
     problems: tuple[str, ...]
 
@@ -135,7 +135,7 @@ def presplit_definition(text: str) -> list[str]:
     return segments
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RatingMatrix:
     """Per-item counts of annotators assigning each category.
 

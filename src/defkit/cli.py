@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import csv as csv_mod
 import json
 import logging
 import os
@@ -14,8 +13,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .ablation import AblationName, AblationSpec, remove_spans
-from .annotations import AnnotationSet, load_annotations, validate_annotation
 from .corpus import (
     Task, TaskKind, finite_number, load_task_dir, load_task_file, numbered_lines, split_examples
 )
@@ -27,14 +24,13 @@ from .errors import (
     UnbalancedError,
     ValidationError,
 )
-from .manifest import RunManifest, file_digest
-from .metrics import aggregate
-from .parse import count_trees, parse_bracketed
-from .triplet import build_triplet, meta_tuning_instances
 
-# The scoring stack (scorer, stdc, concurrent.futures) is imported
-# by the commands that score, so ablate, triplet and report never load it.
+# Each command imports the modules it runs when it runs, so that a process
+# loads no more than its command needs: report never loads the parser, the
+# manifest or the scoring stack, and ablate, triplet and report never load
+# scorer, stdc or concurrent.futures.
 if TYPE_CHECKING:
+    from .annotations import AnnotationSet
     from .scorer import ScorerConfig
 
 logger = logging.getLogger(__name__)
@@ -76,8 +72,10 @@ def _format_table(headers: list[str], rows: list[list[str]]) -> str:
 
 
 def _write_csv(path: Path, headers: list[str], rows: list[list[str]]):
+    import csv
+
     with path.open("w", newline="") as fh:
-        writer = csv_mod.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(headers)
         writer.writerows(rows)
 
@@ -93,6 +91,8 @@ def _check_overwrite(paths: list[Path], force: bool) -> None:
 def _annotations_by_task(path: str) -> dict[str, AnnotationSet]:
     """Each task's first annotation record. A task with more than one gets a
     warning that names the annotator whose record is used."""
+    from .annotations import load_annotations
+
     anns = load_annotations(path)
     by_task = {ann.task_id: ann for ann in reversed(anns)}  # the first record wins
     for task_id, n in Counter(ann.task_id for ann in anns).items():
@@ -109,6 +109,8 @@ def _valid_annotation(
 ) -> AnnotationSet | None:
     """The task's annotation record if it is valid for the task; otherwise
     None, after adding the reason to failures."""
+    from .annotations import validate_annotation
+
     ann = anns.get(task.id)
     if ann is None:
         failures.append(f"{task.id}: no annotation record")
@@ -132,6 +134,8 @@ def _load_parse_lines(path: str, tasks: list[Task]) -> list[tuple[str, int]]:
     trees, with the number of top-level trees it holds. Each task parses its
     own line when it runs, with `parse_bracketed(line, trees)`, which skips a
     second check; so at most one tree per running task is alive."""
+    from .parse import count_trees
+
     lines = list(numbered_lines(path))
     if len(lines) != len(tasks):
         raise ValidationError(
@@ -165,6 +169,9 @@ def _scorer_config(args) -> ScorerConfig:
 
 
 def cmd_ablate(args) -> int:
+    from .ablation import AblationName, AblationSpec, remove_spans
+    from .manifest import RunManifest, file_digest
+
     tasks = load_task_dir(args.tasks, lenient=args.lenient)
     anns = _annotations_by_task(args.annotations)
     if args.spec == "all":
@@ -231,6 +238,9 @@ def cmd_ablate(args) -> int:
 def cmd_compress(args) -> int:
     from concurrent.futures import ThreadPoolExecutor
 
+    from ._jsontext import indented
+    from .manifest import RunManifest, file_digest
+    from .parse import parse_bracketed
     from .scorer import ScoreCache, build_backend
     from .stdc import StdcConfig, compress, evaluate_holdout
 
@@ -291,9 +301,7 @@ def cmd_compress(args) -> int:
             failures.append(_failure(task, result))
             continue
         payload = {"compression": result, "holdout": report}
-        (out_dir / f"{task.id}.json").write_text(  # each dataclass as its fields
-            json.dumps(payload, indent=2, sort_keys=True, default=vars) + "\n"
-        )
+        (out_dir / f"{task.id}.json").write_text(indented(payload) + "\n")
         if report is None:
             aggregates.append((result.ratio,))
         else:
@@ -382,6 +390,12 @@ def _verbalizer_groups(train_dir: str, test_dir: str) -> dict[str, str]:
 
 
 def cmd_report(args) -> int:
+    from ._jsontext import indented
+    from .metrics import aggregate
+
+    out_file = Path(args.out) if args.out else None
+    csv_file = Path(args.scores[0]).with_suffix(".summary.csv") if args.csv else None
+    _check_overwrite([p for p in (out_file, csv_file) if p is not None], args.force)
     conditions = [(path, _read_score_rows(path)) for path in args.scores]
     group_of = (
         _verbalizer_groups(args.train_tasks, args.test_tasks) if args.train_tasks else None
@@ -429,12 +443,10 @@ def cmd_report(args) -> int:
             )
         )
 
-    if args.out:
-        Path(args.out).write_text(
-            json.dumps(reports[0][1].to_dict(), indent=2, sort_keys=True) + "\n"
-        )
-    if args.csv:
-        _write_csv(Path(args.scores[0]).with_suffix(".summary.csv"), headers, rows)
+    if out_file is not None:
+        out_file.write_text(indented(reports[0][1].to_dict()) + "\n")
+    if csv_file is not None:
+        _write_csv(csv_file, headers, rows)
     return EXIT_OK
 
 
@@ -442,6 +454,10 @@ def cmd_report(args) -> int:
 
 
 def cmd_triplet(args) -> int:
+    from .manifest import RunManifest, file_digest
+    from .parse import parse_bracketed
+    from .triplet import build_triplet, meta_tuning_instances
+
     tasks = load_task_dir(args.tasks, lenient=args.lenient)
     anns = _annotations_by_task(args.annotations)
     lines = _load_parse_lines(args.parses, tasks)
@@ -490,6 +506,7 @@ def cmd_triplet(args) -> int:
 
 
 def cmd_score(args) -> int:
+    from ._jsontext import indented
     from .scorer import ScoreCache, build_backend, score
 
     cfg = _scorer_config(args)
@@ -512,7 +529,7 @@ def cmd_score(args) -> int:
     finally:
         if cache is not None:
             cache.close()
-    print(json.dumps(record.to_dict(), indent=2, sort_keys=True))
+    print(indented(record.to_dict()))
     return EXIT_OK
 
 
@@ -549,6 +566,8 @@ def _int_at_least(least: int):
 
 
 def build_parser() -> _Parser:
+    from .ablation import AblationName  # the --spec choices; so every command loads ablation
+
     parser = _Parser(prog="defkit", description=__doc__)
     parser.add_argument("--version", action="version", version=f"defkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -599,7 +618,7 @@ def build_parser() -> _Parser:
     p.add_argument("--test-tasks", default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--verbose", action="store_true")
-    common(p, "--jobs", "--seed", "--csv")
+    common(p, "--jobs", "--seed", "--csv", "--force")
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("triplet", help="emit triplet definitions and meta-tuning instances")

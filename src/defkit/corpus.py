@@ -7,11 +7,11 @@ import json
 import logging
 import math
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterator
 
+from ._record import record
 from .errors import InvariantError, SchemaError, SizeError
 
 logger = logging.getLogger(__name__)
@@ -36,7 +36,7 @@ class SplitRole(enum.Enum):
     HOLDOUT = "holdout"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Demonstration:
     input: str
     output: str
@@ -49,7 +49,7 @@ class Demonstration:
             raise InvariantError("demonstration output is empty")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Instance:
     id: str
     input: str
@@ -60,7 +60,7 @@ class Instance:
             raise InvariantError(f"instance {self.id}: references empty")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Task:
     id: str
     name: str
@@ -119,7 +119,7 @@ class Task:
         return d
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ExampleSet:
     task_id: str
     instance_ids: tuple[str, ...]

@@ -5,10 +5,11 @@ from __future__ import annotations
 import datetime
 import hashlib
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
+from ._jsontext import indented
+from ._record import field, record
 
 MANIFEST_NAME = "manifest.json"
 
@@ -22,7 +23,7 @@ def config_digest(config: dict) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-@dataclass
+@record
 class RunManifest:
     command_line: str
     config: dict
@@ -52,5 +53,5 @@ class RunManifest:
 
     def write(self, out_dir: str | Path) -> Path:
         path = Path(out_dir) / MANIFEST_NAME
-        path.write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
+        path.write_text(indented(self.to_dict()) + "\n")
         return path

@@ -1,15 +1,16 @@
-"""Rouge-L scoring, All/Cls./Gen. aggregation, and the heuristic baseline."""
+"""Rouge-L scoring, the compression ratio, All/Cls./Gen. aggregation, and the
+heuristic baseline."""
 
 from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
+from ._record import record
 from .corpus import Instance, Task, TaskKind
-from .errors import EmptyReferenceListError
+from .errors import EmptyDefinitionError, EmptyReferenceListError, InvariantError
 
 _WORD = re.compile(r"[a-z0-9]+")
 
@@ -108,7 +109,18 @@ def _rouge_l(candidate: str, references: tuple[str, ...]) -> float:
     return best
 
 
-@dataclass(frozen=True)
+def compression_ratio(full_text: str, kept_text: str) -> float:
+    """Fraction of whitespace tokens of the full definition that remain."""
+    n_full = len(full_text.split())
+    n_kept = len(kept_text.split())
+    if n_full == 0:
+        raise EmptyDefinitionError("full definition has no tokens")
+    if n_kept > n_full:
+        raise InvariantError(f"kept tokens ({n_kept}) exceed full tokens ({n_full})")
+    return n_kept / n_full
+
+
+@record(frozen=True)
 class ScoreReport:
     per_task: dict[str, float]
     n_instances: dict[str, int]

@@ -9,11 +9,11 @@ the compression search.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from typing import NamedTuple
 
+from ._record import record
 from .errors import (
     DepthError,
     EmptyError,
@@ -74,7 +74,7 @@ class _Layout(NamedTuple):
     layers: dict[int, list[int]]  # depth -> node ids, left to right
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class ParseTree:
     root: ParseNode
 

@@ -14,10 +14,10 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
-from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Generator, Sequence
 
+from ._record import record
 from .corpus import ExampleSet, Instance, Task, assemble_prompt, finite_number, numbered_lines
 from .errors import BackendError, BackendTimeoutError, ConfigError, InvariantError, ScorerError
 from .metrics import normalize, rouge_l
@@ -29,7 +29,7 @@ API_KEY_ENV = "DEFKIT_API_KEY"
 RETRY_BACKOFFS = (0.5, 2.0, 8.0)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GenerationParams:
     max_new_tokens: int = 128
     temperature: float = 0.0
@@ -42,7 +42,7 @@ class GenerationParams:
         return d
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GenerationContext:
     """One definition to generate for, over a task's instances; a backend
     that needs prompts assembles them with `assemble_prompt`."""
@@ -269,7 +269,7 @@ def _opener():
     return build_opener(NoRedirect)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ScorerConfig:
     backend: str = "constant"  # remote | constant | planted | keyword
     endpoint_url: str | None = None
@@ -320,7 +320,7 @@ def build_backend(cfg: ScorerConfig) -> Backend:
     raise InvariantError(f"unknown backend {cfg.backend!r}")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ScoreRecord:
     cache_key: str
     definition: str

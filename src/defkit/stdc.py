@@ -4,15 +4,17 @@ retention accounting."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .ablation import compression_ratio
-from .annotations import AnnotationSet, validate_annotation
+from ._record import record
 from .corpus import ExampleSet, Task
 from .errors import ConfigError, EmptyResultError, InvariantError, ValidationError
-from .metrics import normalize, word_spans
+from .metrics import compression_ratio, normalize, word_spans
 from .parse import ParseTree, leaf_offsets, nodes_at_depth, remove_subtree, render, spelling
 from .scorer import Backend, GenerationParams, ScoreCache, score_many
+
+if TYPE_CHECKING:  # category_retention imports annotations when it runs
+    from .annotations import AnnotationSet
 
 BASELINE_CURRENT = "current"
 BASELINE_PAPER_LITERAL = "paper"
@@ -20,7 +22,7 @@ BASELINE_PAPER_LITERAL = "paper"
 UNANNOTATED = "unannotated"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StdcConfig:
     baseline_mode: str = BASELINE_CURRENT  # "current" or "paper"
     epsilon: float = 0.0
@@ -33,7 +35,7 @@ class StdcConfig:
             raise ConfigError(f"unknown baseline mode {self.baseline_mode!r}")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Step:
     node_id: int
     label: str
@@ -42,7 +44,7 @@ class Step:
     accepted: bool
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CompressionResult:
     task_id: str
     full_definition: str
@@ -56,7 +58,7 @@ class CompressionResult:
         return [s.node_id for s in self.steps if s.accepted]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class HoldoutReport:
     before: float
     after: float
@@ -233,6 +235,8 @@ def category_retention(
     Words inside no annotated span are reported under the "unannotated"
     bucket. Only categories with at least one word are included.
     """
+    from .annotations import validate_annotation
+
     report = validate_annotation(task, ann)
     if not report.ok:
         raise ValidationError("; ".join(report.problems))

@@ -4,8 +4,8 @@ meta-tuning training instances derived from them."""
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
+from ._record import record
 from .annotations import AnnotationSet, ContentCategory, Span
 from .corpus import Task, TaskKind
 from .errors import InvariantError, MissingSpanError
@@ -20,7 +20,7 @@ class MetaTag(enum.Enum):
     TASK_OUTPUT = "<Task output>"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TripletDefinition:
     task_id: str
     input_entry: str
@@ -42,7 +42,7 @@ class TripletDefinition:
         }
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MetaTuneInstance:
     tag: MetaTag
     source: str

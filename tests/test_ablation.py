@@ -143,10 +143,12 @@ def annotated_definitions(draw):
 
 
 @dataclass(frozen=True)
-class CategorySpec(AblationSpec):
+class CategorySpec:
     """A spec outside the table, so nested deletions (an input mention inside
-    deleted action content) are reached too."""
+    deleted action content) are reached too. It reads as an `AblationSpec`
+    reads: a name and the categories it removes."""
 
+    name: AblationName
     categories: frozenset = frozenset()
 
     @property

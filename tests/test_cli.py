@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import json
 import logging
@@ -14,7 +13,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import defkit
-from defkit import cli
+from defkit import annotations, cli
+from defkit._record import fields, replace
 from defkit.annotations import (
     AnnotationSet,
     ContentCategory,
@@ -198,7 +198,7 @@ class TestAblateCommand:
             checked.append(task.id)
             return validate_annotation(task, ann)
 
-        monkeypatch.setattr(cli, "validate_annotation", validate)
+        monkeypatch.setattr(annotations, "validate_annotation", validate)  # imported per call
         rc = main(
             [
                 "ablate",
@@ -394,6 +394,21 @@ class TestReportCommand:
         assert "delta" in out
         assert "-0.2500" in out  # t2 drop
         assert "micro mean" in out
+
+    def test_report_refuses_overwrite_without_force(self, tmp_path, capsys):
+        """An existing --out file, or the --csv summary, stays as it was
+        unless --force is given."""
+        a = self.write_scores(tmp_path / "a.jsonl", [("t1", "generation", [0.5, 1.0])])
+        report_path = tmp_path / "report.json"
+        summary = tmp_path / "a.summary.csv"
+        for existing, flags in ((report_path, ["--out", str(report_path)]), (summary, ["--csv"])):
+            existing.write_text("keep me")
+            assert main(["report", str(a), *flags]) == 1
+            assert "--force" in capsys.readouterr().err
+            assert existing.read_text() == "keep me"
+            assert main(["report", str(a), *flags, "--force"]) == 0
+            assert existing.read_text() != "keep me"
+        assert json.loads(report_path.read_text())["overall"] == pytest.approx(0.75)
 
     def test_report_out_file(self, tmp_path):
         a = self.write_scores(tmp_path / "a.jsonl", [("t1", "generation", [0.5, 1.0])])
@@ -1020,7 +1035,7 @@ class TestErrorTable:
         "command, flags",
         [
             ("report", ["--lenient"]),
-            ("report", ["--force"]),
+            ("report", ["--split-outputs"]),
             ("triplet", ["--csv"]),
             ("score", ["--jobs", "2"]),
             ("score", ["--csv"]),
@@ -1071,7 +1086,7 @@ class TestErrorTable:
         for task_id in ("task_fox2", "task_fox3"):
             fox = load_task_file(files["task"])
             write_task_file(
-                files["task"].parent / f"{task_id}.json", dataclasses.replace(fox, id=task_id)
+                files["task"].parent / f"{task_id}.json", replace(fox, id=task_id)
             )
             record += record.splitlines()[0].replace("task_fox", task_id) + "\n"
         files["annotations"].write_text(record, encoding="utf-8")
@@ -1150,16 +1165,15 @@ def test_every_scorer_setting_has_a_flag(tmp_path, command):
     """No ScorerConfig field is out of the CLI's reach: each has a flag on
     both scoring commands that moves it off its default."""
     _, commands = pipeline(tmp_path)
-    fields = dataclasses.fields(ScorerConfig)
-    assert {f.name for f in fields} == set(SCORER_FLAGS)
-    for f in fields:
-        flag, text, value = SCORER_FLAGS[f.name]
-        assert value != f.default
+    assert set(fields(ScorerConfig)) == set(SCORER_FLAGS)
+    for name in fields(ScorerConfig):
+        flag, text, value = SCORER_FLAGS[name]
+        assert value != getattr(ScorerConfig, name)  # the field's default
         cfg = _scorer_config(build_parser().parse_args([*commands[command], flag, text]))
-        assert getattr(cfg, f.name) == value, f.name
+        assert getattr(cfg, name) == value, name
 
 
-def _modules_loaded_by(commands, modules):
+def _modules_loaded_by(commands, modules, *python_flags):
     """Exit codes of `commands` run one after another in a fresh interpreter,
     and which of `modules` that run loaded."""
     script = (
@@ -1171,7 +1185,7 @@ def _modules_loaded_by(commands, modules):
     )
     src = Path(defkit.__file__).resolve().parents[1]
     proc = subprocess.run(
-        [sys.executable, "-c", script, json.dumps([commands, modules])],
+        [sys.executable, *python_flags, "-c", script, json.dumps([commands, modules])],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -1208,6 +1222,29 @@ def test_ablate_triplet_report_leave_the_scoring_stack_unloaded(tmp_path):
 
 
 HTTP_CLIENTS = ["requests", "urllib.request", "http.client"]
+
+# What each command, run alone, must not load besides stdlib dataclasses.
+UNLOADED = {
+    "report": ["defkit.parse", "defkit.triplet", "defkit.scorer", "defkit.stdc", "defkit.manifest"],
+    "compress": ["defkit.triplet", "urllib.request", "http.client"],
+}
+
+
+@pytest.mark.parametrize("command", ALL_COMMANDS)
+def test_each_command_loads_only_what_it_runs(tmp_path, command):
+    """Each command in a fresh interpreter without site-packages (`-S`):
+    records are built without `dataclasses`, and a command imports only
+    the modules it runs."""
+    _, commands = pipeline(tmp_path)
+    argv = commands[command]
+    if command == "compress":
+        phrase = argv.index("--phrase")
+        argv = [*argv[:phrase], *argv[phrase + 2 :], "--allow-empty"]
+        argv[argv.index("planted")] = "keyword"
+    modules = ["dataclasses", *UNLOADED.get(command, [])]
+    codes, loaded = _modules_loaded_by([argv], modules, "-S")
+    assert codes == [0]
+    assert loaded == []
 
 
 def test_in_process_backends_load_no_http_client(tmp_path):

@@ -1,11 +1,11 @@
 import json
 import re
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from defkit._record import replace
 from defkit.corpus import (
     DEFAULT_TEMPLATE,
     SplitRole,

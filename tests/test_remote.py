@@ -5,7 +5,6 @@ import tempfile
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import asdict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -13,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from defkit._jsontext import indented
 from defkit.corpus import TaskKind, split_examples
 from defkit.cli import main
 from defkit.errors import BackendError, BackendTimeoutError
@@ -380,7 +380,7 @@ def test_concurrency_never_changes_results(text, mode, cached):
             hits, data = (cache.hits, cache.path.read_bytes()) if cache else (0, b"")
             if cache:
                 cache.close()
-        outputs = json.dumps([asdict(result), asdict(report)])
+        outputs = indented([result, report])  # as compress writes them
         return (outputs, backend.calls, hits, data), in_flight
 
     concurrent, in_flight = run(4)
