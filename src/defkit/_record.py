@@ -1,53 +1,31 @@
-"""Records: classes whose annotated fields an `__init__` sets, compared and
-hashed by value and shown as `Name(field=value, ...)`.
+"""Records: frozen classes whose annotated fields an `__init__` sets,
+compared and hashed by value and shown as `Name(field=value, ...)`.
 
-`record` stands in for the parts of `dataclasses.dataclass` that defkit
-uses. It builds no code: every method is a closure over the class's field
-names, so a module of records imports without `dataclasses`, `inspect` or
-an `exec` per class. Instances keep `__dict__`, where `cached_property`
-and `vars` find them.
+`record` stands in for the parts of `dataclasses.dataclass(frozen=True)`
+that defkit uses. It builds no code: every method is a closure over the
+class's field names, so a module of records imports without `dataclasses`,
+`inspect` or an `exec` per class. Instances keep `__dict__`, where
+`cached_property` and `vars` find them.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
 
-_setattr = object.__setattr__  # sets a field past a frozen record's __setattr__
+_setattr = object.__setattr__  # sets a field past the record's __setattr__
 
 
 class FrozenInstanceError(AttributeError):
-    """An assignment to, or a deletion of, an attribute of a frozen record."""
+    """An assignment to, or a deletion of, an attribute of a record."""
 
 
-class field:
-    """A default made anew for each instance: `extra: dict = field(default_factory=dict)`."""
-
-    def __init__(self, *, default_factory):
-        self.default_factory = default_factory
-
-
-def fields(record_or_class) -> tuple[str, ...]:
-    """The field names of a record class, or of a record, in order."""
-    return record_or_class.__record_fields__
-
-
-def replace(obj, **changes):
-    """A copy of the record obj with the named fields changed."""
-    return obj.__class__(**{name: getattr(obj, name) for name in fields(obj)} | changes)
-
-
-def record(cls=None, /, *, frozen: bool = False, eq: bool = True):
-    """Make `cls` a record, as `@dataclass` does with the same arguments:
-    fields without a default come first, and `__post_init__` runs last."""
-    if cls is None:
-        return lambda cls: record(cls, frozen=frozen, eq=eq)
+def record(cls):
+    """Make `cls` a record, as `@dataclass(frozen=True)` does: fields
+    without a default come first, and `__post_init__` runs last."""
     names = tuple(cls.__dict__.get("__annotations__", {}))
     n = len(names)
     template = {name: cls.__dict__.get(name) for name in names}  # every field, in order
-    factories = {k: v.default_factory for k, v in template.items() if isinstance(v, field)}
-    for name in factories:
-        delattr(cls, name)
-    required = n - sum(name in cls.__dict__ for name in names) - len(factories)
+    required = n - sum(name in cls.__dict__ for name in names)
     known = frozenset(names)
     post_init = getattr(cls, "__post_init__", None)
     qualname = cls.__qualname__
@@ -65,11 +43,7 @@ def record(cls=None, /, *, frozen: bool = False, eq: bool = True):
         missing = [k for k in names[len(args) : required] if k not in kwargs]
         if missing:
             raise TypeError(f"{qualname}() missing required arguments: {', '.join(missing)}")
-        values = template | dict(zip(names, args)) | kwargs
-        for name, factory in factories.items():
-            if values[name] is template[name]:
-                values[name] = factory()
-        return values.items()
+        return (template | dict(zip(names, args)) | kwargs).items()
 
     def __init__(self, *args, **kwargs):
         # The usual calls give every field, by position or by keyword in
@@ -92,28 +66,24 @@ def record(cls=None, /, *, frozen: bool = False, eq: bool = True):
         pairs = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
         return f"{self.__class__.__qualname__}({pairs})"
 
-    cls.__record_fields__ = names
+    # as @dataclass: a tuple of the fields, a one-tuple for one field
+    key = attrgetter(*names) if n > 1 else lambda self: (getattr(self, names[0]),)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
     cls.__init__ = __init__
     cls.__repr__ = __repr__
-    if eq:
-        # as @dataclass: a tuple of the fields, a one-tuple for one field
-        key = attrgetter(*names) if n > 1 else lambda self: (getattr(self, names[0]),)
-
-        def __eq__(self, other):
-            if other.__class__ is self.__class__:
-                return key(self) == key(other)
-            return NotImplemented
-
-        cls.__eq__ = __eq__
-        cls.__hash__ = (lambda self: hash(key(self))) if frozen else None
-    if frozen:
-
-        def __setattr__(self, name, value):
-            raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-        def __delattr__(self, name):
-            raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-        cls.__setattr__ = __setattr__
-        cls.__delattr__ = __delattr__
+    cls.__eq__ = __eq__
+    cls.__hash__ = lambda self: hash(key(self))
+    cls.__setattr__ = __setattr__
+    cls.__delattr__ = __delattr__
     return cls

@@ -52,7 +52,7 @@ REMOVED_CATEGORIES: dict[AblationName, frozenset[ContentCategory]] = {
 }
 
 
-@record(frozen=True)
+@record
 class AblationSpec:
     name: AblationName
 
@@ -61,7 +61,7 @@ class AblationSpec:
         return REMOVED_CATEGORIES[self.name]
 
 
-@record(frozen=True)
+@record
 class AblatedDefinition:
     task_id: str
     spec_name: str

@@ -28,14 +28,14 @@ class ContentCategory(enum.Enum):
     INPUT_MENTION = "input_mention"
 
 
-@record(frozen=True)
+@record
 class Span:
     start: int
     end: int
     category: ContentCategory
 
 
-@record(frozen=True)
+@record
 class AnnotationSet:
     task_id: str
     spans: tuple[Span, ...]
@@ -45,7 +45,7 @@ class AnnotationSet:
         return [s for s in self.spans if s.category is category]
 
 
-@record(frozen=True)
+@record
 class ValidationReport:
     problems: tuple[str, ...]
 
@@ -135,7 +135,7 @@ def presplit_definition(text: str) -> list[str]:
     return segments
 
 
-@record(frozen=True)
+@record
 class RatingMatrix:
     """Per-item counts of annotators assigning each category.
 
@@ -212,13 +212,3 @@ def load_annotations(path: str | Path) -> list[AnnotationSet]:
             raise SchemaError(f"{path}:{lineno}: not valid JSON") from exc
         out.append(annotation_from_dict(data, where=f"{path}:{lineno}"))
     return out
-
-
-def annotation_to_dict(ann: AnnotationSet) -> dict:
-    return {
-        "task_id": ann.task_id,
-        "annotator": ann.annotator,
-        "spans": [
-            {"start": s.start, "end": s.end, "category": s.category.value} for s in ann.spans
-        ],
-    }

@@ -6,7 +6,6 @@ import argparse
 import json
 import logging
 import os
-import shlex
 import sys
 from collections import Counter
 from pathlib import Path
@@ -170,7 +169,7 @@ def _scorer_config(args) -> ScorerConfig:
 
 def cmd_ablate(args) -> int:
     from .ablation import AblationName, AblationSpec, remove_spans
-    from .manifest import RunManifest, file_digest
+    from .manifest import file_digest, write_manifest
 
     tasks = load_task_dir(args.tasks, lenient=args.lenient)
     anns = _annotations_by_task(args.annotations)
@@ -219,12 +218,12 @@ def cmd_ablate(args) -> int:
     print(_format_table(["spec", "%C", "tasks"], summary_rows))
     if args.csv:
         _write_csv(out_dir / "summary.csv", ["spec", "pct_c", "tasks"], summary_rows)
-    RunManifest(
-        command_line=_command_line(),
+    write_manifest(
+        out_dir,
         config={"spec": args.spec, "lenient": args.lenient},
         input_digests={args.annotations: file_digest(args.annotations)},
         seeds=[],
-    ).write(out_dir)
+    )
     if failures:
         for failure in sorted(set(failures)):
             print(f"validation failure: {failure}", file=sys.stderr)
@@ -239,7 +238,7 @@ def cmd_compress(args) -> int:
     from concurrent.futures import ThreadPoolExecutor
 
     from ._jsontext import indented
-    from .manifest import RunManifest, file_digest
+    from .manifest import file_digest, write_manifest
     from .parse import parse_bracketed
     from .scorer import ScoreCache, build_backend
     from .stdc import StdcConfig, compress, evaluate_holdout
@@ -282,13 +281,9 @@ def cmd_compress(args) -> int:
             return task, exc, None
         return task, result, report
 
-    pairs = list(zip(tasks, lines))
     try:
-        if args.jobs > 1:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                outcomes = list(pool.map(safe_run, pairs))
-        else:
-            outcomes = [safe_run(p) for p in pairs]
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+            outcomes = list(pool.map(safe_run, zip(tasks, lines)))
     finally:
         if cache is not None:
             cache.close()
@@ -316,8 +311,8 @@ def cmd_compress(args) -> int:
     if args.csv:
         _write_csv(out_dir / "summary.csv", headers, table_rows)
 
-    RunManifest(
-        command_line=_command_line(),
+    write_manifest(
+        out_dir,
         config={
             "backend": args.backend,
             "mode": args.mode,
@@ -334,7 +329,7 @@ def cmd_compress(args) -> int:
             "backend_calls": backend.calls,
             "cache_hits": cache.hits if cache else 0,
         },
-    ).write(out_dir)
+    )
 
     for failure in failures:
         print(f"validation failure: {failure}", file=sys.stderr)
@@ -454,7 +449,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_triplet(args) -> int:
-    from .manifest import RunManifest, file_digest
+    from .manifest import file_digest, write_manifest
     from .parse import parse_bracketed
     from .triplet import build_triplet, meta_tuning_instances
 
@@ -486,15 +481,15 @@ def cmd_triplet(args) -> int:
                 mf.write(json.dumps(inst.to_dict(), sort_keys=True) + "\n")
                 n_meta += 1
     print(f"wrote {n_triplets} triplets and {n_meta} meta-tuning instances to {out_dir}")
-    RunManifest(
-        command_line=_command_line(),
+    write_manifest(
+        out_dir,
         config={"split_outputs": args.split_outputs},
         input_digests={
             args.annotations: file_digest(args.annotations),
             args.parses: file_digest(args.parses),
         },
         seeds=[],
-    ).write(out_dir)
+    )
     if failures:
         for failure in failures:
             print(f"validation failure: {failure}", file=sys.stderr)
@@ -534,10 +529,6 @@ def cmd_score(args) -> int:
 
 
 # ---------------------------------------------------------------- wiring
-
-
-def _command_line() -> str:
-    return shlex.join(sys.argv)
 
 
 def _add_backend_args(p: _Parser):

@@ -36,7 +36,7 @@ class SplitRole(enum.Enum):
     HOLDOUT = "holdout"
 
 
-@record(frozen=True)
+@record
 class Demonstration:
     input: str
     output: str
@@ -49,7 +49,7 @@ class Demonstration:
             raise InvariantError("demonstration output is empty")
 
 
-@record(frozen=True)
+@record
 class Instance:
     id: str
     input: str
@@ -60,7 +60,7 @@ class Instance:
             raise InvariantError(f"instance {self.id}: references empty")
 
 
-@record(frozen=True)
+@record
 class Task:
     id: str
     name: str
@@ -95,31 +95,8 @@ class Task:
     def instance_by_id(self, instance_id: str) -> Instance:
         return self._instances_by_id[instance_id]
 
-    def to_dict(self) -> dict:
-        d = {
-            "id": self.id,
-            "name": self.name,
-            "definition": self.definition,
-            "category": self.category,
-            "domains": list(self.domains),
-            "reasoning_types": list(self.reasoning_types),
-            "kind": self.kind.value,
-            "demonstrations": [
-                {"input": demo.input, "output": demo.output}
-                | ({"explanation": demo.explanation} if demo.explanation is not None else {})
-                for demo in self.demonstrations
-            ],
-            "instances": [
-                {"id": inst.id, "input": inst.input, "references": list(inst.references)}
-                for inst in self.instances
-            ],
-        }
-        if self.label_list is not None:
-            d["label_list"] = list(self.label_list)
-        return d
 
-
-@record(frozen=True)
+@record
 class ExampleSet:
     task_id: str
     instance_ids: tuple[str, ...]
@@ -261,11 +238,25 @@ def finite_number(value) -> float:
 
 
 def load_task_dir(directory: str | Path, *, lenient: bool = False) -> list[Task]:
-    """Load every *.json file in a directory, sorted by filename."""
+    """Load every *.json file in a directory, sorted by filename.
+
+    `compress` names each task's output file after its id, so an id must
+    be unique in the directory and a plain file name: not empty, `.` or
+    `..`, and without `/`, `\\` or NUL. Raises SchemaError otherwise.
+    """
     if not Path(directory).is_dir():
         raise FileNotFoundError(f"no task directory at {directory}")
-    files = sorted(Path(directory).glob("*.json"))
-    return [load_task_file(f, lenient=lenient) for f in files]
+    tasks = []
+    file_of: dict[str, Path] = {}
+    for path in sorted(Path(directory).glob("*.json")):
+        task = load_task_file(path, lenient=lenient)
+        if task.id in ("", ".", "..") or any(c in task.id for c in "/\\\0"):
+            raise SchemaError(f"{path}: task id {task.id!r} is not a plain file name")
+        if task.id in file_of:
+            raise SchemaError(f"{path}: task id {task.id!r} is also the id in {file_of[task.id]}")
+        file_of[task.id] = path
+        tasks.append(task)
+    return tasks
 
 
 def assemble_prompt(task: Task, definition: str, instance: Instance) -> str:

@@ -5,11 +5,12 @@ from __future__ import annotations
 import datetime
 import hashlib
 import json
+import shlex
+import sys
 from pathlib import Path
 
 from . import __version__
 from ._jsontext import indented
-from ._record import field, record
 
 MANIFEST_NAME = "manifest.json"
 
@@ -23,35 +24,24 @@ def config_digest(config: dict) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-@record
-class RunManifest:
-    command_line: str
-    config: dict
-    input_digests: dict[str, str]
-    seeds: list[int]
-    toolkit_version: str = __version__
-    timestamp: str = ""
-    extra: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.timestamp:
-            self.timestamp = (
-                datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
-            )
-
-    def to_dict(self) -> dict:
-        return {
-            "command_line": self.command_line,
-            "config": self.config,
-            "config_digest": config_digest(self.config),
-            "input_digests": self.input_digests,
-            "seeds": self.seeds,
-            "toolkit_version": self.toolkit_version,
-            "timestamp": self.timestamp,
-            "extra": self.extra,
-        }
-
-    def write(self, out_dir: str | Path) -> Path:
-        path = Path(out_dir) / MANIFEST_NAME
-        path.write_text(indented(self.to_dict()) + "\n")
-        return path
+def write_manifest(
+    out_dir: str | Path,
+    config: dict,
+    input_digests: dict[str, str],
+    seeds: list[int],
+    extra: dict | None = None,
+) -> None:
+    """Write `manifest.json` into out_dir: the command line of this process,
+    the config and its digest, the input digests, the seeds, the toolkit
+    version, the time, and `extra`."""
+    manifest = {
+        "command_line": shlex.join(sys.argv),
+        "config": config,
+        "config_digest": config_digest(config),
+        "input_digests": input_digests,
+        "seeds": seeds,
+        "toolkit_version": __version__,
+        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
+        "extra": extra or {},
+    }
+    (Path(out_dir) / MANIFEST_NAME).write_text(indented(manifest) + "\n")

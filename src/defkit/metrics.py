@@ -120,7 +120,7 @@ def compression_ratio(full_text: str, kept_text: str) -> float:
     return n_kept / n_full
 
 
-@record(frozen=True)
+@record
 class ScoreReport:
     per_task: dict[str, float]
     n_instances: dict[str, int]

@@ -39,8 +39,9 @@ _ATTACH_RIGHT = set("([$")
 
 
 # Nodes are tuples, so they carry no __dict__, but they compare and hash by
-# identity, as trees do, and a node's repr stops at its own fields: the
-# tuple's would recurse through children, which fails on deep trees.
+# identity (so a tree, a record of its root, does too), and a node's repr
+# stops at its own fields: the tuple's would recurse through children, which
+# fails on deep trees.
 class ParseNode(NamedTuple):
     id: int
     label: str
@@ -63,9 +64,6 @@ class ParseNode(NamedTuple):
     def is_leaf(self) -> bool:
         return self.token is not None
 
-    def leaves(self) -> list["ParseNode"]:
-        return ParseTree(root=self).leaves()
-
 
 class _Layout(NamedTuple):
     index: dict[int, ParseNode]  # every node by id, in pre-order
@@ -74,7 +72,7 @@ class _Layout(NamedTuple):
     layers: dict[int, list[int]]  # depth -> node ids, left to right
 
 
-@record(frozen=True, eq=False)
+@record
 class ParseTree:
     root: ParseNode
 
@@ -83,7 +81,7 @@ class ParseTree:
         """One iterative pre-order pass; every traversal reads from it.
 
         `parse_bracketed` fills the layout while it reads, so this walk runs
-        only for trees built another way (`remove_subtree`, `ParseNode.leaves`).
+        only for trees built another way (`remove_subtree`).
         """
         layout = _Layout({}, [], {}, {})
         index, leaves, ranges, layers = layout
@@ -333,21 +331,3 @@ def leaf_offsets(tree: ParseTree, text: str) -> list[tuple[int, int]] | None:
 def render(tree: ParseTree) -> str:
     """Detokenized text of the tree's leaves; empty tree renders ''."""
     return detokenize(tree.source_tokens)
-
-
-def to_bracketed(tree: ParseTree) -> str:
-    """Serialize back to bracketed notation using raw (escaped) token forms."""
-    out: list[str] = []
-    stack: list[ParseNode | str] = [tree.root]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
-        elif item.is_leaf:
-            out.append(item.raw if item.raw is not None else item.token)
-        else:
-            out.append(f"({item.label}")
-            stack.append(")")
-            for child in reversed(item.children):
-                stack.extend((child, " "))
-    return "".join(out)

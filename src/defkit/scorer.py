@@ -26,10 +26,8 @@ logger = logging.getLogger(__name__)
 
 API_KEY_ENV = "DEFKIT_API_KEY"
 
-RETRY_BACKOFFS = (0.5, 2.0, 8.0)
 
-
-@record(frozen=True)
+@record
 class GenerationParams:
     max_new_tokens: int = 128
     temperature: float = 0.0
@@ -42,7 +40,7 @@ class GenerationParams:
         return d
 
 
-@record(frozen=True)
+@record
 class GenerationContext:
     """One definition to generate for, over a task's instances; a backend
     that needs prompts assembles them with `assemble_prompt`."""
@@ -145,28 +143,19 @@ class RemoteBackend(Backend):
     that is not a JSON object with "generations", length mismatch) raise
     BackendError at once. Each context's prompts go in one POST; up to
     `max_in_flight` POSTs of one `generate_many` call are in flight at once.
-    The CLI keeps the defaults: a 60 s timeout and 4 POSTs in flight. The
-    POST goes through `urllib.request`, imported on first use so that the
-    in-process backends load no HTTP client; it honours
+    The POST goes through `urllib.request`, imported on first use so that
+    the in-process backends load no HTTP client; it honours
     HTTP_PROXY/HTTPS_PROXY/NO_PROXY and follows no redirect.
     """
 
-    def __init__(
-        self,
-        endpoint_url: str,
-        params: GenerationParams,
-        request_timeout: float = 60.0,
-        max_in_flight: int = 4,
-        backoffs: Sequence[float] = RETRY_BACKOFFS,
-    ):
+    request_timeout = 60.0  # seconds a POST waits for its answer
+    max_in_flight = 4
+    backoffs = (0.5, 2.0, 8.0)  # seconds before each retry
+
+    def __init__(self, endpoint_url: str, params: GenerationParams):
         super().__init__()
-        if max_in_flight < 1:
-            raise InvariantError("max_in_flight must be >= 1")
         self.endpoint_url = endpoint_url
         self.params = params
-        self.request_timeout = request_timeout
-        self.max_in_flight = max_in_flight
-        self.backoffs = tuple(backoffs)
         self.backend_id = f"remote:{endpoint_url}"
 
     def _headers(self) -> dict:
@@ -269,7 +258,7 @@ def _opener():
     return build_opener(NoRedirect)
 
 
-@record(frozen=True)
+@record
 class ScorerConfig:
     backend: str = "constant"  # remote | constant | planted | keyword
     endpoint_url: str | None = None
@@ -320,7 +309,7 @@ def build_backend(cfg: ScorerConfig) -> Backend:
     raise InvariantError(f"unknown backend {cfg.backend!r}")
 
 
-@record(frozen=True)
+@record
 class ScoreRecord:
     cache_key: str
     definition: str
@@ -516,9 +505,11 @@ def score_many(
     todo = [ctx for i, ctx in misses.items() if per_miss[i] is None]
     with closing(backend.generate_many(todo)) as generated:
         for i, (definition, key) in enumerate(zip(definitions, keys)):
-            hit = cache.get(key) if cache is not None else None
-            if hit is not None:
-                records.append(hit)
+            if i not in misses:
+                # a hit, or a repeat of a miss cached above; a key that another
+                # thread caches after the misses were chosen stays a miss, so
+                # each miss takes its own generations
+                records.append(cache.get(key))
                 continue
             per = per_miss[i]
             if per is None:

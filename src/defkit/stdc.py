@@ -22,7 +22,7 @@ BASELINE_PAPER_LITERAL = "paper"
 UNANNOTATED = "unannotated"
 
 
-@record(frozen=True)
+@record
 class StdcConfig:
     baseline_mode: str = BASELINE_CURRENT  # "current" or "paper"
     epsilon: float = 0.0
@@ -35,7 +35,7 @@ class StdcConfig:
             raise ConfigError(f"unknown baseline mode {self.baseline_mode!r}")
 
 
-@record(frozen=True)
+@record
 class Step:
     node_id: int
     label: str
@@ -44,7 +44,7 @@ class Step:
     accepted: bool
 
 
-@record(frozen=True)
+@record
 class CompressionResult:
     task_id: str
     full_definition: str
@@ -58,7 +58,7 @@ class CompressionResult:
         return [s.node_id for s in self.steps if s.accepted]
 
 
-@record(frozen=True)
+@record
 class HoldoutReport:
     before: float
     after: float

@@ -20,7 +20,7 @@ class MetaTag(enum.Enum):
     TASK_OUTPUT = "<Task output>"
 
 
-@record(frozen=True)
+@record
 class TripletDefinition:
     task_id: str
     input_entry: str
@@ -42,7 +42,7 @@ class TripletDefinition:
         }
 
 
-@record(frozen=True)
+@record
 class MetaTuneInstance:
     tag: MetaTag
     source: str

@@ -4,7 +4,7 @@ import pytest
 
 from defkit.annotations import AnnotationSet, ContentCategory, Span
 from defkit.corpus import Demonstration, Instance, Task, TaskKind
-from defkit.parse import parse_bracketed
+from defkit.parse import ParseTree, parse_bracketed
 
 
 def make_task(
@@ -100,6 +100,77 @@ def fox_task():
     )
 
 
+def task_to_dict(task):
+    """The task-file JSON object of a Task."""
+    d = {
+        "id": task.id,
+        "name": task.name,
+        "definition": task.definition,
+        "category": task.category,
+        "domains": list(task.domains),
+        "reasoning_types": list(task.reasoning_types),
+        "kind": task.kind.value,
+        "demonstrations": [
+            {"input": demo.input, "output": demo.output}
+            | ({"explanation": demo.explanation} if demo.explanation is not None else {})
+            for demo in task.demonstrations
+        ],
+        "instances": [
+            {"id": inst.id, "input": inst.input, "references": list(inst.references)}
+            for inst in task.instances
+        ],
+    }
+    if task.label_list is not None:
+        d["label_list"] = list(task.label_list)
+    return d
+
+
 def write_task_file(path, task):
-    path.write_text(json.dumps(task.to_dict(), indent=2) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(task_to_dict(task), indent=2) + "\n", encoding="utf-8")
     return path
+
+
+def annotation_to_dict(ann):
+    """The annotation-file JSON object of an AnnotationSet."""
+    return {
+        "task_id": ann.task_id,
+        "annotator": ann.annotator,
+        "spans": [
+            {"start": s.start, "end": s.end, "category": s.category.value} for s in ann.spans
+        ],
+    }
+
+
+def to_bracketed(tree):
+    """A tree in bracketed notation, with raw (escaped) token forms, as
+    `parse_bracketed` reads it; iterative, so deep trees print."""
+    out = []
+    stack = [tree.root]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif item.is_leaf:
+            out.append(item.raw if item.raw is not None else item.token)
+        else:
+            out.append(f"({item.label}")
+            stack.append(")")
+            for child in reversed(item.children):
+                stack.extend((child, " "))
+    return "".join(out)
+
+
+def subtree_leaves(node):
+    """The leaves below a node, left to right."""
+    return ParseTree(root=node).leaves()
+
+
+def fields(record_or_class):
+    """The field names of a record class, or of a record, in order."""
+    cls = record_or_class if isinstance(record_or_class, type) else type(record_or_class)
+    return tuple(vars(cls)["__annotations__"])
+
+
+def replace(obj, **changes):
+    """A copy of the record obj with the named fields changed."""
+    return type(obj)(**{name: getattr(obj, name) for name in fields(obj)} | changes)

@@ -17,7 +17,7 @@ from defkit.cli import main
 from defkit.corpus import TaskKind, split_examples
 from defkit.errors import BackendError
 from defkit.metrics import rouge_l
-from defkit.parse import parse_bracketed, remove_subtree, to_bracketed
+from defkit.parse import parse_bracketed, remove_subtree
 from defkit.scorer import (
     Backend,
     GenerationParams,
@@ -30,7 +30,7 @@ from defkit.stdc import StdcConfig, category_retention, compress, replay_removal
 from defkit.stubserver import StubServer
 from defkit.triplet import MetaTag, build_triplet, meta_tuning_instances, render_triplet
 
-from conftest import FOX_TREE_TEXT, make_task
+from conftest import FOX_TREE_TEXT, make_task, subtree_leaves, to_bracketed
 from test_triplet import TASK6_TREE, task6, task6_annotation
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -124,7 +124,7 @@ def test_criterion_03_parse_round_trip():
             if node.id == tree.root.id:
                 continue
             pruned = remove_subtree(tree, node.id)
-            if len(pruned.leaves()) != total - len(node.leaves()):
+            if len(pruned.leaves()) != total - len(subtree_leaves(node)):
                 ok = False
                 break
         if not ok:

@@ -10,7 +10,6 @@ from defkit.annotations import (
     ContentCategory,
     RatingMatrix,
     Span,
-    annotation_to_dict,
     fleiss_kappa,
     load_annotations,
     presplit_definition,
@@ -18,7 +17,7 @@ from defkit.annotations import (
 )
 from defkit.errors import DegenerateError, InvariantError
 
-from conftest import make_task
+from conftest import annotation_to_dict, make_task
 
 
 class TestValidateAnnotation:

@@ -14,12 +14,10 @@ from hypothesis import strategies as st
 
 import defkit
 from defkit import annotations, cli
-from defkit._record import fields, replace
 from defkit.annotations import (
     AnnotationSet,
     ContentCategory,
     Span,
-    annotation_to_dict,
     validate_annotation,
 )
 from defkit.cli import _scorer_config, build_parser, main
@@ -30,7 +28,16 @@ from defkit.scorer import PlantedPhraseBackend, ScorerConfig
 from defkit.stdc import compress
 from defkit.stubserver import StubServer
 
-from conftest import FOX_TREE_TEXT, REVIEW_DEFINITION, make_task, write_task_file
+from conftest import (
+    FOX_TREE_TEXT,
+    REVIEW_DEFINITION,
+    annotation_to_dict,
+    fields,
+    make_task,
+    replace,
+    task_to_dict,
+    write_task_file,
+)
 
 
 def write_annotations(path, anns):
@@ -366,6 +373,33 @@ class TestCompressCommand:
         rc = self.run_compress(tasks_dir, parses, tmp_path / "out")
         assert rc == 2
         assert "align by index" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("task_id", ["../escape", "a/b", "a\\b", "", ".", ".."])
+    def test_task_id_that_is_no_file_name_exit2(self, tmp_path, capsys, task_id):
+        tasks_dir, parses = fox_corpus(tmp_path)
+        path = tasks_dir / "task_fox.json"
+        write_task_file(path, replace(load_task_file(path), id=task_id))
+        out_dir = tmp_path / "sub" / "out"
+        assert self.run_compress(tasks_dir, parses, out_dir) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path}: task id {task_id!r} is not a plain file name"
+        ]
+        assert not out_dir.exists()
+        assert list(tmp_path.rglob("escape*")) == []
+
+    def test_repeated_task_id_exit2_naming_both_files(self, tmp_path, capsys):
+        tasks_dir, parses = fox_corpus(tmp_path)
+        first = tasks_dir / "task_fox.json"
+        second = write_task_file(tasks_dir / "task_fox_copy.json", load_task_file(first))
+        parses.write_text((FOX_TREE_TEXT + "\n") * 2, encoding="utf-8")
+        out_dir = tmp_path / "out"
+        assert self.run_compress(tasks_dir, parses, out_dir) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: {second}: task id 'task_fox' is also the id in {first}"
+        ]
+        assert captured.out == ""
+        assert not out_dir.exists()
 
 
 class TestReportCommand:
@@ -1133,7 +1167,7 @@ class TestErrorTable:
         """One field of a valid task, of its first instance or of its first
         demonstration set to any JSON value: `score` exits 0 or 2 and prints
         at most one stderr line."""
-        task = make_task(task_id="t").to_dict()
+        task = task_to_dict(make_task(task_id="t"))
         holder = data.draw(
             st.sampled_from([task, task["instances"][0], task["demonstrations"][0]])
         )

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defkit._record import replace
 from defkit.corpus import (
     DEFAULT_TEMPLATE,
     SplitRole,
@@ -18,7 +17,7 @@ from defkit.corpus import (
 )
 from defkit.errors import InvariantError, SchemaError, SizeError
 
-from conftest import make_task, write_task_file
+from conftest import make_task, replace, write_task_file
 
 
 def minimal_task_dict(**overrides):

@@ -13,7 +13,7 @@ from defkit._record import record
 from defkit.stdc import HoldoutReport, Step
 
 
-@record(frozen=True)
+@record
 class Pair:
     left: object
     right: object

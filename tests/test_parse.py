@@ -22,10 +22,9 @@ from defkit.parse import (
     parse_bracketed,
     remove_subtree,
     render,
-    to_bracketed,
 )
 
-from conftest import FOX_TREE_TEXT
+from conftest import FOX_TREE_TEXT, subtree_leaves, to_bracketed
 from test_stdc import _TREE_TEXTS
 
 CAT_TREE = "(S (NP (DT the) (NN cat)) (VP (VBD sat)))"
@@ -118,7 +117,7 @@ class TestRemoveSubtree:
         for node_id in sorted(node.id for node in tree.nodes()):
             if node_id == tree.root.id:
                 continue
-            removed_leaves = len(tree.node(node_id).leaves())
+            removed_leaves = len(subtree_leaves(tree.node(node_id)))
             pruned = remove_subtree(tree, node_id)
             assert len(pruned.source_tokens) == before - removed_leaves
 
@@ -218,7 +217,7 @@ def test_deep_tree_without_recursion_limit():
     assert to_bracketed(tree) == text
     leaf = nodes_at_depth(tree, DEEP + 2)[0]
     assert render(remove_subtree(tree, leaf)) == ", tree"
-    assert tree.node(DEEP).leaves() == tree.leaves()
+    assert subtree_leaves(tree.node(DEEP)) == tree.leaves()
     assert tree.leaf_range(DEEP + 3) == (1, 2)
 
 

@@ -1,5 +1,6 @@
-"""`defkit._record.record` against its reference, stdlib `dataclasses`: the
-same class bodies, built once with each, behave alike."""
+"""`defkit._record.record` against its reference, stdlib
+`dataclasses.dataclass(frozen=True)`: the same class bodies, built once
+with each, behave alike."""
 
 import dataclasses
 import math
@@ -10,19 +11,15 @@ from hypothesis import strategies as st
 
 from defkit import _record
 
+from conftest import fields
 
-def _bodies(field):
-    """Fresh class bodies; `field` is the default-factory maker of the
-    decorator that will build them."""
+
+def _bodies():
+    """Fresh class bodies, one set for each decorator that will build them."""
 
     class Point:
         x: int
         y: object = 0
-
-    class Tagged:
-        name: object
-        tags: list = field(default_factory=list)
-        note: object = None
 
     class Checked:
         low: object
@@ -35,22 +32,11 @@ def _bodies(field):
     class One:
         only: object
 
-    return [Point, Tagged, Checked, One]
+    return [Point, Checked, One]
 
 
-OPTIONS = [dict(), dict(frozen=True), dict(frozen=True, eq=False), dict(eq=False)]
-
-
-def _build(decorator, field):
-    return {
-        (cls.__name__, i): decorator(**options)(cls)
-        for i, options in enumerate(OPTIONS)
-        for cls in _bodies(field)
-    }
-
-
-REFERENCE = _build(dataclasses.dataclass, dataclasses.field)
-RECORD = _build(_record.record, _record.field)
+REFERENCE = {cls.__name__: dataclasses.dataclass(frozen=True)(cls) for cls in _bodies()}
+RECORD = {cls.__name__: _record.record(cls) for cls in _bodies()}
 
 VALUES = (
     st.integers(-3, 12)
@@ -115,7 +101,7 @@ def test_record_behaves_as_the_dataclass(first, second):
     assert repr(rec) == repr(ref)
     assert list(vars(rec)) == list(vars(ref))
     assert all(map(_same_value, vars(rec).values(), vars(ref).values()))
-    assert _record.fields(rec) == tuple(f.name for f in dataclasses.fields(ref))
+    assert fields(rec) == tuple(f.name for f in dataclasses.fields(ref))
 
     # == within a type, against a second call that may build another class
     key2, args2, kwargs2 = second
@@ -128,43 +114,20 @@ def test_record_behaves_as_the_dataclass(first, second):
     assert rec != ref and ref != rec
     assert rec != (1,) and ref != (1,)
 
-    options = OPTIONS[key[1]]
-    if options.get("eq", True):
-        assert _hash_outcome(rec) == _hash_outcome(ref)  # a value, or TypeError for both
-    else:
-        assert (hash(rec), hash(ref)) == (object.__hash__(rec), object.__hash__(ref))
+    assert _hash_outcome(rec) == _hash_outcome(ref)  # a value, or TypeError for both
 
-    frozen = options.get("frozen", False)
-    name = _record.fields(rec)[0]
+    name = fields(rec)[0]
     for obj in (ref, rec):
-        if frozen:
-            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
-                setattr(obj, name, 99)
-        else:
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
             setattr(obj, name, 99)
     assert repr(rec) == repr(ref)
 
 
-def test_default_factory_is_fresh_per_instance():
-    cls = RECORD[("Tagged", 0)]
-    a, b = cls("a"), cls("b")
-    assert a.tags == [] and a.tags is not b.tags
-    assert not hasattr(cls, "tags")
-
-
 def test_frozen_error_is_an_attribute_error_and_deletes_are_refused():
-    obj = RECORD[("Point", 1)](1, 2)
+    obj = RECORD["Point"](1, 2)
     with pytest.raises(_record.FrozenInstanceError):
         obj.x = 3
     with pytest.raises(AttributeError, match="cannot delete field 'x'"):
         del obj.x
     assert issubclass(_record.FrozenInstanceError, AttributeError)
 
-
-def test_replace_changes_the_named_fields():
-    obj = RECORD[("Tagged", 1)]("a", ["t"], note="n")
-    changed = _record.replace(obj, note="m")
-    assert (changed.name, changed.tags, changed.note) == ("a", ["t"], "m")
-    assert obj.note == "n"
-    with pytest.raises(TypeError):
-        _record.replace(obj, colour="red")

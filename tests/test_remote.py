@@ -112,7 +112,8 @@ class TestRemoteBackend:
     def test_server_errors_exhaust_retries(self):
         task = echo_task(2)
         with StubServer(mode="error") as server:
-            backend = RemoteBackend(server.url, GenerationParams(), backoffs=(0, 0))
+            backend = RemoteBackend(server.url, GenerationParams())
+            backend.backoffs = (0, 0)
             with pytest.raises(BackendError, match="after retries") as exc:
                 score(task.definition, task, fit_set(task), backend)
             assert len(server.requests) == 3  # initial attempt + 2 retries
@@ -121,7 +122,8 @@ class TestRemoteBackend:
 
     def test_unreachable_endpoint(self):
         task = echo_task(2)
-        backend = RemoteBackend("http://127.0.0.1:1/generate", GenerationParams(), backoffs=())
+        backend = RemoteBackend("http://127.0.0.1:1/generate", GenerationParams())
+        backend.backoffs = ()
         with pytest.raises(BackendError, match="unreachable"):
             score(task.definition, task, fit_set(task), backend)
 
@@ -171,9 +173,11 @@ class TestTransportFailures:
     """How each kind of endpoint failure surfaces: which are retried, and
     the message each ends with."""
 
-    def generate(self, url, **kwargs):
+    def generate(self, url, request_timeout=RemoteBackend.request_timeout):
         task = echo_task(2)
-        backend = RemoteBackend(url, GenerationParams(), backoffs=(0, 0), **kwargs)
+        backend = RemoteBackend(url, GenerationParams())
+        backend.backoffs = (0, 0)
+        backend.request_timeout = request_timeout
         try:
             backend.generate(GenerationContext(task.definition, task, task.instances))
         finally:
@@ -246,7 +250,8 @@ class InProcessRemote(RemoteBackend):
     """
 
     def __init__(self, max_in_flight=4, delay=lambda definition: 0.0, fail=()):
-        super().__init__("in-process", GenerationParams(), max_in_flight=max_in_flight)
+        super().__init__("in-process", GenerationParams())
+        self.max_in_flight = max_in_flight
         self.delay = delay
         self.fail = set(fail)
         self.cond = threading.Condition()

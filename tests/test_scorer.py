@@ -410,6 +410,25 @@ class TestScoreMany:
         assert (backend.calls, cache.hits, len(cache)) == (1, 1, 1)
         assert len(cache.path.read_text().splitlines()) == 1
 
+    def test_a_key_cached_by_another_caller_midway_stays_a_miss(self, tmp_path, gen_task):
+        # another task scores "beta" into the same cache while "alpha" generates
+        fit = fit_set(gen_task)
+        cache = ScoreCache(tmp_path / "cache.jsonl")
+
+        class Concurrent(PlantedPhraseBackend):
+            def generate(self, ctx):
+                if ctx.definition == "alpha":
+                    score("beta", gen_task, fit, PlantedPhraseBackend("gamma"), cache=cache)
+                return super().generate(ctx)
+
+        backend = Concurrent("gamma")
+        alpha, beta, gamma = score_many(["alpha", "beta", "gamma"], gen_task, fit, backend, cache=cache)
+        cache.close()
+        assert [r.definition for r in (alpha, beta, gamma)] == ["alpha", "beta", "gamma"]
+        assert (alpha.per_instance, beta.per_instance) == ((0.0,) * 4, (0.0,) * 4)
+        assert gamma.per_instance == (1.0,) * 4  # its own generations, not beta's
+        assert backend.calls == 3 and cache.hits == 0
+
 
 class TestScoreRecord:
     def test_mean_consistency_enforced(self):

@@ -1,0 +1,96 @@
+"""Every function, class and method in `src/defkit` has a caller in
+`src/defkit`, or is listed below with the reason it has none.
+
+An AST scan: a module-level function or class counts as referenced when
+its name is loaded anywhere in the package outside its own definition; a
+method (dunder methods aside) when an attribute of that name is read
+anywhere outside its own definition, on any object. Names are matched
+without types, so a method shares its callers with every method of the
+same name.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "defkit"
+
+# name (module.function, module.Class or module.Class.method) -> why it has
+# no caller in src/defkit
+ALLOWED = {
+    # paper features that wait for `defkit evaluate` (ROADMAP item 2)
+    "ablation.shuffle_definition": "the Shuffled baseline",
+    "ablation.build_metadata_definition": "the Metadata baseline",
+    "metrics.heuristic_predict": "the heuristic baseline",
+    "stdc.category_retention": "the per-category retention table of STDC outputs",
+    "stdc.unannotated_share": "the share of definition words in no annotated span",
+    "triplet.render_triplet": "the triplets as `evaluate` scores them",
+    # paper features that wait for `defkit agree` (ROADMAP item 8)
+    "annotations.presplit_definition": "the units annotators label",
+    "annotations.fleiss_kappa": "inter-annotator agreement",
+    # what the benchmark (perfbench/) imports, wraps or reads
+    "ablation.apply_ablation": "wrapped by perfbench/tracer.py",
+    "metrics.lcs_length": "wrapped by perfbench/tracer.py; the reference LCS of the tests",
+    "stdc.replay_removals": "imported by perfbench/workloads.py",
+    "scorer.__getattr__": "the `scorer.requests` bridge that perfbench/tracer.py reads",
+    # entry points that the standard library calls
+    "stubserver._Handler.do_POST": "called by http.server",
+    "stubserver._Handler.log_message": "called by http.server",
+    "scorer._opener.NoRedirect.redirect_request": "called by urllib.request",
+}
+
+
+def _definitions(tree: ast.Module, module: str):
+    """(qualified name, node, is_method) of every function and class,
+    nested ones included."""
+    out = []
+
+    def visit(node, prefix, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{prefix}.{child.name}"
+                is_method = in_class and not isinstance(child, ast.ClassDef)
+                out.append((name, child, is_method))
+                visit(child, name, isinstance(child, ast.ClassDef))
+            else:
+                visit(child, prefix, in_class)
+
+    visit(tree, module, False)
+    return out
+
+
+def _uses(node: ast.AST) -> Counter:
+    """How often node loads each name, ("name", x), and reads each
+    attribute, ("attr", x)."""
+    uses = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            uses["name", n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            uses["attr", n.attr] += 1
+    return uses
+
+
+def _uncalled() -> list[str]:
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    everywhere = sum(map(_uses, trees.values()), Counter())
+    out = []
+    for module, tree in trees.items():
+        for name, node, is_method in _definitions(tree, module):
+            if is_method and node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            use = ("attr" if is_method else "name", node.name)
+            if everywhere[use] == _uses(node)[use]:  # every use is inside the definition
+                out.append(name)
+    return out
+
+
+def test_every_src_definition_has_a_src_caller_or_a_reason():
+    uncalled = _uncalled()
+    assert [name for name in uncalled if name not in ALLOWED] == []
+
+
+def test_every_allowed_name_is_still_uncalled():
+    """An entry whose name gained a caller, or went, leaves the list."""
+    uncalled = set(_uncalled())
+    assert [name for name in ALLOWED if name not in uncalled] == []

@@ -23,7 +23,7 @@ from defkit.stdc import (
     unannotated_share,
 )
 
-from conftest import FOX_TREE_TEXT, make_task
+from conftest import FOX_TREE_TEXT, make_task, subtree_leaves
 
 
 class DefinitionHashBackend(Backend):
@@ -164,7 +164,7 @@ class TestMonotonicityAndReplay:
         accepted = set()
         for step in result.steps:
             subtree = {n.id for n in [fox_tree.node(step.node_id)]} | {
-                lf.id for lf in fox_tree.node(step.node_id).leaves()
+                lf.id for lf in subtree_leaves(fox_tree.node(step.node_id))
             }
             assert step.node_id not in accepted
             if step.accepted:
