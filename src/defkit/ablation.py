@@ -64,7 +64,6 @@ class AblationSpec:
 @record
 class AblatedDefinition:
     task_id: str
-    spec_name: str
     text: str
     tokens_kept: int
     tokens_full: int
@@ -113,7 +112,6 @@ def remove_spans(task: Task, ann: AnnotationSet, spec: AblationSpec) -> AblatedD
     kept = re.sub(r"\s+", " ", "".join(pieces)).strip()
     return AblatedDefinition(
         task_id=task.id,
-        spec_name=spec.name.value,
         text=kept,
         tokens_kept=len(kept.split()),
         tokens_full=len(text.split()),

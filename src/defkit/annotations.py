@@ -144,7 +144,6 @@ class RatingMatrix:
     """
 
     counts: tuple[tuple[int, ...], ...]
-    categories: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if not self.counts:
@@ -196,7 +195,7 @@ def annotation_from_dict(data: dict, *, where: str = "annotation") -> Annotation
             category = ContentCategory(s["category"])
         except (KeyError, ValueError) as exc:
             raise SchemaError(f"{where}: spans[{i}]: bad category") from exc
-        if not isinstance(s.get("start"), int) or not isinstance(s.get("end"), int):
+        if not all(type(s.get(k)) is int for k in ("start", "end")):  # bool is no offset
             raise SchemaError(f"{where}: spans[{i}]: start/end must be integers")
         spans.append(Span(s["start"], s["end"], category))
     return AnnotationSet(task_id=task_id, spans=tuple(spans), annotator=annotator)

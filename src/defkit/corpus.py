@@ -129,6 +129,14 @@ def _require(obj: dict, key: str, typ, where: str):
     return obj[key]
 
 
+def _strings(obj: dict, key: str, where: str) -> tuple[str, ...]:
+    """obj[key], a list of strings, as a tuple: no entry is turned into one."""
+    items = _require(obj, key, list, where)
+    if not all(isinstance(x, str) for x in items):
+        raise SchemaError(f"{where}: field '{key}' must hold strings only")
+    return tuple(items)
+
+
 def task_from_dict(data: dict, *, lenient: bool = False, where: str = "task") -> Task:
     if not isinstance(data, dict):
         raise SchemaError(f"{where}: top level must be a JSON object")
@@ -148,13 +156,14 @@ def task_from_dict(data: dict, *, lenient: bool = False, where: str = "task") ->
         raise SchemaError(f"{where}: field 'kind' must be 'classification' or 'generation', got {kind_raw!r}")
     label_list = None
     if "label_list" in data:
-        labels = _require(data, "label_list", list, where)
-        label_list = tuple(str(x) for x in labels)
+        label_list = _strings(data, "label_list", where)
 
     demos = []
     for i, entry in enumerate(data["demonstrations"]):
         if not isinstance(entry, dict):
             raise SchemaError(f"{where}: demonstrations[{i}] must be an object")
+        if not isinstance(entry.get("explanation"), (str, type(None))):
+            raise SchemaError(f"{where}: demonstrations[{i}]: field 'explanation' must be a string")
         demos.append(
             Demonstration(
                 input=_require(entry, "input", str, f"{where}: demonstrations[{i}]"),
@@ -166,14 +175,11 @@ def task_from_dict(data: dict, *, lenient: bool = False, where: str = "task") ->
     for i, entry in enumerate(data["instances"]):
         if not isinstance(entry, dict):
             raise SchemaError(f"{where}: instances[{i}] must be an object")
-        refs = _require(entry, "references", list, f"{where}: instances[{i}]")
-        if not all(isinstance(r, str) for r in refs):
-            raise SchemaError(f"{where}: instances[{i}].references must be strings")
         instances.append(
             Instance(
                 id=_require(entry, "id", str, f"{where}: instances[{i}]"),
                 input=_require(entry, "input", str, f"{where}: instances[{i}]"),
-                references=tuple(refs),
+                references=_strings(entry, "references", f"{where}: instances[{i}]"),
             )
         )
     return Task(
@@ -181,8 +187,8 @@ def task_from_dict(data: dict, *, lenient: bool = False, where: str = "task") ->
         name=data["name"],
         definition=data["definition"],
         category=data["category"],
-        domains=tuple(str(x) for x in data["domains"]),
-        reasoning_types=tuple(str(x) for x in data["reasoning_types"]),
+        domains=_strings(data, "domains", where),
+        reasoning_types=_strings(data, "reasoning_types", where),
         kind=kind,
         label_list=label_list,
         demonstrations=tuple(demos),
@@ -240,8 +246,9 @@ def finite_number(value) -> float:
 def load_task_dir(directory: str | Path, *, lenient: bool = False) -> list[Task]:
     """Load every *.json file in a directory, sorted by filename.
 
-    `compress` names each task's output file after its id, so an id must
-    be unique in the directory and a plain file name: not empty, `.` or
+    `compress` names each task's output file after its id, beside the
+    run's `manifest.json`, so an id must be unique in the directory, must
+    not be `manifest`, and must be a plain file name: not empty, `.` or
     `..`, and without `/`, `\\` or NUL. Raises SchemaError otherwise.
     """
     if not Path(directory).is_dir():
@@ -252,6 +259,8 @@ def load_task_dir(directory: str | Path, *, lenient: bool = False) -> list[Task]
         task = load_task_file(path, lenient=lenient)
         if task.id in ("", ".", "..") or any(c in task.id for c in "/\\\0"):
             raise SchemaError(f"{path}: task id {task.id!r} is not a plain file name")
+        if task.id == "manifest":
+            raise SchemaError(f"{path}: task id 'manifest' would overwrite the run's manifest.json")
         if task.id in file_of:
             raise SchemaError(f"{path}: task id {task.id!r} is also the id in {file_of[task.id]}")
         file_of[task.id] = path

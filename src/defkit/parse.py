@@ -9,7 +9,6 @@ the compression search.
 from __future__ import annotations
 
 import re
-from functools import cached_property
 from itertools import islice
 from typing import NamedTuple
 
@@ -74,35 +73,11 @@ class _Layout(NamedTuple):
 
 @record
 class ParseTree:
+    """A tree and its layout, which every traversal reads. `_tree` sets the
+    layout from the code that makes the tree: `_read` fills it as it reads,
+    and `remove_subtree` derives it from the layout of the tree it prunes."""
+
     root: ParseNode
-
-    @cached_property
-    def _layout(self) -> _Layout:
-        """One iterative pre-order pass; every traversal reads from it.
-
-        `parse_bracketed` fills the layout while it reads, so this walk runs
-        only for trees built another way (`remove_subtree`).
-        """
-        layout = _Layout({}, [], {}, {})
-        index, leaves, ranges, layers = layout
-        stack: list[ParseNode | tuple[int, int]] = [self.root]
-        while stack:
-            node = stack.pop()
-            # an (id, lo) mark, not a node (nodes are tuples too): every leaf
-            # below that node has been seen
-            if type(node) is tuple:
-                ranges[node[0]] = (node[1], len(leaves))
-                continue
-            index[node.id] = node
-            layers.setdefault(node.depth, []).append(node.id)
-            lo = len(leaves)
-            if node.is_leaf:
-                ranges[node.id] = (lo, lo + 1)
-                leaves.append(node)
-            else:
-                stack.append((node.id, lo))
-                stack.extend(reversed(node.children))
-        return layout
 
     def node(self, node_id: int) -> ParseNode:
         try:
@@ -128,9 +103,16 @@ class ParseTree:
     def source_tokens(self) -> list[str]:
         return [leaf.token for leaf in self._layout.leaves]
 
-    @cached_property
+    @property
     def depth(self) -> int:
         return max(self._layout.layers)
+
+
+def _tree(root: ParseNode, layout: _Layout) -> ParseTree:
+    """The tree of root, with the layout of its nodes."""
+    tree = ParseTree(root)
+    object.__setattr__(tree, "_layout", layout)  # past the record's frozen __setattr__
+    return tree
 
 
 _LEXER = re.compile(r"\(|\)|[^\s()]+")
@@ -258,12 +240,8 @@ def _read(tokens: list[str], single: bool) -> ParseTree:
     else:
         root = index[0] = ParseNode(0, SYNTHETIC_ROOT_LABEL, 1, tuple(roots))
         ranges[0] = (0, len(leaves))
-    tree = ParseTree(root=root)
-    # what the cached property would compute
-    tree.__dict__["_layout"] = _Layout(
-        index, leaves, ranges, {d: ids for d, ids in enumerate(layers) if ids}
-    )
-    return tree
+    layout = _Layout(index, leaves, ranges, {d: ids for d, ids in enumerate(layers) if ids})
+    return _tree(root, layout)
 
 
 def nodes_at_depth(tree: ParseTree, d: int) -> list[int]:
@@ -277,16 +255,17 @@ def remove_subtree(tree: ParseTree, node_id: int) -> ParseTree:
     """Return a new tree without the given node's subtree.
 
     Internal nodes left with no leaf descendants are pruned; surviving nodes
-    keep their ids and depths. The original tree is unchanged.
+    keep their ids and depths. The original tree is unchanged. The new
+    tree's layout is the old one with the pruned nodes and leaves cut out.
     """
     if tree.node(node_id).id == tree.root.id:  # raises UnknownNodeError
         raise RootRemovalError("cannot remove the root node")
     lo, hi = tree.leaf_range(node_id)
-    layout = tree._layout
+    index, leaves, ranges, layers = tree._layout
     kept: dict[int, ParseNode] = {}
-    for node in reversed(layout.index.values()):  # every child before its parent
+    for node in reversed(index.values()):  # every child before its parent
         if node.is_leaf:
-            if not lo <= layout.ranges[node.id][0] < hi:
+            if not lo <= ranges[node.id][0] < hi:
                 kept[node.id] = node
             continue
         children = tuple(kept[c.id] for c in node.children if c.id in kept)
@@ -294,7 +273,15 @@ def remove_subtree(tree: ParseTree, node_id: int) -> ParseTree:
             kept[node.id] = ParseNode(
                 id=node.id, label=node.label, depth=node.depth, children=children
             )
-    return ParseTree(root=kept[tree.root.id])
+    cut = hi - lo  # a kept node's bounds lie at or before lo, or at or past hi
+    layout = _Layout(
+        {i: kept[i] for i in index if i in kept},
+        leaves[:lo] + leaves[hi:],
+        {i: (a - cut if a > lo else a, b - cut if b > lo else b)
+         for i, (a, b) in ranges.items() if i in kept},
+        {d: ids for d, old in layers.items() if (ids := [i for i in old if i in kept])},
+    )
+    return _tree(kept[tree.root.id], layout)
 
 
 def spelling(token: str, before: str | None) -> str:

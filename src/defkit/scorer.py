@@ -271,6 +271,8 @@ class ScorerConfig:
     def __post_init__(self):
         if self.backend == "remote" and not self.endpoint_url:
             raise ConfigError("remote backend requires endpoint_url")
+        if self.backend == "planted" and not normalize(self.planted_phrase):
+            raise ConfigError("planted backend requires a phrase with a word")
         if self.endpoint_url is not None and not _is_http_url(self.endpoint_url):
             raise ConfigError(
                 f"endpoint_url must be an http or https URL with a host, got {self.endpoint_url!r}"

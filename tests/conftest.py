@@ -4,7 +4,7 @@ import pytest
 
 from defkit.annotations import AnnotationSet, ContentCategory, Span
 from defkit.corpus import Demonstration, Instance, Task, TaskKind
-from defkit.parse import ParseTree, parse_bracketed
+from defkit.parse import _Layout, parse_bracketed
 
 
 def make_task(
@@ -160,9 +160,35 @@ def to_bracketed(tree):
     return "".join(out)
 
 
+def walk_layout(root):
+    """The layout of the tree below root, from one iterative pre-order walk:
+    the reference for the layouts that `parse_bracketed` and
+    `remove_subtree` give their trees."""
+    layout = _Layout({}, [], {}, {})
+    index, leaves, ranges, layers = layout
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        # an (id, lo) mark, not a node (nodes are tuples too): every leaf
+        # below that node has been seen
+        if type(node) is tuple:
+            ranges[node[0]] = (node[1], len(leaves))
+            continue
+        index[node.id] = node
+        layers.setdefault(node.depth, []).append(node.id)
+        lo = len(leaves)
+        if node.is_leaf:
+            ranges[node.id] = (lo, lo + 1)
+            leaves.append(node)
+        else:
+            stack.append((node.id, lo))
+            stack.extend(reversed(node.children))
+    return layout
+
+
 def subtree_leaves(node):
     """The leaves below a node, left to right."""
-    return ParseTree(root=node).leaves()
+    return walk_layout(node).leaves
 
 
 def fields(record_or_class):

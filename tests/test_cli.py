@@ -374,16 +374,18 @@ class TestCompressCommand:
         assert rc == 2
         assert "align by index" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("task_id", ["../escape", "a/b", "a\\b", "", ".", ".."])
+    @pytest.mark.parametrize("task_id", ["../escape", "a/b", "a\\b", "", ".", "..", "manifest"])
     def test_task_id_that_is_no_file_name_exit2(self, tmp_path, capsys, task_id):
         tasks_dir, parses = fox_corpus(tmp_path)
         path = tasks_dir / "task_fox.json"
         write_task_file(path, replace(load_task_file(path), id=task_id))
         out_dir = tmp_path / "sub" / "out"
         assert self.run_compress(tasks_dir, parses, out_dir) == 2
-        assert capsys.readouterr().err.splitlines() == [
-            f"error: {path}: task id {task_id!r} is not a plain file name"
-        ]
+        if task_id == "manifest":  # a plain file name, but compress writes manifest.json
+            expected = f"error: {path}: task id 'manifest' would overwrite the run's manifest.json"
+        else:
+            expected = f"error: {path}: task id {task_id!r} is not a plain file name"
+        assert capsys.readouterr().err.splitlines() == [expected]
         assert not out_dir.exists()
         assert list(tmp_path.rglob("escape*")) == []
 
@@ -783,6 +785,38 @@ class TestConfigErrors:
             self.assert_usage_error(proc, "epsilon must be >= 0")
             assert not out_dir.exists()
 
+    @pytest.mark.parametrize("phrase", [None, "", "!!"])
+    def test_compress_planted_without_a_word(self, tmp_path, phrase):
+        tasks_dir, parses = fox_corpus(tmp_path)
+        out_dir = tmp_path / "out"
+        proc = TestDeepTrees.run_cli(
+            [
+                "compress",
+                "--tasks", str(tasks_dir),
+                "--parses", str(parses),
+                "--backend", "planted",
+                *(["--phrase", phrase] if phrase is not None else []),
+                "--fit-n", "2",
+                "--holdout-n", "2",
+                "--out", str(out_dir),
+            ]
+        )
+        self.assert_usage_error(proc, "planted backend requires a phrase with a word")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("phrase", [None, "!!"])
+    def test_score_planted_without_a_word(self, tmp_path, phrase):
+        path = write_task_file(tmp_path / "task_one.json", make_task(task_id="task_one"))
+        cache = tmp_path / "cache.jsonl"
+        proc = TestDeepTrees.run_cli(
+            [
+                "score", "--task", str(path), "--backend", "planted", "--cache", str(cache),
+                *(["--phrase", phrase] if phrase is not None else []),
+            ]
+        )
+        self.assert_usage_error(proc, "planted backend requires a phrase with a word")
+        assert not cache.exists()
+
     def test_score_remote_without_endpoint(self, tmp_path):
         path = write_task_file(tmp_path / "task_one.json", make_task(task_id="task_one"))
         cache = tmp_path / "cache.jsonl"
@@ -972,6 +1006,15 @@ def _with_task_fields(**fields):
     return lambda text: json.dumps({**json.loads(text), **fields})
 
 
+def _with_first_demonstration_fields(**fields):
+    def change(text):
+        task = json.loads(text)
+        task["demonstrations"][0].update(fields)
+        return json.dumps(task)
+
+    return change
+
+
 ALL_COMMANDS = ("ablate", "compress", "triplet", "report", "score")
 
 # (case, file, its new content from the old text (None deletes it), exit code,
@@ -988,6 +1031,16 @@ BAD_INPUTS = [
      ("ablate", "compress", "triplet", "score"), "{task}: unknown keys ['extra']"),
     ("task-top-level-list", "task", lambda _: "[]", 2, ALL_COMMANDS,
      "{task}: top level must be a JSON object"),
+    # a string list holds strings only: no number or null turned into a label
+    ("task-label-not-a-string", "task",
+     _with_task_fields(kind="classification", label_list=["yes", None]), 2, ALL_COMMANDS,
+     "{task}: field 'label_list' must hold strings only"),
+    ("task-domain-a-number", "task", _with_task_fields(domains=[1]), 2, ALL_COMMANDS,
+     "{task}: field 'domains' must hold strings only"),
+    ("task-reasoning-type-null", "task", _with_task_fields(reasoning_types=[None]), 2,
+     ALL_COMMANDS, "{task}: field 'reasoning_types' must hold strings only"),
+    ("task-explanation-a-number", "task", _with_first_demonstration_fields(explanation=5), 2,
+     ALL_COMMANDS, "{task}: demonstrations[0]: field 'explanation' must be a string"),
     ("annotation-not-an-object", "annotations", lambda _: '\n"task_id spans annotator"\n', 2,
      ("ablate", "triplet"), "{annotations}:2: record must be a JSON object"),
     ("annotation-spans-a-number", "annotations",
@@ -996,6 +1049,11 @@ BAD_INPUTS = [
     ("annotation-span-a-string", "annotations",
      lambda _: '\n{"task_id": "task_fox", "annotator": "a1", "spans": ["x"]}\n', 2,
      ("ablate", "triplet"), "{annotations}:2: spans[0] must be an object"),
+    # true is an int to Python, but no offset
+    ("annotation-span-start-true", "annotations",
+     lambda _: '\n{"task_id": "task_fox", "annotator": "a1", "spans": '
+               '[{"start": true, "end": 3, "category": "input_content"}]}\n', 2,
+     ("ablate", "triplet"), "{annotations}:2: spans[0]: start/end must be integers"),
     ("parse-unclosed", "parses", lambda _: "\n(S (NN fox)\n", 2, ("compress", "triplet"),
      "{parses}:2: unclosed '(' opened at offset 0"),
     ("parse-file-missing", "parses", lambda _: None, 1, ("compress", "triplet"), "{parses}"),
@@ -1184,7 +1242,7 @@ class TestErrorTable:
 # ScorerConfig field -> (the flag that sets it, a value for the flag, the value it
 # gives the field, which is not the field's default)
 SCORER_FLAGS = {
-    "backend": ("--backend", "planted", "planted"),
+    "backend": ("--backend", "keyword", "keyword"),
     "endpoint_url": ("--endpoint-url", "http://127.0.0.1:9/x", "http://127.0.0.1:9/x"),
     "max_new_tokens": ("--max-new-tokens", "7", 7),
     "temperature": ("--temperature", "0.5", 0.5),

@@ -14,7 +14,6 @@ from defkit.errors import (
 )
 from defkit.parse import (
     ParseNode,
-    ParseTree,
     count_trees,
     detokenize,
     leaf_offsets,
@@ -24,7 +23,7 @@ from defkit.parse import (
     render,
 )
 
-from conftest import FOX_TREE_TEXT, subtree_leaves, to_bracketed
+from conftest import FOX_TREE_TEXT, subtree_leaves, to_bracketed, walk_layout
 from test_stdc import _TREE_TEXTS
 
 CAT_TREE = "(S (NP (DT the) (NN cat)) (VP (VBD sat)))"
@@ -312,24 +311,41 @@ def _deep(tree, levels):
     return "(X " * levels + tree + ")" * levels
 
 
-@given(
-    st.one_of(
-        TREES,  # one root
-        st.lists(TREES, min_size=2, max_size=4).map(" ".join),  # several, joined under TOP
-        st.tuples(TREES, st.integers(200, 3000)).map(lambda t: _deep(*t)),
-    )
+LAYOUT_INPUTS = st.one_of(
+    TREES,  # one root
+    st.lists(TREES, min_size=2, max_size=4).map(" ".join),  # several, joined under TOP
+    st.tuples(TREES, st.integers(200, 3000)).map(lambda t: _deep(*t)),
 )
+
+
+def assert_layout_is_the_walk(tree):
+    layout, walked = tree._layout, walk_layout(tree.root)
+    assert layout == walked
+    assert list(layout.index) == list(walked.index)  # pre-order
+    assert list(layout.layers) == list(walked.layers)
+    assert None not in layout.index.values()
+
+
+@given(LAYOUT_INPUTS)
 @settings(max_examples=300, deadline=None)
 def test_layout_read_with_the_tree_equals_the_walk(text):
-    """parse_bracketed fills the layout as it reads; ParseTree's walk over
-    the same nodes is the reference."""
+    """parse_bracketed fills the layout as it reads; the walk over the same
+    nodes is the reference."""
+    assert_layout_is_the_walk(parse_bracketed(text))
+
+
+@given(LAYOUT_INPUTS, st.lists(st.integers(0, 10**6), min_size=1, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_layout_carried_through_removals_equals_the_walk(text, picks):
+    """remove_subtree derives the pruned tree's layout from the old one;
+    after each removal it equals the walk over the pruned root."""
     tree = parse_bracketed(text)
-    fast = tree._layout
-    walked = ParseTree(root=tree.root)._layout
-    assert fast == walked
-    assert list(fast.index) == list(walked.index)  # pre-order
-    assert list(fast.layers) == list(walked.layers)
-    assert None not in fast.index.values()
+    for pick in picks:
+        candidates = [node.id for node in tree.nodes() if node.id != tree.root.id]
+        if not candidates:
+            break
+        tree = remove_subtree(tree, candidates[pick % len(candidates)])
+        assert_layout_is_the_walk(tree)
 
 
 def test_nodes_are_immutable_tuples_without_a_dict():

@@ -7,6 +7,10 @@ method (dunder methods aside) when an attribute of that name is read
 anywhere outside its own definition, on any object. Names are matched
 without types, so a method shares its callers with every method of the
 same name.
+
+Likewise every annotated field of a `@record` class is read in
+`src/defkit`, as an attribute of any object or through `getattr` with a
+constant name, or is listed with the reason nothing reads it.
 """
 
 import ast
@@ -94,3 +98,53 @@ def test_every_allowed_name_is_still_uncalled():
     """An entry whose name gained a caller, or went, leaves the list."""
     uncalled = set(_uncalled())
     assert [name for name in ALLOWED if name not in uncalled] == []
+
+
+# module.Class.field -> why nothing in src/defkit reads it
+ALLOWED_FIELDS = {
+    "stdc.Step.leaves_removed": "written whole, through vars, by `_jsontext.indented`",
+    "stdc.Step.candidate_score": "written whole, through vars, by `_jsontext.indented`",
+    "stdc.CompressionResult.fit_score_before": "written whole, through vars, by `_jsontext.indented`",
+    "stdc.CompressionResult.fit_score_after": "written whole, through vars, by `_jsontext.indented`",
+    "corpus.Demonstration.explanation": "a field of the task-file schema",
+}
+
+
+def _is_record(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "record" for d in node.decorator_list)
+
+
+def _unread_fields() -> list[str]:
+    """module.Class.field of each annotated field of a @record class that
+    no attribute read, and no getattr with a constant name, reads."""
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+            elif (
+                isinstance(n, ast.Call)
+                and isinstance(n.func, ast.Name)
+                and n.func.id == "getattr"
+                and len(n.args) >= 2
+                and isinstance(n.args[1], ast.Constant)
+            ):
+                read.add(n.args[1].value)
+    out = []
+    for module, tree in trees.items():
+        for name, node, _ in _definitions(tree, module):
+            if isinstance(node, ast.ClassDef) and _is_record(node):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.AnnAssign) and stmt.target.id not in read:
+                        out.append(f"{name}.{stmt.target.id}")
+    return out
+
+
+def test_every_record_field_is_read_in_src_or_has_a_reason():
+    assert [name for name in _unread_fields() if name not in ALLOWED_FIELDS] == []
+
+
+def test_every_allowed_field_is_still_unread():
+    unread = set(_unread_fields())
+    assert [name for name in ALLOWED_FIELDS if name not in unread] == []
