@@ -556,9 +556,16 @@ def _int_at_least(least: int):
     return parse
 
 
-def build_parser() -> _Parser:
-    from .ablation import AblationName  # the --spec choices; so every command loads ablation
+# The `ablate --spec` choices: "all", then the values of
+# `ablation.AblationName` in order. Spelled out here, so that building the
+# parser loads neither ablation nor annotations; a test keeps the two equal.
+ABLATE_SPECS = (
+    "all", "input_add", "output_add", "all_add", "label_list", "label_desc",
+    "all_label", "all_output", "all_input",
+)
 
+
+def build_parser() -> _Parser:
     parser = _Parser(prog="defkit", description=__doc__)
     parser.add_argument("--version", action="version", version=f"defkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -583,7 +590,7 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--spec",
         required=True,
-        choices=["all"] + [n.value for n in AblationName],
+        choices=ABLATE_SPECS,
     )
     p.add_argument("--out", required=True)
     common(p, "--jobs", "--seed", "--lenient", "--csv", "--force")

@@ -12,10 +12,10 @@ import math
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
-from typing import Generator, Sequence
+from typing import Sequence
 
 from ._record import record
 from .corpus import ExampleSet, Instance, Task, assemble_prompt, finite_number, numbered_lines
@@ -52,9 +52,14 @@ class GenerationContext:
 
 class Backend:
     """A generation backend. `calls` counts actual backend invocations;
-    cache hits never touch the backend. `count_call` is safe under threads."""
+    cache hits never touch the backend. `count_call` is safe under threads.
+    A `ScoreStream` has up to `max_in_flight` contexts generated at once,
+    each on a thread of its own pool; with 0, as in the in-process
+    backends, it generates a context in the caller's thread when the
+    context's record is taken."""
 
     backend_id: str = "backend"
+    max_in_flight: int = 0
 
     def __init__(self):
         self.calls = 0
@@ -66,13 +71,6 @@ class Backend:
 
     def generate(self, ctx: GenerationContext) -> list[str]:
         raise NotImplementedError
-
-    def generate_many(self, ctxs: Sequence[GenerationContext]) -> Generator[list[str], None, None]:
-        """Yields the generations of each context, in input order, so that a
-        caller can use those of one context before the next is ready or
-        fails. In-process backends generate a context when it is asked for."""
-        for ctx in ctxs:
-            yield self.generate(ctx)
 
     def score_batch(self, ctx: GenerationContext) -> list[float] | None:
         """Direct per-instance scores, bypassing generation; None for
@@ -141,8 +139,10 @@ class RemoteBackend(Backend):
     Transport failures, timeouts and 5xx answers are retried (3 retries,
     backoff 0.5s/2s/8s); other statuses and contract violations (a body
     that is not a JSON object with "generations", length mismatch) raise
-    BackendError at once. Each context's prompts go in one POST; up to
-    `max_in_flight` POSTs of one `generate_many` call are in flight at once.
+    BackendError at once. Each context's prompts go in one POST. A
+    `ScoreStream` keeps up to `max_in_flight` POSTs in flight, so each task
+    has at most that many whatever `--jobs` is; each of its threads calls
+    `generate`.
     The POST goes through `urllib.request`, imported on first use so that
     the in-process backends load no HTTP client; it honours
     HTTP_PROXY/HTTPS_PROXY/NO_PROXY and follows no redirect.
@@ -218,29 +218,9 @@ class RemoteBackend(Backend):
         raise BackendError(f"endpoint unreachable after retries: {last_error}")
 
     def generate(self, ctx: GenerationContext) -> list[str]:
-        [generations] = self.generate_many([ctx])
-        return generations
-
-    def generate_many(self, ctxs: Sequence[GenerationContext]) -> Generator[list[str], None, None]:
-        """One pool of `max_in_flight` threads sends one POST per context,
-        all submitted on the first `next`. Results are yielded in input
-        order; the first failing context in input order raises its error
-        once the contexts before it are yielded. Closing the iterator
-        early cancels the POSTs not yet started."""
-        with ThreadPoolExecutor(max_workers=self.max_in_flight) as pool:
-            futures = [
-                pool.submit(
-                    self._post,
-                    [assemble_prompt(ctx.task, ctx.definition, inst) for inst in ctx.instances],
-                )
-                for ctx in ctxs
-            ]
-            try:
-                for f in futures:
-                    yield f.result()
-            finally:
-                for f in futures:
-                    f.cancel()
+        return self._post(
+            [assemble_prompt(ctx.task, ctx.definition, inst) for inst in ctx.instances]
+        )
 
 
 @functools.cache
@@ -477,66 +457,108 @@ def score_many(
     cache: ScoreCache | None = None,
 ) -> list[ScoreRecord]:
     """Mean Rouge-L of each definition over the example set's instances, in
-    input order.
+    input order: every definition is submitted to one `ScoreStream`, then
+    every record is taken. On the remote path up to `max_in_flight` are
+    generated at once."""
+    with ScoreStream(task, examples, backend, params, cache) as stream:
+        for definition in definitions:
+            stream.submit(definition)
+        return [stream.take() for _ in definitions]
+
+
+class ScoreStream:
+    """Scores definitions over one example set of a task, in the order they
+    are submitted: `submit` starts a definition's work, and `take` returns
+    the next record.
 
     One prompt per instance; one generation per prompt; each generation is
     scored against the instance references. Results are cached by
-    (backend id, definition, example fingerprint, generation params). The
-    definitions not in the cache go to the backend together; a definition
-    repeated in the list is sent once when there is a cache. Rouge-L and
-    cache writes then run in input order as each generation arrives, so
+    (backend id, definition, example fingerprint, generation params). A
+    definition is a hit when the cache holds its key, or when there is a
+    cache and it repeats a miss submitted before; a hit is read from the
+    cache when it is taken. Every other definition is a miss and takes its
+    own generations, even if another caller caches its key meanwhile.
+    Rouge-L and cache writes run in `take`, in submission order, so
     backend calls, cache hits and the cache file are those of scoring the
     definitions one after another, up to the first that fails.
+
+    With a backend whose `max_in_flight` is above 0, each miss starts on
+    submission, on one of that many threads, which the stream starts on
+    demand and keeps until it is closed. Otherwise a miss is generated in
+    `take`. Closing the stream cancels the work not yet started and waits
+    for the rest.
     """
-    if examples.task_id != task.id:
-        raise ScorerError(f"example set for {examples.task_id!r} used with task {task.id!r}")
-    fingerprint = example_fingerprint(examples)
-    keys = [cache_key_for(backend.backend_id, d, fingerprint, params) for d in definitions]
-    instances = tuple(task.instance_by_id(i) for i in examples.instance_ids)
-    misses: dict[int, GenerationContext] = {}  # index of a definition's first miss -> its context
-    pending: set[str] = set()
-    for i, (definition, key) in enumerate(zip(definitions, keys)):
-        if cache is not None and (key in cache or key in pending):
-            continue
-        pending.add(key)
-        misses[i] = GenerationContext(definition, task, instances)
-    per_miss = {i: backend.score_batch(ctx) for i, ctx in misses.items()}
-    records = []
-    # the misses to generate for arrive in input order; closing the generator
-    # ends its requests, also when a miss fails
-    todo = [ctx for i, ctx in misses.items() if per_miss[i] is None]
-    with closing(backend.generate_many(todo)) as generated:
-        for i, (definition, key) in enumerate(zip(definitions, keys)):
-            if i not in misses:
-                # a hit, or a repeat of a miss cached above; a key that another
-                # thread caches after the misses were chosen stays a miss, so
-                # each miss takes its own generations
-                records.append(cache.get(key))
-                continue
-            per = per_miss[i]
-            if per is None:
-                try:
-                    generations = next(generated)
-                except BackendError as exc:
-                    raise BackendError(f"task {task.id}: {exc}") from exc
-                if len(generations) != len(instances):
-                    raise BackendError(
-                        f"task {task.id}: backend returned {len(generations)} generations "
-                        f"for {len(instances)} instances"
-                    )
-                per = [rouge_l(g, inst.references) for g, inst in zip(generations, instances)]
-            record = ScoreRecord(
-                cache_key=key,
-                definition=definition,
-                example_fingerprint=fingerprint,
-                mean_score=sum(per) / len(per) if per else 0.0,
-                per_instance=tuple(per),
-                backend_id=backend.backend_id,
-            )
-            if cache is not None:
-                cache.put(record)
-            records.append(record)
-    return records
+
+    def __init__(
+        self,
+        task: Task,
+        examples: ExampleSet,
+        backend: Backend,
+        params: GenerationParams = GenerationParams(),
+        cache: ScoreCache | None = None,
+    ):
+        if examples.task_id != task.id:
+            raise ScorerError(f"example set for {examples.task_id!r} used with task {task.id!r}")
+        self.task = task
+        self.backend = backend
+        self.params = params
+        self.cache = cache
+        self.fingerprint = example_fingerprint(examples)
+        self.instances = tuple(task.instance_by_id(i) for i in examples.instance_ids)
+        # (definition, key, context or None for a hit, future or None) per
+        # submitted definition not yet taken
+        self._queue: deque[tuple[str, str, GenerationContext | None, Future | None]] = deque()
+        self._misses: set[str] = set()
+        self._pool = ThreadPoolExecutor(backend.max_in_flight) if backend.max_in_flight else None
+
+    def __enter__(self) -> "ScoreStream":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=True)
+
+    def submit(self, definition: str) -> None:
+        key = cache_key_for(self.backend.backend_id, definition, self.fingerprint, self.params)
+        ctx = future = None
+        if self.cache is None or not (key in self.cache or key in self._misses):
+            self._misses.add(key)
+            ctx = GenerationContext(definition, self.task, self.instances)
+            if self._pool is not None:
+                future = self._pool.submit(self.backend.generate, ctx)
+        self._queue.append((definition, key, ctx, future))
+
+    def take(self) -> ScoreRecord:
+        """The record of the earliest submitted definition not yet taken."""
+        definition, key, ctx, future = self._queue.popleft()
+        if ctx is None:
+            return self.cache.get(key)
+        per = None if future else self.backend.score_batch(ctx)
+        if per is None:
+            try:
+                generations = future.result() if future else self.backend.generate(ctx)
+            except BackendError as exc:
+                raise BackendError(f"task {self.task.id}: {exc}") from exc
+            if len(generations) != len(self.instances):
+                raise BackendError(
+                    f"task {self.task.id}: backend returned {len(generations)} generations "
+                    f"for {len(self.instances)} instances"
+                )
+            per = [rouge_l(g, inst.references) for g, inst in zip(generations, self.instances)]
+        record = ScoreRecord(
+            cache_key=key,
+            definition=definition,
+            example_fingerprint=self.fingerprint,
+            mean_score=sum(per) / len(per) if per else 0.0,
+            per_instance=tuple(per),
+            backend_id=self.backend.backend_id,
+        )
+        if self.cache is not None:
+            self.cache.put(record)
+        return record
 
 
 def __getattr__(name: str):

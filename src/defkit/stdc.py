@@ -4,14 +4,17 @@ retention accounting."""
 
 from __future__ import annotations
 
+from collections import deque
 from typing import TYPE_CHECKING
 
 from ._record import record
 from .corpus import ExampleSet, Task
 from .errors import ConfigError, EmptyResultError, InvariantError, ValidationError
 from .metrics import compression_ratio, normalize, word_spans
-from .parse import ParseTree, leaf_offsets, nodes_at_depth, remove_subtree, render, spelling
-from .scorer import Backend, GenerationParams, ScoreCache, score_many
+from .parse import (
+    ParseNode, ParseTree, leaf_offsets, nodes_at_depth, remove_subtree, render, spelling
+)
+from .scorer import Backend, GenerationParams, ScoreCache, ScoreStream, score_many
 
 if TYPE_CHECKING:  # category_retention imports annotations when it runs
     from .annotations import AnnotationSet
@@ -122,17 +125,18 @@ def compress(
     mode) or the original full-definition score ("paper" mode). Accepted
     subtrees are skipped thereafter; the search stops after all leaf-node
     removals have been attempted.
+
+    The nodes to try wait in one first-in-first-out queue, seeded with
+    depth 2; a rejected node queues its children. That is the order above:
+    a node with a leaf survives iff no ancestor was accepted, and then
+    every leaf of it is kept. A paper-mode candidate is the full
+    definition without the node, so it is sent to the backend when the
+    node is queued; a current-mode candidate depends on every decision
+    before it, so it is sent when the node reaches the head of the queue.
     """
     if not fit.instance_ids:
         raise InvariantError("fit set must be non-empty")
     full_text = _render_checked(task, tree)
-
-    def f(definitions: list[str]) -> list[float]:
-        records = score_many(definitions, task, fit, backend, params, cache)
-        return [r.mean_score for r in records]
-
-    [full_score] = f([full_text])
-    baseline = full_score
     # The compression state: written[i] is what leaf i writes into the
     # current definition, or "" once it is removed. Tokens are never empty,
     # so a leaf is kept iff it writes something.
@@ -141,46 +145,56 @@ def compress(
     full = tuple(written)
     paper = cfg.baseline_mode == BASELINE_PAPER_LITERAL
     steps: list[Step] = []
+    queue: deque[tuple[ParseNode, int, int]] = deque()
 
-    for depth in range(2, tree.depth + 1):
-        # A layer's pending nodes are those with a kept leaf. Nodes at one
-        # depth are disjoint, so acceptances within the layer leave this
-        # list exact. Paper mode scores the whole layer against the full
-        # definition in one batch; in current mode the base changes with
-        # each acceptance, so its batches hold one node.
-        ranges = [(n, *tree.leaf_range(n)) for n in nodes_at_depth(tree, depth)]
-        pending = [(n, lo, hi) for n, lo, hi in ranges if any(written[lo:hi])]
-        for batch in [pending] if paper else [[p] for p in pending]:
-            base = full if paper else written
-            candidates = [_spliced(tokens, base, lo, hi) for _, lo, hi in batch]
-            for (node_id, lo, hi), candidate_score in zip(batch, f(candidates)):
-                accepted = candidate_score >= baseline - cfg.epsilon
-                surviving = tuple(tok for tok, w in zip(tokens[lo:hi], written[lo:hi]) if w)
-                steps.append(
-                    Step(
-                        node_id=node_id,
-                        label=tree.node(node_id).label,
-                        leaves_removed=surviving,
-                        candidate_score=candidate_score,
-                        accepted=accepted,
-                    )
+    with ScoreStream(task, fit, backend, params, cache) as stream:
+
+        def enqueue(nodes) -> None:
+            for node in nodes:
+                lo, hi = tree.leaf_range(node.id)
+                if lo == hi:  # no leaf below it: nothing to remove
+                    continue
+                queue.append((node, lo, hi))
+                if paper:
+                    stream.submit(_spliced(tokens, full, lo, hi))
+
+        stream.submit(full_text)
+        enqueue(map(tree.node, nodes_at_depth(tree, 2)) if tree.depth > 1 else ())
+        full_score = baseline = stream.take().mean_score
+        while queue:
+            node, lo, hi = queue.popleft()
+            if not paper:
+                stream.submit(_spliced(tokens, written, lo, hi))
+            candidate_score = stream.take().mean_score
+            accepted = candidate_score >= baseline - cfg.epsilon
+            steps.append(
+                Step(
+                    node_id=node.id,
+                    label=node.label,
+                    leaves_removed=tuple(tokens[lo:hi]),
+                    candidate_score=candidate_score,
+                    accepted=accepted,
                 )
-                if accepted:
-                    _remove(tokens, written, lo, hi)
-                    if not paper:
-                        baseline = candidate_score
+            )
+            if accepted:
+                _remove(tokens, written, lo, hi)
+                if not paper:
+                    baseline = candidate_score
+            else:
+                enqueue(node.children)
 
-    compressed = "".join(written)
-    if not compressed.strip() and not cfg.allow_empty_result:
-        raise EmptyResultError(f"task {task.id}: compression emptied the definition")
-    ratio = compression_ratio(full_text, compressed)
+        compressed = "".join(written)
+        if not compressed.strip() and not cfg.allow_empty_result:
+            raise EmptyResultError(f"task {task.id}: compression emptied the definition")
+        stream.submit(compressed)
+        score_after = stream.take().mean_score
     return CompressionResult(
         task_id=task.id,
         full_definition=full_text,
         compressed_definition=compressed,
-        ratio=ratio,
+        ratio=compression_ratio(full_text, compressed),
         fit_score_before=full_score,
-        fit_score_after=f([compressed])[0],
+        fit_score_after=score_after,
         steps=tuple(steps),
     )
 

@@ -4,7 +4,19 @@ import pytest
 
 from defkit.annotations import AnnotationSet, ContentCategory, Span
 from defkit.corpus import Demonstration, Instance, Task, TaskKind
-from defkit.parse import _Layout, parse_bracketed
+from defkit.errors import EmptyResultError, InvariantError
+from defkit.metrics import compression_ratio
+from defkit.parse import _Layout, nodes_at_depth, parse_bracketed, spelling
+from defkit.scorer import GenerationParams, score_many
+from defkit.stdc import (
+    BASELINE_PAPER_LITERAL,
+    CompressionResult,
+    StdcConfig,
+    Step,
+    _remove,
+    _render_checked,
+    _spliced,
+)
 
 
 def make_task(
@@ -200,3 +212,56 @@ def fields(record_or_class):
 def replace(obj, **changes):
     """A copy of the record obj with the named fields changed."""
     return type(obj)(**{name: getattr(obj, name) for name in fields(obj)} | changes)
+
+
+def layered_compress(
+    task, tree, fit, backend, params=GenerationParams(), cfg=StdcConfig(), cache=None
+):
+    """STDC one depth layer at a time: the reference for `stdc.compress`.
+
+    A layer's pending nodes are those with a kept leaf. Paper mode scores
+    the whole layer against the full definition in one `score_many` call
+    and so waits for the layer's last answer before the next layer starts;
+    current mode scores one node at a time against the current state."""
+    if not fit.instance_ids:
+        raise InvariantError("fit set must be non-empty")
+    full_text = _render_checked(task, tree)
+
+    def f(definitions):
+        return [r.mean_score for r in score_many(definitions, task, fit, backend, params, cache)]
+
+    [full_score] = f([full_text])
+    baseline = full_score
+    tokens = tree.source_tokens
+    written = list(map(spelling, tokens, [None, *tokens]))
+    full = tuple(written)
+    paper = cfg.baseline_mode == BASELINE_PAPER_LITERAL
+    steps = []
+    for depth in range(2, tree.depth + 1):
+        ranges = [(n, *tree.leaf_range(n)) for n in nodes_at_depth(tree, depth)]
+        pending = [(n, lo, hi) for n, lo, hi in ranges if any(written[lo:hi])]
+        for batch in [pending] if paper else [[p] for p in pending]:
+            base = full if paper else written
+            candidates = [_spliced(tokens, base, lo, hi) for _, lo, hi in batch]
+            for (node_id, lo, hi), candidate_score in zip(batch, f(candidates)):
+                accepted = candidate_score >= baseline - cfg.epsilon
+                surviving = tuple(tok for tok, w in zip(tokens[lo:hi], written[lo:hi]) if w)
+                steps.append(
+                    Step(node_id, tree.node(node_id).label, surviving, candidate_score, accepted)
+                )
+                if accepted:
+                    _remove(tokens, written, lo, hi)
+                    if not paper:
+                        baseline = candidate_score
+    compressed = "".join(written)
+    if not compressed.strip() and not cfg.allow_empty_result:
+        raise EmptyResultError(f"task {task.id}: compression emptied the definition")
+    return CompressionResult(
+        task_id=task.id,
+        full_definition=full_text,
+        compressed_definition=compressed,
+        ratio=compression_ratio(full_text, compressed),
+        fit_score_before=full_score,
+        fit_score_after=f([compressed])[0],
+        steps=tuple(steps),
+    )

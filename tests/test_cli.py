@@ -160,6 +160,11 @@ class TestAblateCommand:
             )
         assert exc.value.code == 64
 
+    def test_spec_choices_are_all_and_every_ablation(self):
+        from defkit.ablation import AblationName
+
+        assert list(cli.ABLATE_SPECS) == ["all", *(name.value for name in AblationName)]
+
     def test_missing_annotation_exit2(self, tmp_path, capsys):
         tasks_dir, _ = review_corpus(tmp_path)
         partial = write_annotations(
@@ -1317,8 +1322,14 @@ HTTP_CLIENTS = ["requests", "urllib.request", "http.client"]
 
 # What each command, run alone, must not load besides stdlib dataclasses.
 UNLOADED = {
-    "report": ["defkit.parse", "defkit.triplet", "defkit.scorer", "defkit.stdc", "defkit.manifest"],
-    "compress": ["defkit.triplet", "urllib.request", "http.client"],
+    "report": [
+        "defkit.parse", "defkit.triplet", "defkit.scorer", "defkit.stdc", "defkit.manifest",
+        "defkit.ablation", "defkit.annotations",
+    ],
+    "compress": [
+        "defkit.triplet", "urllib.request", "http.client", "defkit.ablation", "defkit.annotations",
+    ],
+    "score": ["defkit.ablation", "defkit.annotations"],
 }
 
 

@@ -4,6 +4,8 @@ import sys
 import tempfile
 import threading
 import time
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -16,10 +18,12 @@ from defkit._jsontext import indented
 from defkit.corpus import TaskKind, split_examples
 from defkit.cli import main
 from defkit.errors import BackendError, BackendTimeoutError
-from defkit.parse import nodes_at_depth, parse_bracketed, render
+from defkit.parse import parse_bracketed, render
 from defkit.scorer import (
     GenerationContext,
     GenerationParams,
+    KeywordLabelBackend,
+    PlantedPhraseBackend,
     RemoteBackend,
     ScoreCache,
     score,
@@ -28,7 +32,7 @@ from defkit.scorer import (
 from defkit.stdc import StdcConfig, compress, evaluate_holdout
 from defkit.stubserver import StubServer, echo_generation
 
-from conftest import make_task, write_task_file
+from conftest import layered_compress, make_task, write_task_file
 from test_stdc import _TREE_TEXTS
 
 
@@ -241,50 +245,54 @@ _VOCAB = ["ref", "0", "1", "2", "cat", "sat"]
 
 
 class InProcessRemote(RemoteBackend):
-    """A RemoteBackend whose POSTs are answered in-process. Each generation
-    is a seeded function of its prompt, so of the definition in it; a POST
-    for a definition in `fail` raises. A POST first waits until every POST
-    of its `generate_many` call that may run at once has started, then
-    sleeps `delay(definition)` seconds, so `in_flight_max` is exactly the
-    concurrency the backend allows and completion order follows the delays.
+    """A RemoteBackend whose POSTs are answered in-process, by `answer` per
+    prompt: by default a seeded function of the prompt, so of the
+    definition in it. A POST for a definition in `fail` raises.
+
+    A POST first waits until `max_in_flight` POSTs of its task are in
+    flight, or `gather` seconds pass: a stream knows no batch, so this is
+    how long the double waits for the POSTs sent with this one. POSTs sent
+    together so overlap, and then each sleeps `delay(definition)` seconds,
+    so completion order follows the delays. `peak[task_id]` is the most
+    POSTs of one task that were in flight at once.
     """
 
-    def __init__(self, max_in_flight=4, delay=lambda definition: 0.0, fail=()):
+    def __init__(self, max_in_flight=4, delay=lambda definition: 0.0, fail=(), gather=0.002):
         super().__init__("in-process", GenerationParams())
         self.max_in_flight = max_in_flight
         self.delay = delay
         self.fail = set(fail)
+        self.gather = gather
         self.cond = threading.Condition()
-        self.in_flight = self.in_flight_max = 0
-        self.started = self.expected = 0
+        self.in_flight = Counter()
+        self.peak = Counter()
 
-    def generate_many(self, ctxs):
-        with self.cond:
-            self.started, self.expected = 0, min(len(ctxs), self.max_in_flight)
-        return super().generate_many(ctxs)
-
-    def _post(self, prompts):
+    def generate(self, ctx):
         self.count_call()
-        definition = prompts[0].split("\n\n", 1)[0].removeprefix("Definition: ")
+        task_id = ctx.task.id
         with self.cond:
-            self.in_flight += 1
-            self.in_flight_max = max(self.in_flight_max, self.in_flight)
-            self.started += 1
+            self.in_flight[task_id] += 1
+            self.peak[task_id] = max(self.peak[task_id], self.in_flight[task_id])
             self.cond.notify_all()
-            all_started = self.cond.wait_for(lambda: self.started >= self.expected, timeout=5)
-            assert all_started, "POSTs that may run at once were sent one after another"
+            self.cond.wait_for(
+                lambda: self.in_flight[task_id] >= self.max_in_flight, timeout=self.gather
+            )
         try:
-            time.sleep(self.delay(definition))
-            if definition in self.fail:
-                raise BackendError(f"refused {definition!r}")
-            out = []
-            for prompt in prompts:
-                rng = random.Random(prompt)
-                out.append(" ".join(rng.choice(_VOCAB) for _ in range(rng.randint(0, 3))))
-            return out
+            time.sleep(self.delay(ctx.definition))
+            if ctx.definition in self.fail:
+                raise BackendError(f"refused {ctx.definition!r}")
+            return super().generate(ctx)
         finally:
             with self.cond:
-                self.in_flight -= 1
+                self.in_flight[task_id] -= 1
+
+    def _post(self, prompts):
+        return [self.answer(prompt) for prompt in prompts]
+
+    @staticmethod
+    def answer(prompt):
+        rng = random.Random(prompt)
+        return " ".join(rng.choice(_VOCAB) for _ in range(rng.randint(0, 3)))
 
 
 def tree_task(tree):
@@ -321,13 +329,12 @@ class TestConcurrentRequests:
 
     def test_results_in_input_order(self):
         task = echo_task(3)
-        instances = task.instances
-        ctxs = [GenerationContext(d, task, instances) for d in ("slow", "fast", "mid")]
+        definitions = ["slow", "fast", "mid"]
         delays = {"slow": 0.03, "fast": 0.0, "mid": 0.01}
-        backend = InProcessRemote(delay=delays.get)
-        out = list(backend.generate_many(ctxs))
-        assert backend.in_flight_max == 3
-        assert out == [backend.generate(ctx) for ctx in ctxs]
+        backend = InProcessRemote(max_in_flight=3, delay=delays.get, gather=5)
+        records = score_many(definitions, task, fit_set(task), backend)
+        assert backend.peak[task.id] == 3
+        assert records == [score(d, task, fit_set(task), InProcessRemote()) for d in definitions]
 
     def test_first_failing_context_in_input_order_is_raised(self):
         task = echo_task(2)
@@ -380,7 +387,7 @@ def test_concurrency_never_changes_results(text, mode, cached):
         with tempfile.TemporaryDirectory() as tmp:
             cache = ScoreCache(Path(tmp) / "cache.jsonl") if cached else None
             result = compress(task, tree, fit, backend, cfg=cfg, cache=cache)
-            in_flight = backend.in_flight_max  # of the search alone
+            in_flight = backend.peak[task.id]  # of the search alone
             report = evaluate_holdout(task, result, holdout, backend, cache=cache)
             hits, data = (cache.hits, cache.path.read_bytes()) if cache else (0, b"")
             if cache:
@@ -392,16 +399,143 @@ def test_concurrency_never_changes_results(text, mode, cached):
     sequential, in_flight_one = run(1)
     assert concurrent == sequential
     assert in_flight_one == 1
-    if mode == "current":
-        assert in_flight == 1
-    else:
-        # paper mode sends each layer's candidates at once, up to 4 of them
-        steps = json.loads(concurrent[0])[0]["steps"]
-        widest = max(
-            (sum(s["node_id"] in layer for s in steps)
-             for layer in (set(nodes_at_depth(tree, d)) for d in range(2, tree.depth + 1))),
-            default=0,
+    # current mode has one candidate in flight; paper mode up to the limit
+    assert in_flight == 1 if mode == "current" else 1 <= in_flight <= 4
+
+
+def _echo_definition(prompt):
+    return prompt.split("\n\n", 1)[0].removeprefix("Definition: ")
+
+
+SCHEDULE_TREE = (
+    "(S (NP (DT the) (NN cat)) (VP (VBD sat) (PP (IN on) (NNS mats))) (ADVP (RB today)))"
+)
+
+
+def test_paper_mode_sends_a_child_before_its_layer_is_answered():
+    """The children of a rejected node go out while a node of its layer is
+    still unanswered: the last depth-2 POST is held until a depth-3 POST
+    has started, which a layer-by-layer search never sends."""
+    tree = parse_bracketed(SCHEDULE_TREE)
+    full = render(tree)
+    task = make_task(
+        task_id="task_schedule", definition=full, kind=TaskKind.GENERATION,
+        label_list=None, n_instances=2, references=[[full], [full]],
+    )
+    fit, _ = split_examples(task, 2, 0, 0)
+    held = "the cat sat on mats"  # without ADVP, the last node at depth 2
+    children = {"cat sat on mats today", "the sat on mats today"}  # without DT, without NN
+    child_started = threading.Event()
+    child_first = []  # per POST of `held`: whether a depth-3 POST started before it answered
+
+    class Holding(InProcessRemote):
+        answer = staticmethod(_echo_definition)  # every removal scores below the full text
+
+        def generate(self, ctx):
+            if ctx.definition == held:
+                child_first.append(child_started.wait(timeout=5))
+            elif ctx.definition in children:
+                child_started.set()
+            return super().generate(ctx)
+
+    backend = Holding(gather=0)
+    result = compress(task, tree, fit, backend, cfg=StdcConfig(baseline_mode="paper"))
+    assert [s.label for s in result.steps[:3]] == ["NP", "VP", "ADVP"]
+    assert not any(s.accepted for s in result.steps)
+    # RB, below ADVP, removes the same words, so `held` is sent again later
+    assert child_first[0], "the depth-3 POSTs waited for the whole of depth 2"
+    assert backend.peak[task.id] <= backend.max_in_flight
+
+
+@pytest.mark.parametrize("mode", ["current", "paper"])
+def test_in_flight_limit_holds_per_task_under_jobs(mode):
+    """Two tasks searched at once on one backend, as `--jobs 2` runs them:
+    each keeps at most `max_in_flight` POSTs in flight, current mode 1."""
+    tree = parse_bracketed(SCHEDULE_TREE)
+    tasks = [
+        make_task(
+            task_id=f"task{i}", definition=render(tree), kind=TaskKind.GENERATION,
+            label_list=None, n_instances=2,
         )
-        expected = max(1, min(widest, 4))
-        # with a cache, a candidate text repeated in a layer is sent once
-        assert in_flight <= expected if cached else in_flight == expected
+        for i in range(2)
+    ]
+    backend = InProcessRemote(delay=lambda d: 0.001)
+    cfg = StdcConfig(baseline_mode=mode, allow_empty_result=True)
+
+    def run(task):
+        """The most POSTs of the task in flight in its search, then in all."""
+        fit, holdout = split_examples(task, 1, 1, 0)
+        result = compress(task, tree, fit, backend, cfg=cfg)
+        search = backend.peak[task.id]
+        evaluate_holdout(task, result, holdout, backend)  # sends its 2 definitions at once
+        return search, backend.peak[task.id]
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        peaks = list(pool.map(run, tasks))
+    for search, overall in peaks:
+        assert search == 1 if mode == "current" else 1 <= search <= backend.max_in_flight
+        assert overall <= backend.max_in_flight
+
+
+def test_a_remote_task_starts_a_bounded_number_of_threads(monkeypatch):
+    """A current-mode search and its holdout each score on one stream, whose
+    pool starts at most `max_in_flight` threads however many candidates
+    there are."""
+    tree = parse_bracketed(SCHEDULE_TREE)
+    task = tree_task(tree)
+    fit, holdout = split_examples(task, 2, 1, 0)
+    backend = InProcessRemote()
+    started = []
+    start = threading.Thread.start
+
+    def counted_start(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    result = compress(task, tree, fit, backend, cfg=StdcConfig(allow_empty_result=True))
+    evaluate_holdout(task, result, holdout, backend)
+    monkeypatch.undo()
+    assert len(result.steps) > 2 * backend.max_in_flight
+    assert len(started) <= 2 * backend.max_in_flight
+
+
+_BACKENDS = {
+    "keyword": KeywordLabelBackend,
+    "planted": lambda: PlantedPhraseBackend("cat sat"),
+    "remote": lambda: InProcessRemote(delay=lambda d: random.uniform(0, 0.002)),
+}
+
+
+@given(
+    text=_TREE_TEXTS,
+    mode=st.sampled_from(["current", "paper"]),
+    epsilon=st.sampled_from([0.0, 0.25]),
+    backend=st.sampled_from(sorted(_BACKENDS)),
+    cached=st.booleans(),
+)
+@settings(max_examples=100, deadline=None)
+def test_compress_equals_the_layered_reference(text, mode, epsilon, backend, cached):
+    """The queue-ordered search, whose paper mode sends a node's children
+    once the node is rejected, gives the results, backend calls, cache hits
+    and cache bytes of scoring one depth layer at a time."""
+    tree = parse_bracketed(text)
+    assume(render(tree).strip())
+    task = make_task(
+        task_id="task_tree", definition=render(tree), kind=TaskKind.GENERATION,
+        label_list=None, n_instances=3, references=[["cat"], ["sat"], ["w1 cat"]],
+    )
+    fit, _ = split_examples(task, 3, 0, 0)
+    cfg = StdcConfig(baseline_mode=mode, epsilon=epsilon, allow_empty_result=True)
+
+    def run(search):
+        scorer = _BACKENDS[backend]()
+        with tempfile.TemporaryDirectory() as tmp:
+            cache = ScoreCache(Path(tmp) / "cache.jsonl") if cached else None
+            result = search(task, tree, fit, scorer, cfg=cfg, cache=cache)
+            hits, data = (cache.hits, cache.path.read_bytes()) if cache else (0, b"")
+            if cache:
+                cache.close()
+        return result, scorer.calls, hits, data
+
+    assert run(compress) == run(layered_compress)
