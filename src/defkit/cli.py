@@ -30,7 +30,6 @@ from .errors import (
 # scorer, stdc or concurrent.futures.
 if TYPE_CHECKING:
     from .annotations import AnnotationSet
-    from .scorer import ScorerConfig
 
 logger = logging.getLogger(__name__)
 
@@ -150,20 +149,6 @@ def _load_parse_lines(path: str, tasks: list[Task]) -> list[tuple[str, int]]:
     return checked
 
 
-def _scorer_config(args) -> ScorerConfig:
-    from .scorer import ScorerConfig
-
-    return ScorerConfig(
-        backend=args.backend,
-        endpoint_url=args.endpoint_url,
-        constant_value=args.constant_value,
-        planted_phrase=args.phrase or "",
-        max_new_tokens=args.max_new_tokens,
-        temperature=args.temperature,
-        seed=args.seed,
-    )
-
-
 # ---------------------------------------------------------------- ablate
 
 
@@ -240,10 +225,16 @@ def cmd_compress(args) -> int:
     from ._jsontext import indented
     from .manifest import file_digest, write_manifest
     from .parse import parse_bracketed
-    from .scorer import ScoreCache, build_backend
+    from .scorer import GenerationParams, ScoreCache, build_backend
     from .stdc import StdcConfig, compress, evaluate_holdout
 
-    cfg = _scorer_config(args)
+    backend = build_backend(
+        args.backend,
+        GenerationParams(args.max_new_tokens, args.temperature, args.seed),
+        endpoint_url=args.endpoint_url,
+        constant_value=args.constant_value,
+        phrase=args.phrase,
+    )
     stdc_cfg = StdcConfig(
         baseline_mode=args.mode,
         epsilon=args.epsilon,
@@ -256,7 +247,6 @@ def cmd_compress(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     _check_overwrite([out_dir / f"{t.id}.json" for t in tasks], args.force)
 
-    backend = build_backend(cfg)
     cache = ScoreCache(args.cache) if args.cache else None
 
     failures: list[str] = []
@@ -270,12 +260,11 @@ def cmd_compress(args) -> int:
         try:
             fit, holdout = split_examples(task, args.fit_n, args.holdout_n, args.seed)
             tree = parse_bracketed(line, trees)  # parsed here, so only running tasks hold a tree
-            result = compress(task, tree, fit, backend, cfg.params, stdc_cfg, cache)
+            result = compress(task, tree, fit, backend, stdc_cfg, cache)
             report = None  # --holdout-n 0: no holdout to measure
             if holdout.instance_ids:
                 report = evaluate_holdout(
-                    task, result, holdout, backend, cfg.params, cache,
-                    strict=not args.non_strict_coverage,
+                    task, result, holdout, backend, cache, strict=not args.non_strict_coverage
                 )
         except DefkitError as exc:
             return task, exc, None
@@ -502,9 +491,15 @@ def cmd_triplet(args) -> int:
 
 def cmd_score(args) -> int:
     from ._jsontext import indented
-    from .scorer import ScoreCache, build_backend, score
+    from .scorer import GenerationParams, ScoreCache, build_backend, score
 
-    cfg = _scorer_config(args)
+    backend = build_backend(
+        args.backend,
+        GenerationParams(args.max_new_tokens, args.temperature, args.seed),
+        endpoint_url=args.endpoint_url,
+        constant_value=args.constant_value,
+        phrase=args.phrase,
+    )
     task = load_task_file(args.task, lenient=args.lenient)
     if args.definition_file:
         try:
@@ -517,10 +512,9 @@ def cmd_score(args) -> int:
         definition = task.definition
     n = args.n if args.n is not None else len(task.instances)
     fit, _ = split_examples(task, n, 0, args.seed)
-    backend = build_backend(cfg)
     cache = ScoreCache(args.cache) if args.cache else None
     try:
-        record = score(definition, task, fit, backend, cfg.params, cache)
+        record = score(definition, task, fit, backend, cache)
     finally:
         if cache is not None:
             cache.close()
@@ -535,7 +529,7 @@ def _add_backend_args(p: _Parser):
     p.add_argument("--backend", choices=["remote", "constant", "planted", "keyword"], required=True)
     p.add_argument("--endpoint-url", default=None)
     p.add_argument("--constant-value", type=float, default=0.5)
-    p.add_argument("--phrase", default=None, help="planted phrase for the planted backend")
+    p.add_argument("--phrase", default="", help="planted phrase for the planted backend")
     p.add_argument("--max-new-tokens", type=_int_at_least(1), default=128)
     p.add_argument("--temperature", type=float, default=0.0)
     p.add_argument("--cache", default=None, help="append-only JSONL score cache path")
@@ -630,8 +624,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("score", help="score one definition against a backend")
     p.add_argument("--task", required=True)
-    p.add_argument("--definition", default=None)
-    p.add_argument("--definition-file", default=None)
+    definition = p.add_mutually_exclusive_group()
+    definition.add_argument("--definition", default=None)
+    definition.add_argument("--definition-file", default=None)
     p.add_argument("--n", type=_int_at_least(1), default=None)
     _add_backend_args(p)
     common(p, "--seed", "--lenient")

@@ -51,8 +51,10 @@ class GenerationContext:
 
 
 class Backend:
-    """A generation backend. `calls` counts actual backend invocations;
-    cache hits never touch the backend. `count_call` is safe under threads.
+    """A generation backend. `params` are the generation settings its
+    scores are made with, and so part of every cache key they go under.
+    `calls` counts actual backend invocations; cache hits never touch the
+    backend. `count_call` is safe under threads.
     A `ScoreStream` has up to `max_in_flight` contexts generated at once,
     each on a thread of its own pool; with 0, as in the in-process
     backends, it generates a context in the caller's thread when the
@@ -61,7 +63,8 @@ class Backend:
     backend_id: str = "backend"
     max_in_flight: int = 0
 
-    def __init__(self):
+    def __init__(self, params: GenerationParams = GenerationParams()):
+        self.params = params
         self.calls = 0
         self._calls_lock = threading.Lock()
 
@@ -81,8 +84,8 @@ class Backend:
 class ConstantBackend(Backend):
     """Scores every definition with a fixed value. Useful for tie-behavior tests."""
 
-    def __init__(self, value: float):
-        super().__init__()
+    def __init__(self, value: float, params: GenerationParams = GenerationParams()):
+        super().__init__(params)
         self.value = value
         self.backend_id = f"constant:{value}"
 
@@ -95,8 +98,8 @@ class PlantedPhraseBackend(Backend):
     """Emits the gold reference iff every token of the planted phrase
     survives in the definition, else an empty string."""
 
-    def __init__(self, phrase: str):
-        super().__init__()
+    def __init__(self, phrase: str, params: GenerationParams = GenerationParams()):
+        super().__init__(params)
         self.phrase_tokens = set(normalize(phrase))
         self.backend_id = f"planted:{' '.join(sorted(self.phrase_tokens))}"
 
@@ -153,9 +156,8 @@ class RemoteBackend(Backend):
     backoffs = (0.5, 2.0, 8.0)  # seconds before each retry
 
     def __init__(self, endpoint_url: str, params: GenerationParams):
-        super().__init__()
+        super().__init__(params)
         self.endpoint_url = endpoint_url
-        self.params = params
         self.backend_id = f"remote:{endpoint_url}"
 
     def _headers(self) -> dict:
@@ -238,34 +240,6 @@ def _opener():
     return build_opener(NoRedirect)
 
 
-@record
-class ScorerConfig:
-    backend: str = "constant"  # remote | constant | planted | keyword
-    endpoint_url: str | None = None
-    max_new_tokens: int = 128
-    temperature: float = 0.0
-    seed: int | None = None
-    constant_value: float = 0.5
-    planted_phrase: str = ""
-
-    def __post_init__(self):
-        if self.backend == "remote" and not self.endpoint_url:
-            raise ConfigError("remote backend requires endpoint_url")
-        if self.backend == "planted" and not normalize(self.planted_phrase):
-            raise ConfigError("planted backend requires a phrase with a word")
-        if self.endpoint_url is not None and not _is_http_url(self.endpoint_url):
-            raise ConfigError(
-                f"endpoint_url must be an http or https URL with a host, got {self.endpoint_url!r}"
-            )
-        for name in ("temperature", "constant_value"):
-            if not math.isfinite(value := getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {value}")
-
-    @property
-    def params(self) -> GenerationParams:
-        return GenerationParams(self.max_new_tokens, self.temperature, self.seed)
-
-
 def _is_http_url(url: str) -> bool:
     from urllib.parse import urlsplit
 
@@ -279,16 +253,38 @@ def _is_http_url(url: str) -> bool:
     return parts.scheme in ("http", "https") and bool(parts.hostname)
 
 
-def build_backend(cfg: ScorerConfig) -> Backend:
-    if cfg.backend == "remote":
-        return RemoteBackend(cfg.endpoint_url, cfg.params)
-    if cfg.backend == "constant":
-        return ConstantBackend(cfg.constant_value)
-    if cfg.backend == "planted":
-        return PlantedPhraseBackend(cfg.planted_phrase)
-    if cfg.backend == "keyword":
-        return KeywordLabelBackend()
-    raise InvariantError(f"unknown backend {cfg.backend!r}")
+def build_backend(
+    name: str,
+    params: GenerationParams,
+    *,
+    endpoint_url: str | None = None,
+    constant_value: float = 0.5,
+    phrase: str = "",
+) -> Backend:
+    """The backend `name` (remote, constant, planted or keyword), generating
+    with `params`: the one place where the command line's backend settings
+    are checked and become a backend. A missing or unusable setting raises
+    ConfigError."""
+    if name == "remote" and not endpoint_url:
+        raise ConfigError("remote backend requires endpoint_url")
+    if name == "planted" and not normalize(phrase):
+        raise ConfigError("planted backend requires a phrase with a word")
+    if endpoint_url is not None and not _is_http_url(endpoint_url):
+        raise ConfigError(
+            f"endpoint_url must be an http or https URL with a host, got {endpoint_url!r}"
+        )
+    for setting, value in (("temperature", params.temperature), ("constant_value", constant_value)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{setting} must be finite, got {value}")
+    if name == "remote":
+        return RemoteBackend(endpoint_url, params)
+    if name == "constant":
+        return ConstantBackend(constant_value, params)
+    if name == "planted":
+        return PlantedPhraseBackend(phrase, params)
+    if name == "keyword":
+        return KeywordLabelBackend(params)
+    raise InvariantError(f"unknown backend {name!r}")
 
 
 @record
@@ -441,11 +437,10 @@ def score(
     task: Task,
     examples: ExampleSet,
     backend: Backend,
-    params: GenerationParams = GenerationParams(),
     cache: ScoreCache | None = None,
 ) -> ScoreRecord:
     """Mean Rouge-L of one definition; see `score_many`."""
-    return score_many([definition], task, examples, backend, params, cache)[0]
+    return score_many([definition], task, examples, backend, cache)[0]
 
 
 def score_many(
@@ -453,14 +448,13 @@ def score_many(
     task: Task,
     examples: ExampleSet,
     backend: Backend,
-    params: GenerationParams = GenerationParams(),
     cache: ScoreCache | None = None,
 ) -> list[ScoreRecord]:
     """Mean Rouge-L of each definition over the example set's instances, in
-    input order: every definition is submitted to one `ScoreStream`, then
-    every record is taken. On the remote path up to `max_in_flight` are
-    generated at once."""
-    with ScoreStream(task, examples, backend, params, cache) as stream:
+    input order, generated with the backend's params: every definition is
+    submitted to one `ScoreStream`, then every record is taken. On the
+    remote path up to `max_in_flight` are generated at once."""
+    with ScoreStream(task, examples, backend, cache) as stream:
         for definition in definitions:
             stream.submit(definition)
         return [stream.take() for _ in definitions]
@@ -473,7 +467,7 @@ class ScoreStream:
 
     One prompt per instance; one generation per prompt; each generation is
     scored against the instance references. Results are cached by
-    (backend id, definition, example fingerprint, generation params). A
+    (backend id, definition, example fingerprint, the backend's params). A
     definition is a hit when the cache holds its key, or when there is a
     cache and it repeats a miss submitted before; a hit is read from the
     cache when it is taken. Every other definition is a miss and takes its
@@ -494,14 +488,12 @@ class ScoreStream:
         task: Task,
         examples: ExampleSet,
         backend: Backend,
-        params: GenerationParams = GenerationParams(),
         cache: ScoreCache | None = None,
     ):
         if examples.task_id != task.id:
             raise ScorerError(f"example set for {examples.task_id!r} used with task {task.id!r}")
         self.task = task
         self.backend = backend
-        self.params = params
         self.cache = cache
         self.fingerprint = example_fingerprint(examples)
         self.instances = tuple(task.instance_by_id(i) for i in examples.instance_ids)
@@ -522,13 +514,14 @@ class ScoreStream:
             self._pool.shutdown(cancel_futures=True)
 
     def submit(self, definition: str) -> None:
-        key = cache_key_for(self.backend.backend_id, definition, self.fingerprint, self.params)
+        backend = self.backend
+        key = cache_key_for(backend.backend_id, definition, self.fingerprint, backend.params)
         ctx = future = None
         if self.cache is None or not (key in self.cache or key in self._misses):
             self._misses.add(key)
             ctx = GenerationContext(definition, self.task, self.instances)
             if self._pool is not None:
-                future = self._pool.submit(self.backend.generate, ctx)
+                future = self._pool.submit(backend.generate, ctx)
         self._queue.append((definition, key, ctx, future))
 
     def take(self) -> ScoreRecord:

@@ -14,7 +14,7 @@ from .metrics import compression_ratio, normalize, word_spans
 from .parse import (
     ParseNode, ParseTree, leaf_offsets, nodes_at_depth, remove_subtree, render, spelling
 )
-from .scorer import Backend, GenerationParams, ScoreCache, ScoreStream, score_many
+from .scorer import Backend, ScoreCache, ScoreStream, score_many
 
 if TYPE_CHECKING:  # category_retention imports annotations when it runs
     from .annotations import AnnotationSet
@@ -113,11 +113,11 @@ def compress(
     tree: ParseTree,
     fit: ExampleSet,
     backend: Backend,
-    params: GenerationParams = GenerationParams(),
     cfg: StdcConfig = StdcConfig(),
     cache: ScoreCache | None = None,
 ) -> CompressionResult:
-    """Greedy top-down, layer-ordered removal of parse-tree subtrees.
+    """Greedy top-down, layer-ordered removal of parse-tree subtrees, each
+    candidate scored on the fit set by `backend` with its own params.
 
     Traverses depths 2..Dep(T); within a depth, surviving nodes left to
     right. A candidate removal is accepted when its score is >= baseline -
@@ -147,7 +147,7 @@ def compress(
     steps: list[Step] = []
     queue: deque[tuple[ParseNode, int, int]] = deque()
 
-    with ScoreStream(task, fit, backend, params, cache) as stream:
+    with ScoreStream(task, fit, backend, cache) as stream:
 
         def enqueue(nodes) -> None:
             for node in nodes:
@@ -212,16 +212,14 @@ def evaluate_holdout(
     result: CompressionResult,
     holdout: ExampleSet,
     backend: Backend,
-    params: GenerationParams = GenerationParams(),
     cache: ScoreCache | None = None,
     strict: bool = True,
 ) -> HoldoutReport:
-    """Before/after means on the holdout set plus coverage: the fraction of
-    instances whose per-instance score increases under compression
-    (strictly, unless strict=False)."""
+    """Before/after means on the holdout set, scored by `backend` with its
+    own params, plus coverage: the fraction of instances whose per-instance
+    score increases under compression (strictly, unless strict=False)."""
     before, after = score_many(
-        [result.full_definition, result.compressed_definition],
-        task, holdout, backend, params, cache,
+        [result.full_definition, result.compressed_definition], task, holdout, backend, cache
     )
     pairs = list(zip(before.per_instance, after.per_instance))
     if strict:

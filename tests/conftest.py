@@ -7,7 +7,7 @@ from defkit.corpus import Demonstration, Instance, Task, TaskKind
 from defkit.errors import EmptyResultError, InvariantError
 from defkit.metrics import compression_ratio
 from defkit.parse import _Layout, nodes_at_depth, parse_bracketed, spelling
-from defkit.scorer import GenerationParams, score_many
+from defkit.scorer import score_many
 from defkit.stdc import (
     BASELINE_PAPER_LITERAL,
     CompressionResult,
@@ -214,9 +214,7 @@ def replace(obj, **changes):
     return type(obj)(**{name: getattr(obj, name) for name in fields(obj)} | changes)
 
 
-def layered_compress(
-    task, tree, fit, backend, params=GenerationParams(), cfg=StdcConfig(), cache=None
-):
+def layered_compress(task, tree, fit, backend, cfg=StdcConfig(), cache=None):
     """STDC one depth layer at a time: the reference for `stdc.compress`.
 
     A layer's pending nodes are those with a kept leaf. Paper mode scores
@@ -228,7 +226,7 @@ def layered_compress(
     full_text = _render_checked(task, tree)
 
     def f(definitions):
-        return [r.mean_score for r in score_many(definitions, task, fit, backend, params, cache)]
+        return [r.mean_score for r in score_many(definitions, task, fit, backend, cache)]
 
     [full_score] = f([full_text])
     baseline = full_score

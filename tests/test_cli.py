@@ -1,3 +1,4 @@
+import inspect
 import io
 import json
 import logging
@@ -20,11 +21,11 @@ from defkit.annotations import (
     Span,
     validate_annotation,
 )
-from defkit.cli import _scorer_config, build_parser, main
-from defkit import metrics, parse
+from defkit.cli import main
+from defkit import metrics, parse, scorer
 from defkit.corpus import TaskKind, load_task_file, split_examples
 from defkit.parse import parse_bracketed
-from defkit.scorer import PlantedPhraseBackend, ScorerConfig
+from defkit.scorer import GenerationParams, PlantedPhraseBackend
 from defkit.stdc import compress
 from defkit.stubserver import StubServer
 
@@ -1156,6 +1157,18 @@ class TestErrorTable:
         assert exc.value.code == 64
         assert "--train-tasks and --test-tasks go together" in capsys.readouterr().err
 
+    def test_score_takes_one_definition_source(self, tmp_path, capsys):
+        """`--definition` and `--definition-file` exclude each other: score
+        refuses the pair rather than read one and drop the other."""
+        _, commands = pipeline(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([*commands["score"], "--definition", "the fox"])
+        assert exc.value.code == 64
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "defkit score: error: argument --definition: not allowed with argument "
+            "--definition-file"
+        )
+
     @pytest.mark.parametrize("command", ["compress", "triplet"])
     def test_bad_second_parse_line_fails_before_the_first_task_runs(
         self, tmp_path, capsys, command
@@ -1244,30 +1257,61 @@ class TestErrorTable:
         assert len(err.getvalue().splitlines()) <= 1, err.getvalue()
 
 
-# ScorerConfig field -> (the flag that sets it, a value for the flag, the value it
-# gives the field, which is not the field's default)
+# Each parameter of `scorer.build_backend` but `params`, and each field of
+# `GenerationParams` -> (the flag that sets it, a value for the flag, the
+# value it gives the setting, which is not the setting's default)
 SCORER_FLAGS = {
-    "backend": ("--backend", "keyword", "keyword"),
+    "name": ("--backend", "constant", "constant"),
     "endpoint_url": ("--endpoint-url", "http://127.0.0.1:9/x", "http://127.0.0.1:9/x"),
+    "constant_value": ("--constant-value", "0.25", 0.25),
+    "phrase": ("--phrase", "quick fox", "quick fox"),
     "max_new_tokens": ("--max-new-tokens", "7", 7),
     "temperature": ("--temperature", "0.5", 0.5),
     "seed": ("--seed", "3", 3),
-    "constant_value": ("--constant-value", "0.25", 0.25),
-    "planted_phrase": ("--phrase", "quick fox", "quick fox"),
 }
 
 
+class _Built(Exception):
+    """What `build_backend` was called with, raised in its place."""
+
+
+def _capture_build_backend(name, params, **settings):
+    raise _Built({"name": name, **settings, **{f: getattr(params, f) for f in fields(params)}})
+
+
 @pytest.mark.parametrize("command", ["compress", "score"])
-def test_every_scorer_setting_has_a_flag(tmp_path, command):
-    """No ScorerConfig field is out of the CLI's reach: each has a flag on
-    both scoring commands that moves it off its default."""
+def test_every_scorer_setting_has_a_flag(tmp_path, monkeypatch, command):
+    """No backend setting is out of the CLI's reach: each setting that
+    `build_backend` takes, generation params included, has a flag on both
+    scoring commands that moves it off its default."""
     _, commands = pipeline(tmp_path)
-    assert set(fields(ScorerConfig)) == set(SCORER_FLAGS)
-    for name in fields(ScorerConfig):
-        flag, text, value = SCORER_FLAGS[name]
-        assert value != getattr(ScorerConfig, name)  # the field's default
-        cfg = _scorer_config(build_parser().parse_args([*commands[command], flag, text]))
-        assert getattr(cfg, name) == value, name
+    parameters = inspect.signature(scorer.build_backend).parameters
+    defaults = {name: p.default for name, p in parameters.items() if name != "params"}
+    defaults.update((name, getattr(GenerationParams, name)) for name in fields(GenerationParams))
+    assert set(defaults) == set(SCORER_FLAGS)
+    monkeypatch.setattr(scorer, "build_backend", _capture_build_backend)
+    for name, (flag, text, value) in SCORER_FLAGS.items():
+        assert value != defaults[name], name
+        with pytest.raises(_Built) as built:
+            main([*commands[command], flag, text])
+        assert built.value.args[0][name] == value, name
+
+
+def test_score_keys_the_cache_with_the_generation_flags(tmp_path):
+    """An in-process backend, too, keys the cache with the generation params
+    its flags give, in the bytes earlier versions wrote."""
+    files, commands = pipeline(tmp_path)
+    cache = tmp_path / "cache.jsonl"
+    flags = ["--max-new-tokens", "7", "--temperature", "0.5", "--seed", "3", "--cache", str(cache)]
+    with redirect_stdout(io.StringIO()):
+        assert main([*commands["score"], *flags]) == 0
+    task = load_task_file(files["task"])
+    fit, _ = split_examples(task, len(task.instances), 0, 3)
+    key = scorer.cache_key_for(
+        "keyword_label", "the quick fox", scorer.example_fingerprint(fit), GenerationParams(7, 0.5, 3)
+    )
+    assert [json.loads(line)["cache_key"] for line in cache.read_text().splitlines()] == [key]
+    assert key == "12e962adc307ababfa2d2e6fdb3569aba1a1b6ccbd33a2fc26602181abb43db2"
 
 
 def _modules_loaded_by(commands, modules, *python_flags):
@@ -1320,34 +1364,48 @@ def test_ablate_triplet_report_leave_the_scoring_stack_unloaded(tmp_path):
 
 HTTP_CLIENTS = ["requests", "urllib.request", "http.client"]
 
-# What each command, run alone, must not load besides stdlib dataclasses.
-UNLOADED = {
-    "report": [
-        "defkit.parse", "defkit.triplet", "defkit.scorer", "defkit.stdc", "defkit.manifest",
-        "defkit.ablation", "defkit.annotations",
+# The defkit modules each command, run alone, loads: these and no others.
+# README "Install" lists them.
+_EVERY_COMMAND = [
+    "defkit", "defkit._jsontext", "defkit._record", "defkit.cli", "defkit.corpus", "defkit.errors",
+]
+LOADED = {
+    "ablate": [
+        *_EVERY_COMMAND, "defkit.ablation", "defkit.annotations", "defkit.metrics",
+        "defkit.manifest",
     ],
+    "triplet": [
+        *_EVERY_COMMAND, "defkit.annotations", "defkit.parse", "defkit.triplet", "defkit.manifest",
+    ],
+    "report": [*_EVERY_COMMAND, "defkit.metrics"],
     "compress": [
-        "defkit.triplet", "urllib.request", "http.client", "defkit.ablation", "defkit.annotations",
+        *_EVERY_COMMAND, "defkit.metrics", "defkit.parse", "defkit.manifest", "defkit.scorer",
+        "defkit.stdc",
     ],
-    "score": ["defkit.ablation", "defkit.annotations"],
+    "score": [*_EVERY_COMMAND, "defkit.metrics", "defkit.scorer"],
 }
+
+# Other modules a command, run alone, must not load besides stdlib dataclasses
+UNLOADED = {"compress": ["urllib.request", "http.client"]}
 
 
 @pytest.mark.parametrize("command", ALL_COMMANDS)
 def test_each_command_loads_only_what_it_runs(tmp_path, command):
     """Each command in a fresh interpreter without site-packages (`-S`):
-    records are built without `dataclasses`, and a command imports only
-    the modules it runs."""
+    records are built without `dataclasses`, and a command imports exactly
+    the defkit modules it runs."""
     _, commands = pipeline(tmp_path)
     argv = commands[command]
     if command == "compress":
         phrase = argv.index("--phrase")
         argv = [*argv[:phrase], *argv[phrase + 2 :], "--allow-empty"]
         argv[argv.index("planted")] = "keyword"
-    modules = ["dataclasses", *UNLOADED.get(command, [])]
+    package = Path(defkit.__file__).parent
+    defkit_modules = [f"defkit.{p.stem}".removesuffix(".__init__") for p in package.glob("*.py")]
+    modules = ["dataclasses", *UNLOADED.get(command, []), *defkit_modules]
     codes, loaded = _modules_loaded_by([argv], modules, "-S")
     assert codes == [0]
-    assert loaded == []
+    assert sorted(loaded) == sorted(LOADED[command])
 
 
 def test_in_process_backends_load_no_http_client(tmp_path):

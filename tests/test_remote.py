@@ -26,6 +26,8 @@ from defkit.scorer import (
     PlantedPhraseBackend,
     RemoteBackend,
     ScoreCache,
+    cache_key_for,
+    example_fingerprint,
     score,
     score_many,
 )
@@ -86,6 +88,30 @@ class TestRemoteBackend:
         assert body["max_new_tokens"] == 32
         assert body["temperature"] == 0.5
         assert body["seed"] == 7
+
+    def test_cache_keys_name_the_params_a_score_was_made_with(self, tmp_path):
+        """A score generated at temperature 0.7 is not served to a backend
+        that generates at 0.0: each backend keys the cache with its own
+        params, so the second backend POSTs and writes a line of its own."""
+        task = echo_task(2)
+        fit = fit_set(task)
+        cache = ScoreCache(tmp_path / "cache.jsonl")
+        with StubServer() as server:
+            backends = [
+                RemoteBackend(server.url, GenerationParams(temperature=0.7)),
+                RemoteBackend(server.url, GenerationParams()),
+            ]
+            for backend in backends:
+                score(task.definition, task, fit, backend, cache=cache)
+            temperatures = [r["body"]["temperature"] for r in server.requests]
+        cache.close()
+        assert temperatures == [0.7, 0.0]
+        assert cache.hits == 0
+        lines = cache.path.read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["cache_key"] for line in lines] == [
+            cache_key_for(b.backend_id, task.definition, example_fingerprint(fit), b.params)
+            for b in backends
+        ]
 
     def test_bearer_token_from_environment(self, monkeypatch):
         monkeypatch.setenv("DEFKIT_API_KEY", "sekrit")

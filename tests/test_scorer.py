@@ -20,7 +20,6 @@ from defkit.scorer import (
     PlantedPhraseBackend,
     ScoreCache,
     ScoreRecord,
-    ScorerConfig,
     build_backend,
     cache_key_for,
     example_fingerprint,
@@ -106,7 +105,13 @@ class TestBackends:
 
     def test_build_backend_requires_endpoint(self):
         with pytest.raises(InvariantError):
-            ScorerConfig(backend="remote")
+            build_backend("remote", GenerationParams())
+
+    @pytest.mark.parametrize("name", ["remote", "constant", "planted", "keyword"])
+    def test_build_backend_gives_the_backend_its_params(self, name):
+        params = GenerationParams(max_new_tokens=7, temperature=0.5, seed=3)
+        backend = build_backend(name, params, endpoint_url="http://127.0.0.1:9/x", phrase="alpha")
+        assert backend.params == params
 
     def test_deterministic_repeat(self, gen_task):
         backend = PlantedPhraseBackend("alpha")
