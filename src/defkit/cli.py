@@ -9,7 +9,7 @@ import os
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from . import __version__
 from .corpus import (
@@ -41,7 +41,7 @@ EXIT_USAGE = 64
 
 # What `main` does with an exception a command raises: the first class that
 # matches gives the exit code. A command that goes on past a failed task
-# collects that failure itself and prints it as a "validation failure".
+# (`_Run.results`) prints that failure as a "validation failure" instead.
 _EXIT_CODES = (
     (ConfigError, EXIT_USAGE),
     (BackendError, EXIT_BACKEND),
@@ -102,29 +102,18 @@ def _annotations_by_task(path: str) -> dict[str, AnnotationSet]:
     return by_task
 
 
-def _valid_annotation(
-    task: Task, anns: dict[str, AnnotationSet], failures: list[str]
-) -> AnnotationSet | None:
-    """The task's annotation record if it is valid for the task; otherwise
-    None, after adding the reason to failures."""
+def _annotation(task: Task, anns: dict[str, AnnotationSet]) -> AnnotationSet:
+    """The task's annotation record; a ValidationError if it has none or the
+    record does not fit the task's definition."""
     from .annotations import validate_annotation
 
     ann = anns.get(task.id)
     if ann is None:
-        failures.append(f"{task.id}: no annotation record")
-        return None
+        raise ValidationError("no annotation record")
     report = validate_annotation(task, ann)
     if not report.ok:
-        failures.append(f"{task.id}: {'; '.join(report.problems)}")
-        return None
+        raise ValidationError("; ".join(report.problems))
     return ann
-
-
-def _failure(task: Task, exc: DefkitError) -> str:
-    """What a "validation failure" line says of a task that failed: its id,
-    then the error without the "task ID: " its message may start with, so
-    that the line names the task once."""
-    return f"{task.id}: {str(exc).removeprefix(f'task {task.id}: ')}"
 
 
 def _load_parse_lines(path: str, tasks: list[Task]) -> list[tuple[str, int]]:
@@ -149,71 +138,130 @@ def _load_parse_lines(path: str, tasks: list[Task]) -> list[tuple[str, int]]:
     return checked
 
 
+class _Run:
+    """One run of a command over each task of `--tasks`: ablate, compress or
+    triplet. Making it loads the tasks, and the annotations and parse lines
+    if the command has flags for them; makes `--out`; and refuses to replace
+    an output (`summary.csv` too, with `--csv`) without `--force`.
+    `results` runs the tasks and `finish` writes the manifest once."""
+
+    def __init__(self, args, outputs: Callable[[list[Task]], list[str]]):
+        self.args = args
+        self.tasks = load_task_dir(args.tasks, lenient=args.lenient)
+        self.anns = _annotations_by_task(args.annotations) if "annotations" in args else None
+        self.parses = _load_parse_lines(args.parses, self.tasks) if "parses" in args else None
+        self.out = Path(args.out)
+        self.out.mkdir(parents=True, exist_ok=True)
+        self.outputs = [self.out / name for name in outputs(self.tasks)]
+        csv = [self.out / "summary.csv"] if getattr(args, "csv", False) else []
+        _check_overwrite([*self.outputs, *csv], args.force)
+        self.failures: list[str] = []
+        self.backend_errors: list[BackendError] = []
+
+    def results(self, run_task: Callable, mapper: Callable = map) -> Iterator[tuple[Task, Any]]:
+        """(task, run_task(task, *inputs)) of each task that raised no
+        DefkitError, in task-file order, as `mapper` yields them. The inputs
+        are the task's checked annotation and its parse tree, those the
+        command has. A failed task is kept for `finish`."""
+        if self.parses is not None:
+            from .parse import parse_bracketed
+
+        def attempt(i: int):
+            task = self.tasks[i]
+            try:
+                inputs = [] if self.anns is None else [_annotation(task, self.anns)]
+                if self.parses is not None:
+                    # parsed here, so only running tasks hold a tree
+                    inputs.append(parse_bracketed(*self.parses[i]))
+                return run_task(task, *inputs)
+            except DefkitError as exc:
+                return exc
+
+        for task, result in zip(self.tasks, mapper(attempt, range(len(self.tasks)))):
+            if isinstance(result, BackendError):
+                self.backend_errors.append(result)
+            elif isinstance(result, DefkitError):
+                # the error may name the task too; the line names it once
+                self.failures.append(f"{task.id}: {str(result).removeprefix(f'task {task.id}: ')}")
+            else:
+                yield task, result
+
+    def table(self, headers: list[str], rows: list[list[str]], csv_headers=None) -> None:
+        print(_format_table(headers, rows))
+        if self.args.csv:
+            _write_csv(self.out / "summary.csv", csv_headers or headers, rows)
+
+    def finish(self, config: dict, seeds: list[int], extra: dict | None = None) -> int:
+        """Write the manifest, digesting `--annotations` and `--parses` if
+        the command has them; then print a line per failed task, and raise
+        the first backend error or return the exit code."""
+        from .manifest import file_digest, write_manifest
+
+        inputs = [vars(self.args)[flag] for flag in ("annotations", "parses") if flag in self.args]
+        write_manifest(self.out, config, {path: file_digest(path) for path in inputs}, seeds, extra)
+        for failure in self.failures:
+            print(f"validation failure: {failure}", file=sys.stderr)
+        if self.backend_errors:
+            raise self.backend_errors[0]
+        return EXIT_VALIDATION if self.failures else EXIT_OK
+
+
+def _backend(args):
+    """The backend that the backend flags of compress or score name."""
+    from .scorer import GenerationParams, build_backend
+
+    return build_backend(
+        args.backend,
+        GenerationParams(args.max_new_tokens, args.temperature, args.seed),
+        endpoint_url=args.endpoint_url,
+        constant_value=args.constant_value,
+        phrase=args.phrase,
+    )
+
+
 # ---------------------------------------------------------------- ablate
 
 
 def cmd_ablate(args) -> int:
+    from contextlib import ExitStack
+
     from .ablation import AblationName, AblationSpec, remove_spans
-    from .manifest import file_digest, write_manifest
 
-    tasks = load_task_dir(args.tasks, lenient=args.lenient)
-    anns = _annotations_by_task(args.annotations)
-    if args.spec == "all":
-        specs = [AblationSpec(name) for name in AblationName]
-    else:
-        specs = [AblationSpec(AblationName(args.spec))]
+    names = list(AblationName) if args.spec == "all" else [AblationName(args.spec)]
+    specs = [AblationSpec(name) for name in names]
+    run = _Run(args, lambda tasks: [f"{spec.name.value}.jsonl" for spec in specs])
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_files = [out_dir / f"{spec.name.value}.jsonl" for spec in specs]
-    _check_overwrite(out_files, args.force)
-
-    failures: list[str] = []
-    valid = [(task, ann) for task in tasks if (ann := _valid_annotation(task, anns, failures))]
-    summary_rows: list[list[str]] = []
-    for spec, out_file in zip(specs, out_files):
-        ratios = []
-        with out_file.open("w", encoding="utf-8") as fh:
-            for task, ann in valid:
-                ablated = remove_spans(task, ann, spec)
-                if ablated.ratio == 1.0 and not any(
-                    s.category in spec.removed_categories for s in ann.spans
-                ):
-                    logger.warning(
-                        "task %s: no %s spans to remove; ratio 1.0",
-                        task.id,
-                        spec.name.value,
-                    )
-                fh.write(
-                    json.dumps(
-                        {
-                            "task_id": task.id,
-                            "spec": spec.name.value,
-                            "text": ablated.text,
-                            "ratio": ablated.ratio,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
+    def ablate(task, ann):
+        ablated = [remove_spans(task, ann, spec) for spec in specs]
+        for spec, variant in zip(specs, ablated):
+            if variant.ratio == 1.0 and not any(
+                s.category in spec.removed_categories for s in ann.spans
+            ):
+                logger.warning(
+                    "task %s: no %s spans to remove; ratio 1.0", task.id, spec.name.value
                 )
-                ratios.append(ablated.ratio)
-        mean = sum(ratios) / len(ratios) if ratios else 0.0
-        summary_rows.append([spec.name.value, f"{100 * mean:.0f}%", str(len(ratios))])
+        return ablated
 
-    print(_format_table(["spec", "%C", "tasks"], summary_rows))
-    if args.csv:
-        _write_csv(out_dir / "summary.csv", ["spec", "pct_c", "tasks"], summary_rows)
-    write_manifest(
-        out_dir,
-        config={"spec": args.spec, "lenient": args.lenient},
-        input_digests={args.annotations: file_digest(args.annotations)},
-        seeds=[],
-    )
-    if failures:
-        for failure in sorted(set(failures)):
-            print(f"validation failure: {failure}", file=sys.stderr)
-        return EXIT_VALIDATION
-    return EXIT_OK
+    ratios: list[list[float]] = [[] for _ in specs]
+    with ExitStack() as stack:
+        files = [stack.enter_context(path.open("w", encoding="utf-8")) for path in run.outputs]
+        for task, ablated in run.results(ablate):
+            for spec, fh, variant, spec_ratios in zip(specs, files, ablated, ratios):
+                row = {
+                    "task_id": task.id,
+                    "spec": spec.name.value,
+                    "text": variant.text,
+                    "ratio": variant.ratio,
+                }
+                fh.write(json.dumps(row, sort_keys=True) + "\n")
+                spec_ratios.append(variant.ratio)
+
+    rows = [
+        [spec.name.value, f"{100 * (sum(r) / len(r) if r else 0.0):.0f}%", str(len(r))]
+        for spec, r in zip(specs, ratios)
+    ]
+    run.table(["spec", "%C", "tasks"], rows, ["spec", "pct_c", "tasks"])
+    return run.finish({"spec": args.spec, "lenient": args.lenient}, [])
 
 
 # ---------------------------------------------------------------- compress
@@ -223,108 +271,58 @@ def cmd_compress(args) -> int:
     from concurrent.futures import ThreadPoolExecutor
 
     from ._jsontext import indented
-    from .manifest import file_digest, write_manifest
-    from .parse import parse_bracketed
-    from .scorer import GenerationParams, ScoreCache, build_backend
+    from .scorer import ScoreCache
     from .stdc import StdcConfig, compress, evaluate_holdout
 
-    backend = build_backend(
-        args.backend,
-        GenerationParams(args.max_new_tokens, args.temperature, args.seed),
-        endpoint_url=args.endpoint_url,
-        constant_value=args.constant_value,
-        phrase=args.phrase,
-    )
+    backend = _backend(args)
     stdc_cfg = StdcConfig(
         baseline_mode=args.mode,
         epsilon=args.epsilon,
         allow_empty_result=args.allow_empty,
     )
-    tasks = load_task_dir(args.tasks, lenient=args.lenient)
-    lines = _load_parse_lines(args.parses, tasks)
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _check_overwrite([out_dir / f"{t.id}.json" for t in tasks], args.force)
-
+    run = _Run(args, lambda tasks: [f"{t.id}.json" for t in tasks])
     cache = ScoreCache(args.cache) if args.cache else None
 
-    failures: list[str] = []
-    backend_errors: list[BackendError] = []
-    table_rows: list[list[str]] = []
-    aggregates: list[tuple[float, float, float, float]] = []
+    def compress_task(task, tree):
+        fit, holdout = split_examples(task, args.fit_n, args.holdout_n, args.seed)
+        result = compress(task, tree, fit, backend, stdc_cfg, cache)
+        report = None  # --holdout-n 0: no holdout to measure
+        if holdout.instance_ids:
+            report = evaluate_holdout(
+                task, result, holdout, backend, cache, strict=not args.non_strict_coverage
+            )
+        return result, report
 
-    def safe_run(task_line):
-        """(task, result, report), or (task, the error, None) if the task failed."""
-        task, (line, trees) = task_line
-        try:
-            fit, holdout = split_examples(task, args.fit_n, args.holdout_n, args.seed)
-            tree = parse_bracketed(line, trees)  # parsed here, so only running tasks hold a tree
-            result = compress(task, tree, fit, backend, stdc_cfg, cache)
-            report = None  # --holdout-n 0: no holdout to measure
-            if holdout.instance_ids:
-                report = evaluate_holdout(
-                    task, result, holdout, backend, cache, strict=not args.non_strict_coverage
-                )
-        except DefkitError as exc:
-            return task, exc, None
-        return task, result, report
-
+    rows: list[list[str]] = []
+    aggregates: list[tuple[float, ...]] = []
     try:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            outcomes = list(pool.map(safe_run, zip(tasks, lines)))
+            for task, (result, report) in run.results(compress_task, pool.map):
+                payload = {"compression": result, "holdout": report}
+                (run.out / f"{task.id}.json").write_text(indented(payload) + "\n")
+                if report is None:
+                    aggregates.append((result.ratio,))
+                else:
+                    aggregates.append((result.ratio, report.before, report.after, report.coverage))
+                rows.append([task.id, *_compress_columns(aggregates[-1])])
     finally:
         if cache is not None:
             cache.close()
 
-    for task, result, report in outcomes:
-        if isinstance(result, BackendError):
-            backend_errors.append(result)
-            continue
-        if isinstance(result, DefkitError):
-            failures.append(_failure(task, result))
-            continue
-        payload = {"compression": result, "holdout": report}
-        (out_dir / f"{task.id}.json").write_text(indented(payload) + "\n")
-        if report is None:
-            aggregates.append((result.ratio,))
-        else:
-            aggregates.append((result.ratio, report.before, report.after, report.coverage))
-        table_rows.append([task.id, *_compress_columns(aggregates[-1])])
-
     if aggregates:
         n = len(aggregates)
-        table_rows.append(["MEAN", *_compress_columns([sum(col) / n for col in zip(*aggregates)])])
-    headers = ["task", "ratio", "before", "after", "coverage"]
-    print(_format_table(headers, table_rows))
-    if args.csv:
-        _write_csv(out_dir / "summary.csv", headers, table_rows)
-
-    write_manifest(
-        out_dir,
-        config={
-            "backend": args.backend,
-            "mode": args.mode,
-            "epsilon": args.epsilon,
-            "fit_n": args.fit_n,
-            "holdout_n": args.holdout_n,
-            "temperature": args.temperature,
-            "max_new_tokens": args.max_new_tokens,
-        },
-        input_digests={args.parses: file_digest(args.parses)},
-        seeds=[args.seed],
-        extra={
+        rows.append(["MEAN", *_compress_columns([sum(col) / n for col in zip(*aggregates)])])
+    run.table(["task", "ratio", "before", "after", "coverage"], rows)
+    config = ("backend", "mode", "epsilon", "fit_n", "holdout_n", "temperature", "max_new_tokens")
+    return run.finish(
+        {name: vars(args)[name] for name in config},
+        [args.seed],
+        {
             "backend_id": backend.backend_id,
             "backend_calls": backend.calls,
             "cache_hits": cache.hits if cache else 0,
         },
     )
-
-    for failure in failures:
-        print(f"validation failure: {failure}", file=sys.stderr)
-    if backend_errors:
-        raise backend_errors[0]
-    return EXIT_VALIDATION if failures else EXIT_OK
 
 
 def _compress_columns(values) -> list[str]:
@@ -438,52 +436,20 @@ def cmd_report(args) -> int:
 
 
 def cmd_triplet(args) -> int:
-    from .manifest import file_digest, write_manifest
-    from .parse import parse_bracketed
     from .triplet import build_triplet, meta_tuning_instances
 
-    tasks = load_task_dir(args.tasks, lenient=args.lenient)
-    anns = _annotations_by_task(args.annotations)
-    lines = _load_parse_lines(args.parses, tasks)
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    triplet_file = out_dir / "triplets.jsonl"
-    meta_file = out_dir / "meta_tuning.jsonl"
-    _check_overwrite([triplet_file, meta_file], args.force)
-
-    failures = []
+    run = _Run(args, lambda tasks: ["triplets.jsonl", "meta_tuning.jsonl"])
+    triplet_file, meta_file = run.outputs
     n_triplets = n_meta = 0
     with triplet_file.open("w", encoding="utf-8") as tf, meta_file.open("w", encoding="utf-8") as mf:
-        for task, (line, trees) in zip(tasks, lines):
-            ann = _valid_annotation(task, anns, failures)
-            if ann is None:
-                continue
-            try:
-                trip = build_triplet(task, ann, parse_bracketed(line, trees))
-            except DefkitError as exc:
-                failures.append(_failure(task, exc))
-                continue
+        for task, trip in run.results(build_triplet):
             tf.write(json.dumps(trip.to_dict(), sort_keys=True) + "\n")
             n_triplets += 1
             for inst in meta_tuning_instances(task, trip, split_outputs=args.split_outputs):
                 mf.write(json.dumps(inst.to_dict(), sort_keys=True) + "\n")
                 n_meta += 1
-    print(f"wrote {n_triplets} triplets and {n_meta} meta-tuning instances to {out_dir}")
-    write_manifest(
-        out_dir,
-        config={"split_outputs": args.split_outputs},
-        input_digests={
-            args.annotations: file_digest(args.annotations),
-            args.parses: file_digest(args.parses),
-        },
-        seeds=[],
-    )
-    if failures:
-        for failure in failures:
-            print(f"validation failure: {failure}", file=sys.stderr)
-        return EXIT_VALIDATION
-    return EXIT_OK
+    print(f"wrote {n_triplets} triplets and {n_meta} meta-tuning instances to {run.out}")
+    return run.finish({"split_outputs": args.split_outputs}, [])
 
 
 # ---------------------------------------------------------------- score
@@ -491,17 +457,13 @@ def cmd_triplet(args) -> int:
 
 def cmd_score(args) -> int:
     from ._jsontext import indented
-    from .scorer import GenerationParams, ScoreCache, build_backend, score
+    from .scorer import ScoreCache, score
 
-    backend = build_backend(
-        args.backend,
-        GenerationParams(args.max_new_tokens, args.temperature, args.seed),
-        endpoint_url=args.endpoint_url,
-        constant_value=args.constant_value,
-        phrase=args.phrase,
-    )
+    backend = _backend(args)
     task = load_task_file(args.task, lenient=args.lenient)
-    if args.definition_file:
+    if args.definition_file is not None:
+        if not args.definition_file:
+            raise FileNotFoundError("--definition-file: the path is empty")
         try:
             definition = Path(args.definition_file).read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:

@@ -21,7 +21,7 @@ from defkit.annotations import (
     Span,
     validate_annotation,
 )
-from defkit.cli import main
+from defkit.cli import build_parser, main
 from defkit import metrics, parse, scorer
 from defkit.corpus import TaskKind, load_task_file, split_examples
 from defkit.parse import parse_bracketed
@@ -235,6 +235,64 @@ class TestAblateCommand:
             ]
         )
         assert rc == 1
+
+    def test_no_spans_warnings_come_task_by_task(self, tmp_path, caplog):
+        """Every spec file is written in one pass over the tasks, so a task's
+        warnings for all its specs come before the next task's."""
+        tasks_dir, ann_file = review_corpus(tmp_path)
+        caplog.set_level(logging.WARNING, logger="defkit.cli")
+        assert main([
+            "ablate", "--tasks", str(tasks_dir), "--annotations", str(ann_file),
+            "--spec", "all", "--out", str(tmp_path / "out"),
+        ]) == 0
+        adds = ["input_add", "output_add", "all_add"]
+        assert [r.getMessage() for r in caplog.records] == [
+            f"task {task_id}: no {spec} spans to remove; ratio 1.0"
+            for task_id, specs in [
+                ("task_fox", [*adds, "label_list", "label_desc", "all_label", "all_output"]),
+                ("task_review", [*adds, "label_desc"]),
+            ]
+            for spec in specs
+        ]
+
+
+@pytest.mark.parametrize("command", ["ablate", "triplet"])
+def test_failure_lines_follow_task_file_order(tmp_path, capsys, command):
+    """Not the order of the task ids: `b.json` holds task_a and `a.json`
+    task_z, and task_z's line comes first, as in compress."""
+    tasks_dir, parses = fox_corpus(tmp_path)
+    fox = load_task_file(tasks_dir / "task_fox.json")
+    for name, task_id in [("a", "task_z"), ("b", "task_a")]:
+        write_task_file(tasks_dir / f"{name}.json", replace(fox, id=task_id))
+    parses.write_text((FOX_TREE_TEXT + "\n") * 3, encoding="utf-8")
+    args = {"ablate": ["--spec", "all"], "triplet": ["--parses", str(parses)]}[command]
+    assert main([
+        command, "--tasks", str(tasks_dir), "--annotations", str(fox_annotations(tmp_path)),
+        "--out", str(tmp_path / "out"), *args,
+    ]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "validation failure: task_z: no annotation record",
+        "validation failure: task_a: no annotation record",
+    ]
+
+
+@pytest.mark.parametrize("command", ["ablate", "compress"])
+def test_csv_refuses_to_replace_a_summary_without_force(tmp_path, capsys, command):
+    """An `OUT/summary.csv` from an earlier run is an output like the
+    others: `--csv` replaces it only with `--force`."""
+    _, commands = pipeline(tmp_path)
+    summary = tmp_path / "out" / "summary.csv"
+    summary.parent.mkdir()
+    summary.write_text("earlier\n")
+    assert main([*commands[command], "--csv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: refusing to overwrite {summary} (and possibly others); pass --force"
+    ]
+    assert captured.out == ""
+    assert summary.read_text() == "earlier\n"
+    assert main([*commands[command], "--csv", "--force"]) == 0
+    assert summary.read_text() != "earlier\n"
 
 
 class TestCompressCommand:
@@ -726,6 +784,16 @@ class TestScoreCommand:
         record = json.loads(capsys.readouterr().out)
         assert record["definition"] == "only alpha here"
         assert record["mean_score"] == 1.0
+
+    def test_empty_definition_file_path_exit1(self, tmp_path, capsys):
+        """An empty `--definition-file` is an unreadable file, not a request
+        for the task's own definition."""
+        path = write_task_file(tmp_path / "t.json", make_task(task_id="t"))
+        rc = main(["score", "--task", str(path), "--definition-file", "", "--backend", "keyword"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: --definition-file: the path is empty"]
+        assert captured.out == ""
 
     def test_remote_server_error_exit3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(time, "sleep", lambda s: None)
@@ -1312,6 +1380,56 @@ def test_score_keys_the_cache_with_the_generation_flags(tmp_path):
     )
     assert [json.loads(line)["cache_key"] for line in cache.read_text().splitlines()] == [key]
     assert key == "12e962adc307ababfa2d2e6fdb3569aba1a1b6ccbd33a2fc26602181abb43db2"
+
+
+# Flags of the commands that write a manifest that the manifest does not
+# record, each with the reason. `--seed` of ablate and triplet is accepted
+# for the benchmark's variants workload and read by nothing.
+UNRECORDED = {
+    "--out": "the directory the manifest is in",
+    "--force": "whether an earlier run's outputs may be replaced; no output changes",
+    "--csv": "the printed table, written once more as summary.csv",
+    "--jobs": "results are the same at any --jobs",
+    "--cache": "a cached score is the score the backend gave for the same key",
+    "ablate --seed": "read by nothing",
+    "triplet --seed": "read by nothing",
+}
+# Recording these changes the manifest bytes that the benchmark's seed-0
+# digests hash, so they wait for the benchmark to re-record its digests
+# (ROADMAP item 10)
+PENDING = {
+    "ablate": {"--tasks"},
+    "compress": {"--tasks", "--allow-empty", "--non-strict-coverage", "--lenient"},
+    "triplet": {"--tasks", "--lenient"},
+}
+# The backend flags that `extra.backend_id` carries
+BACKEND_ID_FLAGS = {"--endpoint-url", "--constant-value", "--phrase"}
+
+
+@pytest.mark.parametrize("command", sorted(PENDING))
+def test_every_flag_is_recorded_in_the_manifest_or_listed(tmp_path, command):
+    """A flag of a command that writes a manifest is in its config, names a
+    digested input, gives its seeds, or is carried by its backend id; or it
+    is listed above with the reason it is not. A listed flag is not recorded."""
+    _, commands = pipeline(tmp_path)
+    parser = build_parser()
+    subparser = parser._subparsers._group_actions[0].choices[command]
+    args = parser.parse_args(commands[command])
+    assert main(commands[command]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+    for action in subparser._actions:
+        if not action.option_strings or action.dest == "help":
+            continue
+        flag, value = action.option_strings[0], getattr(args, action.dest)
+        recorded = (
+            action.dest in manifest["config"]
+            or (isinstance(value, str) and value in manifest["input_digests"])
+            or (flag == "--seed" and manifest["seeds"] == [value])
+            or (flag in BACKEND_ID_FLAGS and "backend_id" in manifest["extra"])
+        )
+        listed = flag in UNRECORDED or f"{command} {flag}" in UNRECORDED
+        listed = listed or flag in PENDING[command]
+        assert recorded != listed, (flag, "recorded" if recorded else "neither recorded nor listed")
 
 
 def _modules_loaded_by(commands, modules, *python_flags):
