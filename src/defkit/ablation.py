@@ -3,17 +3,14 @@
 from __future__ import annotations
 
 import enum
-import logging
 import random
 import re
 
 from ._record import record
 from .annotations import AnnotationSet, ContentCategory, validate_annotation
 from .corpus import Task, TaskKind
-from .errors import InvariantError, ValidationError
+from .errors import InvariantError, ValidationError, warn
 from .metrics import compression_ratio  # also public here, as ablation.compression_ratio
-
-logger = logging.getLogger(__name__)
 
 
 class AblationName(enum.Enum):
@@ -134,9 +131,9 @@ def build_metadata_definition(task: Task) -> str:
         raise InvariantError(f"task {task.id}: classification without label_list")
     for slot, value in (("reasoning type", task.reasoning_types), ("domain", task.domains)):
         if not value:
-            logger.warning("task %s: empty %s slot in metadata definition", task.id, slot)
+            warn(__name__, f"task {task.id}: empty {slot} slot in metadata definition")
     if not task.category:
-        logger.warning("task %s: empty category slot in metadata definition", task.id)
+        warn(__name__, f"task {task.id}: empty category slot in metadata definition")
     labels = (
         "generate free text"
         if task.kind is TaskKind.GENERATION

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
 from collections import Counter
@@ -22,6 +21,7 @@ from .errors import (
     SchemaError,
     UnbalancedError,
     ValidationError,
+    warn,
 )
 
 # Each command imports the modules it runs when it runs, so that a process
@@ -30,8 +30,6 @@ from .errors import (
 # scorer, stdc or concurrent.futures.
 if TYPE_CHECKING:
     from .annotations import AnnotationSet
-
-logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -95,10 +93,8 @@ def _annotations_by_task(path: str) -> dict[str, AnnotationSet]:
     by_task = {ann.task_id: ann for ann in reversed(anns)}  # the first record wins
     for task_id, n in Counter(ann.task_id for ann in anns).items():
         if n > 1:
-            logger.warning(
-                "task %s: %d annotation records; using annotator %s's",
-                task_id, n, by_task[task_id].annotator,
-            )
+            annotator = by_task[task_id].annotator
+            warn(__name__, f"task {task_id}: {n} annotation records; using annotator {annotator}'s")
     return by_task
 
 
@@ -237,9 +233,7 @@ def cmd_ablate(args) -> int:
             if variant.ratio == 1.0 and not any(
                 s.category in spec.removed_categories for s in ann.spans
             ):
-                logger.warning(
-                    "task %s: no %s spans to remove; ratio 1.0", task.id, spec.name.value
-                )
+                warn(__name__, f"task {task.id}: no {spec.name.value} spans to remove; ratio 1.0")
         return ablated
 
     ratios: list[list[float]] = [[] for _ in specs]
@@ -598,7 +592,6 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "report" and (args.train_tasks is None) != (args.test_tasks is None):

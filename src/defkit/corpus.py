@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import enum
 import json
-import logging
 import math
 import random
 from functools import cached_property
@@ -12,9 +11,7 @@ from pathlib import Path
 from typing import Callable, Iterator
 
 from ._record import record
-from .errors import InvariantError, SchemaError, SizeError
-
-logger = logging.getLogger(__name__)
+from .errors import InvariantError, SchemaError, SizeError, warn
 
 # The one prompt every definition is scored through: the Super-NaturalInstructions
 # layout of definition, two positive examples, then the instance input.
@@ -144,7 +141,7 @@ def task_from_dict(data: dict, *, lenient: bool = False, where: str = "task") ->
     unknown = set(data) - known
     if unknown:
         if lenient:
-            logger.warning("%s: ignoring unknown keys %s", where, sorted(unknown))
+            warn(__name__, f"{where}: ignoring unknown keys {sorted(unknown)}")
         else:
             raise SchemaError(f"{where}: unknown keys {sorted(unknown)}")
     for key, typ in _TASK_KEYS.items():

@@ -1,4 +1,13 @@
-"""Exception hierarchy shared by all defkit modules."""
+"""Exception hierarchy shared by all defkit modules, and `warn`, their one
+warning writer."""
+
+import sys
+
+
+def warn(source: str, message: str) -> None:
+    """Write the line `WARNING source: message` to the current `sys.stderr`,
+    in one write. `source` is the warning module's `__name__`."""
+    sys.stderr.write(f"WARNING {source}: {message}\n")
 
 
 class DefkitError(Exception):

@@ -7,7 +7,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import logging
 import math
 import os
 import threading
@@ -19,10 +18,8 @@ from typing import Sequence
 
 from ._record import record
 from .corpus import ExampleSet, Instance, Task, assemble_prompt, finite_number, numbered_lines
-from .errors import BackendError, BackendTimeoutError, ConfigError, InvariantError, ScorerError
+from .errors import BackendError, BackendTimeoutError, ConfigError, InvariantError, ScorerError, warn
 from .metrics import normalize, rouge_l
-
-logger = logging.getLogger(__name__)
 
 API_KEY_ENV = "DEFKIT_API_KEY"
 
@@ -335,8 +332,6 @@ def _string(value) -> str:
     return value
 
 
-# Example sets whose fingerprints are kept; a compress run scores two per task.
-@functools.lru_cache(maxsize=1024)
 def example_fingerprint(examples: ExampleSet) -> str:
     payload = json.dumps(
         [examples.task_id, examples.role.value, list(examples.instance_ids)],
@@ -373,7 +368,7 @@ def _key_parts(backend_id: str, fingerprint: str, params: GenerationParams):
 class ScoreCache:
     """Append-only JSONL store of ScoreRecords, keyed by cache_key.
 
-    Corrupted lines are skipped with a log message; last write wins for
+    Corrupted lines are skipped with a warning; last write wins for
     duplicate keys. `get` counts hits; `get` and `put` are safe under
     threads. The file is opened for appending on the first `put` and each
     record is flushed as it is written; `close` releases the handle.
@@ -395,7 +390,7 @@ class ScoreCache:
                 self._records[record.cache_key] = record
 
     def _skip_line(self, lineno: int) -> None:
-        logger.warning("%s:%d: skipping corrupted cache line", self.path, lineno)
+        warn(__name__, f"{self.path}:{lineno}: skipping corrupted cache line")
 
     def __contains__(self, key: str) -> bool:
         return key in self._records
@@ -559,7 +554,7 @@ def __getattr__(name: str):
     # imports `requests` when, and only when, code asks for that name; nothing
     # in defkit does. `pip install -e '.[benchmark]'` provides it. The paired
     # `[benchmark]` change deletes the bridge and that extra when the tracer
-    # wraps the urllib transport instead (ROADMAP item 3).
+    # wraps the urllib transport instead (ROADMAP items 1 and 5).
     if name == "requests":
         import requests
 

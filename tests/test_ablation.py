@@ -200,12 +200,13 @@ class TestMetadataDefinition:
         task = make_task(kind=TaskKind.GENERATION, label_list=None)
         assert build_metadata_definition(task).endswith("Label list: generate free text")
 
-    def test_empty_domains_warns(self, caplog):
+    def test_empty_domains_warns(self, capsys):
         task = make_task(domains=())
-        with caplog.at_level("WARNING"):
-            text = build_metadata_definition(task)
+        text = build_metadata_definition(task)
         assert "Domain: ." in text
-        assert any("empty domain slot" in r.getMessage() for r in caplog.records)
+        assert capsys.readouterr().err.splitlines() == [
+            f"WARNING defkit.ablation: task {task.id}: empty domain slot in metadata definition"
+        ]
 
     def test_parse_back_into_fields(self):
         task = make_task(domains=("News", "Web"), reasoning_types=("A", "B"))

@@ -1,7 +1,6 @@
 import inspect
 import io
 import json
-import logging
 import os
 import subprocess
 import sys
@@ -116,6 +115,23 @@ def fox_annotations(tmp_path):
         "a1",
     )
     return write_annotations(tmp_path / "fox_ann.jsonl", [ann])
+
+
+# The specs of `--spec all` that find no span to remove in a fixture task:
+# task_fox has only input and action spans.
+_ADDS = ["input_add", "output_add", "all_add"]
+NO_SPANS = {
+    "task_fox": [*_ADDS, "label_list", "label_desc", "all_label", "all_output"],
+    "task_review": [*_ADDS, "label_desc"],
+}
+
+
+def no_spans_warnings(task_id):
+    """The stderr lines `ablate --spec all` prints for a fixture task."""
+    return [
+        f"WARNING defkit.cli: task {task_id}: no {spec} spans to remove; ratio 1.0"
+        for spec in NO_SPANS[task_id]
+    ]
 
 
 class TestAblateCommand:
@@ -236,23 +252,16 @@ class TestAblateCommand:
         )
         assert rc == 1
 
-    def test_no_spans_warnings_come_task_by_task(self, tmp_path, caplog):
+    def test_no_spans_warnings_come_task_by_task(self, tmp_path, capsys):
         """Every spec file is written in one pass over the tasks, so a task's
         warnings for all its specs come before the next task's."""
         tasks_dir, ann_file = review_corpus(tmp_path)
-        caplog.set_level(logging.WARNING, logger="defkit.cli")
         assert main([
             "ablate", "--tasks", str(tasks_dir), "--annotations", str(ann_file),
             "--spec", "all", "--out", str(tmp_path / "out"),
         ]) == 0
-        adds = ["input_add", "output_add", "all_add"]
-        assert [r.getMessage() for r in caplog.records] == [
-            f"task {task_id}: no {spec} spans to remove; ratio 1.0"
-            for task_id, specs in [
-                ("task_fox", [*adds, "label_list", "label_desc", "all_label", "all_output"]),
-                ("task_review", [*adds, "label_desc"]),
-            ]
-            for spec in specs
+        assert capsys.readouterr().err.splitlines() == [
+            *no_spans_warnings("task_fox"), *no_spans_warnings("task_review")
         ]
 
 
@@ -271,6 +280,7 @@ def test_failure_lines_follow_task_file_order(tmp_path, capsys, command):
         "--out", str(tmp_path / "out"), *args,
     ]) == 2
     assert capsys.readouterr().err.splitlines() == [
+        *(no_spans_warnings("task_fox") if command == "ablate" else []),
         "validation failure: task_z: no annotation record",
         "validation failure: task_a: no annotation record",
     ]
@@ -324,6 +334,33 @@ class TestCompressCommand:
         assert manifest["extra"]["backend_id"].startswith("planted:")
         out = capsys.readouterr().out
         assert "MEAN" in out and "task_fox" in out
+
+    def test_results_are_the_same_at_any_jobs(self, tmp_path):
+        """Two tasks at `--jobs 1` and `--jobs 2`, each with a fresh cache:
+        the same result files, summary, manifest bar its timestamp and
+        command line, and set of cache lines. The cache's lines come in the
+        order the scores are made, so only their set is fixed."""
+        tasks_dir, parses = fox_corpus(tmp_path)
+        fox = load_task_file(tasks_dir / "task_fox.json")
+        write_task_file(tasks_dir / "task_fox2.json", replace(fox, id="task_fox2"))
+        parses.write_text((FOX_TREE_TEXT + "\n") * 2, encoding="utf-8")
+
+        def run(jobs):
+            out, cache = tmp_path / f"jobs{jobs}", tmp_path / f"jobs{jobs}.jsonl"
+            assert main([
+                "compress", "--tasks", str(tasks_dir), "--parses", str(parses),
+                "--backend", "keyword", "--fit-n", "2", "--holdout-n", "2", "--allow-empty",
+                "--csv", "--cache", str(cache), "--jobs", str(jobs), "--out", str(out),
+            ]) == 0
+            files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+            manifest = json.loads((out / "manifest.json").read_text())
+            del manifest["timestamp"], manifest["command_line"]
+            return files, manifest, sorted(cache.read_text().splitlines())
+
+        files, manifest, cache_lines = run(1)
+        assert sorted(files) == ["summary.csv", "task_fox.json", "task_fox2.json"]
+        assert len(cache_lines) > 2
+        assert run(2) == (files, manifest, cache_lines)
 
     def test_cached_rerun_skips_backend(self, tmp_path):
         tasks_dir, parses = fox_corpus(tmp_path)
@@ -565,7 +602,7 @@ class TestReportCommand:
 
 @pytest.mark.parametrize("command", ["ablate", "triplet"])
 def test_second_annotation_record_of_a_task_is_dropped_with_a_warning(
-    tmp_path, caplog, command
+    tmp_path, capsys, command
 ):
     tasks_dir, parses = fox_corpus(tmp_path)
     first = AnnotationSet(
@@ -576,7 +613,8 @@ def test_second_annotation_record_of_a_task_is_dropped_with_a_warning(
     second = AnnotationSet("task_fox", (Span(14, 32, ContentCategory.ACTION_CONTENT),), "a2")
 
     def outputs(anns, name):
-        """The files the command writes, bar the manifest, which names its inputs."""
+        """The files the command writes, bar the manifest, which names its
+        inputs; and the lines it prints to stderr."""
         ann_file = write_annotations(tmp_path / f"{name}.jsonl", anns)
         out = tmp_path / name
         args = {"ablate": ["--spec", "all"], "triplet": ["--parses", str(parses)]}[command]
@@ -584,16 +622,91 @@ def test_second_annotation_record_of_a_task_is_dropped_with_a_warning(
             command, "--tasks", str(tasks_dir), "--annotations", str(ann_file),
             "--out", str(out), *args,
         ]) == 0
-        return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+        files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+        return files, capsys.readouterr().err.splitlines()
 
-    def warnings():
-        return [r.getMessage() for r in caplog.records if "annotation records" in r.getMessage()]
+    expected, one_record = outputs([first], "one")
+    assert one_record == (no_spans_warnings("task_fox") if command == "ablate" else [])
+    assert outputs([first, second], "two") == (
+        expected,
+        ["WARNING defkit.cli: task task_fox: 2 annotation records; using annotator a1's", *one_record],
+    )
 
-    caplog.set_level(logging.WARNING, logger="defkit.cli")
-    expected = outputs([first], "one")
-    assert warnings() == []
-    assert outputs([first, second], "two") == expected
-    assert warnings() == ["task task_fox: 2 annotation records; using annotator a1's"]
+
+def run_cli(args):
+    """The CLI in a fresh interpreter, as the `defkit` console script runs it:
+    `cli` is imported as `defkit.cli`, not run as `__main__`."""
+    src = Path(defkit.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from defkit.cli import main; sys.exit(main())", *args],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=300,
+    )
+
+
+def _warning_run(tmp_path, case):
+    """The argv of a CLI run that warns, and every line of the stderr it prints."""
+    fox_tasks, parses = fox_corpus(tmp_path)
+    out = str(tmp_path / "out")
+    if case in ("two-records-ablate", "two-records-triplet"):
+        command = case.removeprefix("two-records-")
+        second = AnnotationSet("task_fox", (Span(14, 32, ContentCategory.ACTION_CONTENT),), "a2")
+        anns = [*annotations.load_annotations(fox_annotations(tmp_path)), second]
+        ann_file = write_annotations(tmp_path / "two.jsonl", anns)
+        args = {"ablate": ["--spec", "all_input"], "triplet": ["--parses", str(parses)]}
+        argv = [
+            command, "--tasks", str(fox_tasks), "--annotations", str(ann_file), "--out", out,
+            *args[command],
+        ]
+        return argv, ["WARNING defkit.cli: task task_fox: 2 annotation records; using annotator a1's"]
+    if case == "no-spans-ablate":
+        tasks_dir, ann_file = review_corpus(tmp_path)
+        argv = [
+            "ablate", "--tasks", str(tasks_dir), "--annotations", str(ann_file), "--spec", "all",
+            "--out", out,
+        ]
+        return argv, [*no_spans_warnings("task_fox"), *no_spans_warnings("task_review")]
+    if case in ("lenient-score", "lenient-report"):
+        task_file = fox_tasks / "task_fox.json"
+        task_file.write_text(_with_task_fields(note="x", source="y")(task_file.read_text()))
+        if case == "lenient-score":
+            argv = ["score", "--task", str(task_file), "--lenient", "--backend", "keyword"]
+        else:
+            review_tasks, _ = review_corpus(tmp_path)
+            scores = tmp_path / "scores.jsonl"
+            scores.write_text(
+                json.dumps({"task_id": "task_review", "kind": "classification", "score": 1.0})
+                + "\n"
+            )
+            argv = [
+                "report", str(scores), "--train-tasks", str(fox_tasks),
+                "--test-tasks", str(review_tasks),
+            ]
+        return argv, [f"WARNING defkit.corpus: {task_file}: ignoring unknown keys ['note', 'source']"]
+    assert case == "corrupt-cache-compress"
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text("not json\n")
+    argv = [
+        "compress", "--tasks", str(fox_tasks), "--parses", str(parses), "--backend", "keyword",
+        "--fit-n", "2", "--holdout-n", "2", "--allow-empty", "--jobs", "1", "--cache", str(cache),
+        "--out", out,
+    ]
+    return argv, [f"WARNING defkit.scorer: {cache}:1: skipping corrupted cache line"]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "two-records-ablate", "two-records-triplet", "no-spans-ablate", "lenient-score",
+        "lenient-report", "corrupt-cache-compress",
+    ],
+)
+def test_warnings_through_the_cli(tmp_path, case):
+    """The whole stderr of a warning run in a fresh interpreter: each warning
+    is one line `WARNING defkit.MODULE: message`."""
+    argv, expected = _warning_run(tmp_path, case)
+    proc = run_cli(argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == expected
 
 
 class TestTripletCommand:
@@ -692,21 +805,11 @@ class TestDeepTrees:
 
     tree = "(X " * 10_000 + FOX_TREE_TEXT + ")" * 10_000
 
-    @staticmethod
-    def run_cli(args):
-        """The defkit CLI in a fresh interpreter, as a shell user runs it."""
-        src = Path(defkit.__file__).resolve().parents[1]
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        return subprocess.run(
-            [sys.executable, "-m", "defkit.cli", *args],
-            capture_output=True, text=True, env=env, timeout=300,
-        )
-
     def test_compress(self, tmp_path):
         tasks_dir, parses = fox_corpus(tmp_path)
         parses.write_text(self.tree + "\n", encoding="utf-8")
         out_dir = tmp_path / "out"
-        proc = self.run_cli(
+        proc = run_cli(
             [
                 "compress",
                 "--tasks", str(tasks_dir),
@@ -729,7 +832,7 @@ class TestDeepTrees:
         parses.write_text(self.tree + "\n", encoding="utf-8")
         ann_file = fox_annotations(tmp_path)
         out_dir = tmp_path / "out"
-        proc = self.run_cli(
+        proc = run_cli(
             [
                 "triplet",
                 "--tasks", str(tasks_dir),
@@ -825,7 +928,7 @@ class TestConfigErrors:
     def test_compress_remote_without_endpoint(self, tmp_path):
         tasks_dir, parses = fox_corpus(tmp_path)
         out_dir = tmp_path / "out"
-        proc = TestDeepTrees.run_cli(
+        proc = run_cli(
             [
                 "compress",
                 "--tasks", str(tasks_dir),
@@ -843,7 +946,7 @@ class TestConfigErrors:
         tasks_dir, parses = fox_corpus(tmp_path)
         out_dir = tmp_path / "out"
         for epsilon in ("-1", "nan"):
-            proc = TestDeepTrees.run_cli(
+            proc = run_cli(
                 [
                     "compress",
                     "--tasks", str(tasks_dir),
@@ -863,7 +966,7 @@ class TestConfigErrors:
     def test_compress_planted_without_a_word(self, tmp_path, phrase):
         tasks_dir, parses = fox_corpus(tmp_path)
         out_dir = tmp_path / "out"
-        proc = TestDeepTrees.run_cli(
+        proc = run_cli(
             [
                 "compress",
                 "--tasks", str(tasks_dir),
@@ -882,7 +985,7 @@ class TestConfigErrors:
     def test_score_planted_without_a_word(self, tmp_path, phrase):
         path = write_task_file(tmp_path / "task_one.json", make_task(task_id="task_one"))
         cache = tmp_path / "cache.jsonl"
-        proc = TestDeepTrees.run_cli(
+        proc = run_cli(
             [
                 "score", "--task", str(path), "--backend", "planted", "--cache", str(cache),
                 *(["--phrase", phrase] if phrase is not None else []),
@@ -894,7 +997,7 @@ class TestConfigErrors:
     def test_score_remote_without_endpoint(self, tmp_path):
         path = write_task_file(tmp_path / "task_one.json", make_task(task_id="task_one"))
         cache = tmp_path / "cache.jsonl"
-        proc = TestDeepTrees.run_cli(
+        proc = run_cli(
             ["score", "--task", str(path), "--backend", "remote", "--cache", str(cache)]
         )
         self.assert_usage_error(proc, "remote backend requires endpoint_url")
@@ -940,7 +1043,7 @@ class TestConfigErrors:
             ],
             "score": ["--task", str(tasks_dir / "task_fox.json")],
         }[command]
-        proc = TestDeepTrees.run_cli(
+        proc = run_cli(
             [command, *args, "--backend", "remote", "--cache", str(cache), *flags]
         )
         self.assert_usage_error(proc, message)
@@ -953,7 +1056,7 @@ class TestBadInputs:
 
     def test_score_more_instances_than_the_task_has(self, tmp_path):
         path = write_task_file(tmp_path / "t.json", make_task(task_id="t", n_instances=4))
-        proc = TestDeepTrees.run_cli(
+        proc = run_cli(
             ["score", "--task", str(path), "--backend", "constant", "--n", "1000"]
         )
         assert "Traceback" not in proc.stderr
@@ -1452,7 +1555,8 @@ def _modules_loaded_by(commands, modules, *python_flags):
 
 
 def test_ablate_triplet_report_leave_the_scoring_stack_unloaded(tmp_path):
-    """Only compress and score import the scorer, STDC and a thread pool."""
+    """Only compress and score import the scorer, STDC and a thread pool, and
+    `logging` comes only with the thread pool: defkit writes its own warnings."""
     review_tasks, review_ann = review_corpus(tmp_path)
     fox_tasks, parses = fox_corpus(tmp_path)
     fox_ann = fox_annotations(tmp_path)
@@ -1474,7 +1578,7 @@ def test_ablate_triplet_report_leave_the_scoring_stack_unloaded(tmp_path):
             "--train-tasks", str(fox_tasks), "--test-tasks", str(review_tasks),
         ],
     ]
-    heavy = ["defkit.scorer", "defkit.stdc", "requests", "concurrent.futures"]
+    heavy = ["defkit.scorer", "defkit.stdc", "requests", "concurrent.futures", "logging"]
     codes, loaded = _modules_loaded_by(commands, heavy)
     assert codes == [0, 0, 0]
     assert loaded == []

@@ -162,14 +162,16 @@ class TestCache:
         assert cache.get("k1") == good
         assert len(cache) == 1
 
-    def test_line_not_utf8_skipped_with_a_warning(self, tmp_path, caplog):
+    def test_line_not_utf8_skipped_with_a_warning(self, tmp_path, capsys):
         path = tmp_path / "cache.jsonl"
         good = ScoreRecord("k1", "d", "fp", 0.5, (0.5,), "b")
         path.write_bytes(b"\xff{}\n" + json.dumps(good.to_dict()).encode() + b"\n")
         cache = ScoreCache(path)
         assert cache.get("k1") == good
         assert len(cache) == 1
-        assert f"{path}:1: skipping corrupted cache line" in caplog.text
+        assert capsys.readouterr().err.splitlines() == [
+            f"WARNING defkit.scorer: {path}:1: skipping corrupted cache line"
+        ]
 
     @pytest.mark.parametrize(
         "fields",
@@ -191,7 +193,7 @@ class TestCache:
             {"backend_id": None},
         ],
     )
-    def test_record_of_the_wrong_types_is_rescored(self, tmp_path, caplog, gen_task, fields):
+    def test_record_of_the_wrong_types_is_rescored(self, tmp_path, capsys, gen_task, fields):
         """A line whose key matches but whose fields do not hold a score is a
         corrupt line, not a hit."""
         path = tmp_path / "cache.jsonl"
@@ -203,7 +205,9 @@ class TestCache:
         path.write_text(json.dumps({**record.to_dict(), **fields}) + "\n")
         cache = ScoreCache(path)
         assert len(cache) == 0
-        assert f"{path}:1: skipping corrupted cache line" in caplog.text
+        assert capsys.readouterr().err.splitlines() == [
+            f"WARNING defkit.scorer: {path}:1: skipping corrupted cache line"
+        ]
         calls = backend.calls
         assert score("defn", gen_task, fit, backend, cache=cache) == record
         cache.close()
