@@ -27,7 +27,7 @@ from .errors import (
 # Each command imports the modules it runs when it runs, so that a process
 # loads no more than its command needs: report never loads the parser, the
 # manifest or the scoring stack, and ablate, triplet and report never load
-# scorer, stdc or concurrent.futures.
+# scorer, stdc or the thread pool.
 if TYPE_CHECKING:
     from .annotations import AnnotationSet
 
@@ -262,9 +262,8 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_compress(args) -> int:
-    from concurrent.futures import ThreadPoolExecutor
-
     from ._jsontext import indented
+    from ._pool import Pool
     from .scorer import ScoreCache
     from .stdc import StdcConfig, compress, evaluate_holdout
 
@@ -290,7 +289,7 @@ def cmd_compress(args) -> int:
     rows: list[list[str]] = []
     aggregates: list[tuple[float, ...]] = []
     try:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        with Pool(args.jobs) as pool:
             for task, (result, report) in run.results(compress_task, pool.map):
                 payload = {"compression": result, "holdout": report}
                 (run.out / f"{task.id}.json").write_text(indented(payload) + "\n")
@@ -608,4 +607,8 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    # `python -m defkit.cli` runs this file as `__main__`; run the imported
+    # `defkit.cli`, as the console script does, so warnings name it
+    from defkit.cli import main as _main
+
+    raise SystemExit(_main())

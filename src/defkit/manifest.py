@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import datetime
 import hashlib
 import json
 import shlex
 import sys
+import time
 from pathlib import Path
 
 from . import __version__
@@ -41,7 +41,7 @@ def write_manifest(
         "input_digests": input_digests,
         "seeds": seeds,
         "toolkit_version": __version__,
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
         "extra": extra or {},
     }
     (Path(out_dir) / MANIFEST_NAME).write_text(indented(manifest) + "\n")

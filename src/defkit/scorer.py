@@ -12,10 +12,10 @@ import os
 import threading
 import time
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 from typing import Sequence
 
+from ._pool import Call, Pool
 from ._record import record
 from .corpus import ExampleSet, Instance, Task, assemble_prompt, finite_number, numbered_lines
 from .errors import BackendError, BackendTimeoutError, ConfigError, InvariantError, ScorerError, warn
@@ -492,11 +492,11 @@ class ScoreStream:
         self.cache = cache
         self.fingerprint = example_fingerprint(examples)
         self.instances = tuple(task.instance_by_id(i) for i in examples.instance_ids)
-        # (definition, key, context or None for a hit, future or None) per
+        # (definition, key, context or None for a hit, pool call or None) per
         # submitted definition not yet taken
-        self._queue: deque[tuple[str, str, GenerationContext | None, Future | None]] = deque()
+        self._queue: deque[tuple[str, str, GenerationContext | None, Call | None]] = deque()
         self._misses: set[str] = set()
-        self._pool = ThreadPoolExecutor(backend.max_in_flight) if backend.max_in_flight else None
+        self._pool = Pool(backend.max_in_flight) if backend.max_in_flight else None
 
     def __enter__(self) -> "ScoreStream":
         return self
@@ -506,28 +506,28 @@ class ScoreStream:
 
     def close(self) -> None:
         if self._pool is not None:
-            self._pool.shutdown(cancel_futures=True)
+            self._pool.close()
 
     def submit(self, definition: str) -> None:
         backend = self.backend
         key = cache_key_for(backend.backend_id, definition, self.fingerprint, backend.params)
-        ctx = future = None
+        ctx = call = None
         if self.cache is None or not (key in self.cache or key in self._misses):
             self._misses.add(key)
             ctx = GenerationContext(definition, self.task, self.instances)
             if self._pool is not None:
-                future = self._pool.submit(backend.generate, ctx)
-        self._queue.append((definition, key, ctx, future))
+                call = self._pool.submit(backend.generate, ctx)
+        self._queue.append((definition, key, ctx, call))
 
     def take(self) -> ScoreRecord:
         """The record of the earliest submitted definition not yet taken."""
-        definition, key, ctx, future = self._queue.popleft()
+        definition, key, ctx, call = self._queue.popleft()
         if ctx is None:
             return self.cache.get(key)
-        per = None if future else self.backend.score_batch(ctx)
+        per = None if call else self.backend.score_batch(ctx)
         if per is None:
             try:
-                generations = future.result() if future else self.backend.generate(ctx)
+                generations = call.result() if call else self.backend.generate(ctx)
             except BackendError as exc:
                 raise BackendError(f"task {self.task.id}: {exc}") from exc
             if len(generations) != len(self.instances):

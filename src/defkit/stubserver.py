@@ -55,6 +55,11 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class StubServer(ThreadingHTTPServer):
+    # a client may open a connection per request in flight (4 per task under
+    # `compress --jobs N`); past the listen backlog, socketserver's 5, a
+    # connection attempt is dropped and retried after a second
+    request_queue_size = 64
+
     def __init__(self, host: str = "127.0.0.1", port: int = 0, mode: str = MODE_ECHO):
         super().__init__((host, port), _Handler)
         self.mode = mode

@@ -633,12 +633,16 @@ def test_second_annotation_record_of_a_task_is_dropped_with_a_warning(
     )
 
 
-def run_cli(args):
-    """The CLI in a fresh interpreter, as the `defkit` console script runs it:
-    `cli` is imported as `defkit.cli`, not run as `__main__`."""
+def run_cli(args, as_module=False):
+    """The CLI in a fresh interpreter, as the `defkit` console script runs it
+    (`cli` is imported as `defkit.cli`), or else as `python -m defkit.cli`."""
     src = Path(defkit.__file__).resolve().parents[1]
+    if as_module:
+        launch = ["-m", "defkit.cli"]
+    else:
+        launch = ["-c", "import sys; from defkit.cli import main; sys.exit(main())"]
     return subprocess.run(
-        [sys.executable, "-c", "import sys; from defkit.cli import main; sys.exit(main())", *args],
+        [sys.executable, *launch, *args],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=300,
     )
 
@@ -697,14 +701,15 @@ def _warning_run(tmp_path, case):
     "case",
     [
         "two-records-ablate", "two-records-triplet", "no-spans-ablate", "lenient-score",
-        "lenient-report", "corrupt-cache-compress",
+        "lenient-report", "corrupt-cache-compress", "two-records-ablate-as-module",
     ],
 )
 def test_warnings_through_the_cli(tmp_path, case):
     """The whole stderr of a warning run in a fresh interpreter: each warning
-    is one line `WARNING defkit.MODULE: message`."""
-    argv, expected = _warning_run(tmp_path, case)
-    proc = run_cli(argv)
+    is one line `WARNING defkit.MODULE: message`, also when the CLI runs as
+    `python -m defkit.cli`."""
+    argv, expected = _warning_run(tmp_path, case.removesuffix("-as-module"))
+    proc = run_cli(argv, as_module=case.endswith("-as-module"))
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.splitlines() == expected
 
@@ -1556,7 +1561,7 @@ def _modules_loaded_by(commands, modules, *python_flags):
 
 def test_ablate_triplet_report_leave_the_scoring_stack_unloaded(tmp_path):
     """Only compress and score import the scorer, STDC and a thread pool, and
-    `logging` comes only with the thread pool: defkit writes its own warnings."""
+    no command imports `logging`: defkit writes its own warnings."""
     review_tasks, review_ann = review_corpus(tmp_path)
     fox_tasks, parses = fox_corpus(tmp_path)
     fox_ann = fox_annotations(tmp_path)
@@ -1601,21 +1606,27 @@ LOADED = {
     ],
     "report": [*_EVERY_COMMAND, "defkit.metrics"],
     "compress": [
-        *_EVERY_COMMAND, "defkit.metrics", "defkit.parse", "defkit.manifest", "defkit.scorer",
-        "defkit.stdc",
+        *_EVERY_COMMAND, "defkit._pool", "defkit.metrics", "defkit.parse", "defkit.manifest",
+        "defkit.scorer", "defkit.stdc",
     ],
-    "score": [*_EVERY_COMMAND, "defkit.metrics", "defkit.scorer"],
+    "score": [*_EVERY_COMMAND, "defkit._pool", "defkit.metrics", "defkit.scorer"],
 }
 
-# Other modules a command, run alone, must not load besides stdlib dataclasses
+# Standard modules no command loads, with any backend: defkit writes its own
+# warnings and runs its own thread pool
+NEVER_LOADED = ["concurrent.futures", "logging", "traceback", "linecache", "tokenize"]
+
+# Other modules a command, run alone, must not load besides NEVER_LOADED,
+# stdlib dataclasses and datetime (which only the remote backend's HTTP
+# client loads)
 UNLOADED = {"compress": ["urllib.request", "http.client"]}
 
 
 @pytest.mark.parametrize("command", ALL_COMMANDS)
 def test_each_command_loads_only_what_it_runs(tmp_path, command):
     """Each command in a fresh interpreter without site-packages (`-S`):
-    records are built without `dataclasses`, and a command imports exactly
-    the defkit modules it runs."""
+    records are built without `dataclasses`, the manifest's time without
+    `datetime`, and a command imports exactly the defkit modules it runs."""
     _, commands = pipeline(tmp_path)
     argv = commands[command]
     if command == "compress":
@@ -1624,7 +1635,9 @@ def test_each_command_loads_only_what_it_runs(tmp_path, command):
         argv[argv.index("planted")] = "keyword"
     package = Path(defkit.__file__).parent
     defkit_modules = [f"defkit.{p.stem}".removesuffix(".__init__") for p in package.glob("*.py")]
-    modules = ["dataclasses", *UNLOADED.get(command, []), *defkit_modules]
+    modules = [
+        "dataclasses", "datetime", *NEVER_LOADED, *UNLOADED.get(command, []), *defkit_modules
+    ]
     codes, loaded = _modules_loaded_by([argv], modules, "-S")
     assert codes == [0]
     assert sorted(loaded) == sorted(LOADED[command])
@@ -1643,6 +1656,31 @@ def test_in_process_backends_load_no_http_client(tmp_path):
     codes, loaded = _modules_loaded_by(commands, HTTP_CLIENTS)
     assert codes == [0, 0]
     assert loaded == []
+
+
+@pytest.mark.parametrize("backend", ["keyword", "remote"])
+def test_compress_and_score_load_neither_logging_nor_a_stdlib_pool(tmp_path, backend):
+    """With either kind of backend, and two tasks at once under `--jobs 2`."""
+    tasks_dir, parses = fox_corpus(tmp_path)
+    fox = load_task_file(tasks_dir / "task_fox.json")
+    write_task_file(tasks_dir / "task_fox2.json", replace(fox, id="task_fox2"))
+    parses.write_text((FOX_TREE_TEXT + "\n") * 2, encoding="utf-8")
+    with StubServer() as server:
+        flags = ["--backend", backend]
+        if backend == "remote":
+            flags += ["--endpoint-url", server.url]
+        commands = [
+            [
+                "compress", "--tasks", str(tasks_dir), "--parses", str(parses), *flags,
+                "--fit-n", "2", "--holdout-n", "2", "--jobs", "2", "--allow-empty",
+                "--out", str(tmp_path / "out"),
+            ],
+            ["score", "--task", str(tasks_dir / "task_fox.json"), *flags],
+        ]
+        codes, loaded = _modules_loaded_by(commands, NEVER_LOADED)
+    assert codes == [0, 0]
+    assert loaded == []
+    assert (len(server.requests) > 0) == (backend == "remote")
 
 
 def test_remote_backend_posts_with_the_standard_library(tmp_path):

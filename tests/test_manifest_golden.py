@@ -9,14 +9,18 @@ Regenerate the file, only when manifests are meant to change:
     PYTHONPATH=src python tests/test_manifest_golden.py > tests/data/manifests.golden
 """
 
+import json
 import os
+import re
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from datetime import datetime, timezone
 from io import StringIO
 from pathlib import Path
 
 from defkit.cli import main
+from defkit.manifest import write_manifest
 
 from test_cli import fox_annotations, fox_corpus, review_corpus
 
@@ -70,6 +74,19 @@ def manifests() -> str:
 
 def test_manifests_equal_the_golden_file():
     assert manifests() == GOLDEN.read_text(encoding="utf-8")
+
+
+def test_timestamp_is_the_utc_second_of_writing(tmp_path):
+    """`YYYY-MM-DDTHH:MM:SS+00:00`: the UTC time of writing to the second,
+    as `datetime.isoformat(timespec="seconds")` writes it."""
+    before = datetime.now(timezone.utc).replace(microsecond=0)
+    write_manifest(tmp_path, {}, {}, [])
+    after = datetime.now(timezone.utc)
+    stamp = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))["timestamp"]
+    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00", stamp)
+    written = datetime.fromisoformat(stamp)
+    assert before <= written <= after
+    assert written.isoformat(timespec="seconds") == stamp
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 import json
 import random
+import socket
 import sys
 import tempfile
 import threading
@@ -66,6 +67,22 @@ class TestEchoGeneration:
 
     def test_no_marker_passthrough(self):
         assert echo_generation("plain text") == "plain text"
+
+
+def test_stub_server_takes_a_burst_of_connections():
+    """`compress --jobs 2` opens up to 8 connections at once. A listen
+    backlog of socketserver's 5 drops some of them unaccepted, and each
+    dropped attempt costs the client a 1 s retransmit."""
+    server = StubServer()  # bound and listening, not serving
+    connections = []
+    try:
+        for _ in range(16):
+            connections.append(socket.create_connection(server.server_address[:2], timeout=0.5))
+    finally:
+        for connection in connections:
+            connection.close()
+        server.server_close()
+    assert len(connections) == 16
 
 
 class TestRemoteBackend:
