@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import enum
 import random
-import re
 
 from ._record import record
 from .annotations import AnnotationSet, ContentCategory, validate_annotation
@@ -86,7 +85,9 @@ def remove_spans(task: Task, ann: AnnotationSet, spec: AblationSpec) -> AblatedD
     span is deleted. Whitespace is collapsed afterwards; token counts are
     over whitespace tokens of the raw text.
     """
-    removed = spec.removed_categories
+    # `in` a tuple finds a member by identity, in C; `in` a set would hash
+    # each category with Enum.__hash__, which runs Python code
+    removed = tuple(spec.removed_categories)
     delete: list[tuple[int, int]] = []
     deleted_actions = []
     for span in ann.spans:
@@ -106,11 +107,11 @@ def remove_spans(task: Task, ann: AnnotationSet, spec: AblationSpec) -> AblatedD
         pieces.append(text[kept_from:start])  # empty when start <= kept_from
         kept_from = max(kept_from, end)
     pieces.append(text[kept_from:])
-    kept = re.sub(r"\s+", " ", "".join(pieces)).strip()
+    words = "".join(pieces).split()
     return AblatedDefinition(
         task_id=task.id,
-        text=kept,
-        tokens_kept=len(kept.split()),
+        text=" ".join(words),
+        tokens_kept=len(words),
         tokens_full=len(text.split()),
     )
 

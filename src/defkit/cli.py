@@ -241,13 +241,15 @@ def cmd_ablate(args) -> int:
         files = [stack.enter_context(path.open("w", encoding="utf-8")) for path in run.outputs]
         for task, ablated in run.results(ablate):
             for spec, fh, variant, spec_ratios in zip(specs, files, ablated, ratios):
+                # keys in sorted order: json.dumps without sort_keys reuses
+                # its shared encoder
                 row = {
-                    "task_id": task.id,
-                    "spec": spec.name.value,
-                    "text": variant.text,
                     "ratio": variant.ratio,
+                    "spec": spec.name.value,
+                    "task_id": task.id,
+                    "text": variant.text,
                 }
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
+                fh.write(json.dumps(row) + "\n")
                 spec_ratios.append(variant.ratio)
 
     rows = [

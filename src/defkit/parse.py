@@ -88,9 +88,13 @@ class ParseTree:
     def __contains__(self, node_id: int) -> bool:
         return node_id in self._layout.index
 
-    def nodes(self) -> list[ParseNode]:
-        """Every node, in pre-order."""
-        return list(self._layout.index.values())
+    def constituents(self) -> list[tuple[ParseNode, int, int]]:
+        """(node, lo, hi) of every internal node, in pre-order, where the
+        node's leaves are leaves()[lo:hi]."""
+        ranges = self._layout.ranges
+        return [
+            (node, *ranges[node.id]) for node in self._layout.index.values() if node.token is None
+        ]
 
     def leaves(self) -> list[ParseNode]:
         return list(self._layout.leaves)
@@ -115,8 +119,15 @@ def _tree(root: ParseNode, layout: _Layout) -> ParseTree:
     return tree
 
 
-_LEXER = re.compile(r"\(|\)|[^\s()]+")
-_SPACES = re.compile(r"\s*")
+_LEXER = re.compile(r"\(|\)|[^\s()]+")  # the tokens of `_lex`, with their offsets
+
+
+def _lex(text: str) -> list[str]:
+    """The tokens of text: "(", ")", and the runs of other characters that
+    whitespace separates. `str.split` splits at the `str.isspace`
+    characters, which are the ones `\\s` matches, so these are the tokens
+    `_LEXER` finds, split out in C."""
+    return text.replace("(", " ( ").replace(")", " ) ").split()
 
 
 def _unbalanced(text: str, k: int, what: str) -> UnbalancedError:
@@ -141,7 +152,7 @@ def _check(text: str) -> tuple[list[str], int]:
     """The lexer tokens of text and how many top-level trees they hold,
     once `count_trees` accepts them."""
     # Offsets are only needed for error messages; they are found again then.
-    tokens = _LEXER.findall(text)
+    tokens = _lex(text)
     if not tokens:
         raise EmptyError("no tree in input")
     open_at: list[int] = []  # token index of each open '('
@@ -185,7 +196,7 @@ def parse_bracketed(text: str, trees: int | None = None) -> ParseTree:
     if trees is None:
         tokens, trees = _check(text)
     else:
-        tokens = _LEXER.findall(text)
+        tokens = _lex(text)
     return _read(tokens, single=trees == 1)
 
 
@@ -205,35 +216,40 @@ def _read(tokens: list[str], single: bool) -> ParseTree:
     roots: list[ParseNode] = []
     # one entry per open constituent: (id, label, its first leaf, children)
     open_nodes: list[tuple[int, str, int, list[ParseNode]]] = []
+    kids = roots  # the children of the innermost open constituent
+    depth = top_depth  # the depth of the next node, one below that constituent
+    n_leaves = 0
     next_id = 1
     lexemes = iter(tokens)
     for tok in lexemes:
         if tok == "(":
-            node_id = 0 if single and not open_nodes else next_id
+            node_id = next_id if depth > 1 else 0  # a lone top-level tree is the root
             next_id += 1
-            depth = top_depth + len(open_nodes)
             if depth == len(layers):
                 layers.append([])
             layers[depth].append(node_id)
             index[node_id] = None  # its pre-order slot, filled at its ')'
-            open_nodes.append((node_id, next(lexemes), len(leaves), []))
+            kids = []
+            open_nodes.append((node_id, next(lexemes), n_leaves, kids))
+            depth += 1
         elif tok == ")":
+            depth -= 1
             node_id, label, lo, children = open_nodes.pop()
-            depth = top_depth + len(open_nodes)
             node = new(ParseNode, (node_id, label, depth, tuple(children), None, None))
             index[node_id] = node
-            ranges[node_id] = (lo, len(leaves))
-            (open_nodes[-1][3] if open_nodes else roots).append(node)
+            ranges[node_id] = (lo, n_leaves)
+            kids = open_nodes[-1][3] if open_nodes else roots
+            kids.append(node)
         else:
-            depth = top_depth + len(open_nodes)
             if depth == len(layers):
                 layers.append([])
             layers[depth].append(next_id)
             leaf = new(ParseNode, (next_id, tok, depth, (), PTB_ESCAPES.get(tok, tok), tok))
             index[next_id] = leaf
-            ranges[next_id] = (len(leaves), len(leaves) + 1)
+            ranges[next_id] = (n_leaves, n_leaves + 1)
+            n_leaves += 1
             leaves.append(leaf)
-            open_nodes[-1][3].append(leaf)
+            kids.append(leaf)
             next_id += 1
     if single:
         root = roots[0]
@@ -307,12 +323,14 @@ def leaf_offsets(tree: ParseTree, text: str) -> list[tuple[int, int]] | None:
     offsets: list[tuple[int, int]] = []
     pos = 0
     for tok in tree.source_tokens:
-        pos = _SPACES.match(text, pos).end()
-        if not text.startswith(tok, pos):
+        # a token holds no whitespace, so find stops at the token's place
+        # whenever only whitespace lies before it
+        start = text.find(tok, pos)
+        if start != pos and (start < 0 or not text[pos:start].isspace()):
             return None
-        offsets.append((pos, pos + len(tok)))
-        pos += len(tok)
-    return offsets if _SPACES.match(text, pos).end() == len(text) else None
+        pos = start + len(tok)
+        offsets.append((start, pos))
+    return offsets if pos == len(text) or text[pos:].isspace() else None
 
 
 def render(tree: ParseTree) -> str:

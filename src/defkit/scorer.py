@@ -316,12 +316,16 @@ class ScoreRecord:
         per_instance = data["per_instance"]
         if not isinstance(per_instance, list):
             raise TypeError(f"per_instance must be a list, got {per_instance!r}")
+        # a list of finite floats, as `to_dict` writes it, is checked in C;
+        # any other goes through finite_number, to convert or to raise
+        if not ({*map(type, per_instance)} <= {float} and all(map(math.isfinite, per_instance))):
+            per_instance = list(map(finite_number, per_instance))
         return cls(
             cache_key=_string(data["cache_key"]),
             definition=_string(data["definition"]),
             example_fingerprint=_string(data["example_fingerprint"]),
             mean_score=finite_number(data["mean_score"]),
-            per_instance=tuple(map(finite_number, per_instance)),
+            per_instance=tuple(per_instance),
             backend_id=_string(data["backend_id"]),
         )
 

@@ -56,10 +56,6 @@ def _base_label(label: str) -> str:
     return label.split("-")[0].split("=")[0]
 
 
-def _overlap(a: tuple[int, int], b: tuple[int, int]) -> int:
-    return max(0, min(a[1], b[1]) - max(a[0], b[0]))
-
-
 def build_triplet(task: Task, ann: AnnotationSet, tree: ParseTree) -> TripletDefinition:
     """Extract the (input, action, output) entries from the annotated
     definition via its parse tree.
@@ -76,72 +72,57 @@ def build_triplet(task: Task, ann: AnnotationSet, tree: ParseTree) -> TripletDef
         raise MissingSpanError(f"task {task.id}: no input_content span annotated")
     if not action_spans:
         raise MissingSpanError(f"task {task.id}: no action_content span annotated")
-    input_span = (input_spans[0].start, input_spans[0].end)
-    action_span = (action_spans[0].start, action_spans[0].end)
+    input_start, input_end = input_spans[0].start, input_spans[0].end
+    action_start, action_end = action_spans[0].start, action_spans[0].end
 
     needs_review = False
     leaf_pos = leaf_offsets(tree, text)
-    nodes = [n for n in tree.nodes() if not n.is_leaf] if leaf_pos is not None else []
-    extents: dict[int, tuple[int, int] | None] = {}  # char extent of each internal node
-    for node in nodes:
-        lo, hi = tree.leaf_range(node.id)
-        extents[node.id] = (leaf_pos[lo][0], leaf_pos[hi - 1][1]) if lo < hi else None
-
-    def pick_np(window: tuple[int, int]) -> ParseNode | None:
-        best, best_key = None, None
-        for node in nodes:
-            if _base_label(node.label) != "NP":
-                continue
-            extent = extents[node.id]
-            if extent is None:
-                continue
-            ov = _overlap(extent, window)
-            if ov <= 0:
-                continue
-            key = (ov, node.depth, -extent[0])
-            if best_key is None or key > best_key:
-                best, best_key = node, key
-        return best
+    # (node, char start, char end, lo, hi) of each NP and VP with a leaf, in
+    # pre-order, and the index of each leaf whose preterminal is a verb
+    nps: list[tuple[ParseNode, int, int, int, int]] = []
+    vps: list[tuple[ParseNode, int, int, int, int]] = []
+    verbs: list[int] = []
+    for node, lo, hi in tree.constituents() if leaf_pos is not None else ():
+        # a base label is NP, VP or VB... only if its label starts so
+        if lo == hi or not node.label.startswith(("NP", "VP", "VB")):
+            continue
+        base = _base_label(node.label)
+        if base == "NP" or base == "VP":
+            (nps if base == "NP" else vps).append(
+                (node, leaf_pos[lo][0], leaf_pos[hi - 1][1], lo, hi)
+            )
+        elif base.startswith("VB"):
+            verbs.extend(tree.leaf_range(child.id)[0] for child in node.children if child.is_leaf)
 
     # input entry: NP maximally overlapping the first InputContent span
-    np_node = pick_np(input_span)
-    if np_node is not None:
-        start, end = extents[np_node.id]
-        input_entry = text[start:end]
+    np_extent, best_key = None, None
+    for node, start, end, _, _ in nps:
+        overlap = min(end, input_end) - max(start, input_start)
+        if overlap > 0:
+            key = (overlap, node.depth, -start)
+            if best_key is None or key > best_key:
+                np_extent, best_key = (start, end), key
+    if np_extent is not None:
+        input_entry = text[np_extent[0] : np_extent[1]]
     else:
-        input_entry = text[input_span[0] : input_span[1]].strip().rstrip(".")
+        input_entry = text[input_start:input_end].strip().rstrip(".")
         needs_review = True
 
-    # action entry: lowest VP covering the span's root verb
-    verb_leaf = None
-    if leaf_pos is not None:
-        parent: dict[int, ParseNode] = {}
-        for node in nodes:
-            for child in node.children:
-                parent[child.id] = node
-        for leaf, (start, end) in zip(tree.leaves(), leaf_pos):
-            pre = parent.get(leaf.id)
-            if (
-                action_span[0] <= start
-                and end <= action_span[1]
-                and pre is not None
-                and _base_label(pre.label).startswith("VB")
-            ):
-                verb_leaf, verb_end = leaf, end
-                break
+    # action entry: lowest VP covering the span's root verb, the first leaf
+    # of the span whose preterminal is a verb
+    in_span = [i for i in verbs if action_start <= leaf_pos[i][0] and leaf_pos[i][1] <= action_end]
     vp_node = None
-    if verb_leaf is not None:
-        cursor = parent.get(verb_leaf.id)
-        while cursor is not None:
-            if _base_label(cursor.label) == "VP":
-                vp_node = cursor
-                break
-            cursor = parent.get(cursor.id)
+    if in_span:
+        verb = min(in_span)
+        verb_end = leaf_pos[verb][1]
+        # the VPs whose leaves hold the verb's are its VP ancestors
+        vp_node = max(
+            (vp for vp in vps if vp[3] <= verb < vp[4]), key=lambda vp: vp[0].depth, default=None
+        )
     if vp_node is not None:
-        start, end = extents[vp_node.id]
-        action_entry = text[start:end]
+        action_entry = text[vp_node[1] : vp_node[2]]
     else:
-        action_entry = text[action_span[0] : action_span[1]].strip().rstrip(".")
+        action_entry = text[action_start:action_end].strip().rstrip(".")
         needs_review = True
 
     # output entry
@@ -150,24 +131,20 @@ def build_triplet(task: Task, ann: AnnotationSet, tree: ParseTree) -> TripletDef
         for span in sorted(ann.by_category(ContentCategory.LABEL_DEFINITION), key=lambda s: s.start):
             output_entry.append(text[span.start : span.end].strip().rstrip("."))
     else:
-        obj = None
-        if vp_node is not None:  # found from verb_leaf, so verb_end is set
-            vp_lo, vp_hi = tree.leaf_range(vp_node.id)
+        obj_extent = None
+        if vp_node is not None:  # found from a verb, so verb_end is set
+            vp, _, _, vp_lo, vp_hi = vp_node
             best_key = None
-            for node in nodes:
-                # below the VP: deeper than it, with leaves inside its leaf range
-                lo, hi = tree.leaf_range(node.id)
-                if node.depth <= vp_node.depth or not vp_lo <= lo < hi <= vp_hi:
+            for node, start, end, lo, hi in nps:
+                # below the VP: deeper than it, with leaves inside its leaf
+                # range, and starting at or after the verb's end
+                if node.depth <= vp.depth or not vp_lo <= lo < hi <= vp_hi or start < verb_end:
                     continue
-                extent = extents[node.id]
-                if _base_label(node.label) != "NP" or extent[0] < verb_end:
-                    continue
-                key = (-extent[0], node.depth)
+                key = (-start, node.depth)
                 if best_key is None or key > best_key:
-                    obj, best_key = node, key
-        if obj is not None:
-            start, end = extents[obj.id]
-            output_entry = [text[start:end]]
+                    obj_extent, best_key = (start, end), key
+        if obj_extent is not None:
+            output_entry = [text[obj_extent[0] : obj_extent[1]]]
         else:
             out_spans = sorted(
                 ann.by_category(ContentCategory.OUTPUT_CONTENT), key=lambda s: s.start

@@ -198,6 +198,11 @@ def walk_layout(root):
     return layout
 
 
+def tree_nodes(tree):
+    """Every node of tree, in pre-order, as its layout indexes them."""
+    return list(tree._layout.index.values())
+
+
 def subtree_leaves(node):
     """The leaves below a node, left to right."""
     return walk_layout(node).leaves

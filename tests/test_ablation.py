@@ -12,6 +12,7 @@ from defkit.ablation import (
     apply_ablation,
     build_metadata_definition,
     compression_ratio,
+    remove_spans,
     shuffle_definition,
 )
 from defkit.annotations import AnnotationSet, ContentCategory, Span
@@ -19,6 +20,7 @@ from defkit.corpus import TaskKind
 from defkit.errors import EmptyDefinitionError, InvariantError, ValidationError
 
 from conftest import make_task
+from reference_variants import remove_spans_reference
 
 
 class TestSpecTable:
@@ -120,10 +122,10 @@ TOP_LEVEL = [c for c in ContentCategory if c is not ContentCategory.INPUT_MENTIO
 
 
 @st.composite
-def annotated_definitions(draw):
-    """A definition with valid spans: adjacent or gapped top-level spans, and
-    input mentions strictly inside action content."""
-    definition = draw(st.text(st.sampled_from("ab.,  \t\n"), min_size=20, max_size=80))
+def annotated_definitions(draw, alphabet="ab.,  \t\n"):
+    """A definition over alphabet with valid spans: adjacent or gapped
+    top-level spans, and input mentions strictly inside action content."""
+    definition = draw(st.text(st.sampled_from(alphabet), min_size=20, max_size=80))
     definition = "x" + definition  # never blank after trimming
     cuts = sorted(draw(st.sets(st.integers(0, len(definition)), min_size=2, max_size=12)))
     spans = []
@@ -168,6 +170,20 @@ def test_span_slices_equal_character_mask(task_ann, categories):
     for spec in specs:
         out = apply_ablation(task, ann, spec)
         assert (out.text, out.tokens_kept, out.tokens_full) == mask_ablation(task, ann, spec)
+
+
+# ASCII and Unicode whitespace that `str.split` splits at: tab, newline, a
+# file separator, NEL, no-break space, line separator and ideographic space
+MIXED_SPACES = "ab.,  \t\n\x1c\x85\xa0\u2028\u3000"
+
+
+@given(annotated_definitions(MIXED_SPACES))
+@settings(max_examples=300, deadline=None)
+def test_remove_spans_equals_the_reference(task_ann):
+    task, ann = task_ann
+    for name in AblationName:
+        spec = AblationSpec(name)
+        assert remove_spans(task, ann, spec) == remove_spans_reference(task, ann, spec)
 
 
 class TestShuffle:

@@ -13,7 +13,9 @@ from defkit.errors import (
     UnknownNodeError,
 )
 from defkit.parse import (
+    _LEXER,
     ParseNode,
+    _lex,
     count_trees,
     detokenize,
     leaf_offsets,
@@ -23,10 +25,14 @@ from defkit.parse import (
     render,
 )
 
-from conftest import FOX_TREE_TEXT, subtree_leaves, to_bracketed, walk_layout
+from conftest import FOX_TREE_TEXT, subtree_leaves, to_bracketed, tree_nodes, walk_layout
 from test_stdc import _TREE_TEXTS
 
 CAT_TREE = "(S (NP (DT the) (NN cat)) (VP (VBD sat)))"
+
+# Whitespace that `str.split` and `\s` agree on beyond ASCII: a file
+# separator, NEL, no-break space, line separator and ideographic space.
+UNICODE_SPACES = "\x1c\x85\xa0\u2028\u3000"
 
 
 class TestParseBracketed:
@@ -81,7 +87,7 @@ class TestNodesAtDepth:
         seen = []
         for d in range(1, tree.depth + 1):
             seen.extend(nodes_at_depth(tree, d))
-        assert sorted(seen) == sorted(node.id for node in tree.nodes())
+        assert sorted(seen) == sorted(node.id for node in tree_nodes(tree))
         assert len(seen) == len(set(seen))
 
 
@@ -113,7 +119,7 @@ class TestRemoveSubtree:
     def test_token_accounting(self):
         tree = parse_bracketed(FOX_TREE_TEXT)
         before = len(tree.source_tokens)
-        for node_id in sorted(node.id for node in tree.nodes()):
+        for node_id in sorted(node.id for node in tree_nodes(tree)):
             if node_id == tree.root.id:
                 continue
             removed_leaves = len(subtree_leaves(tree.node(node_id)))
@@ -164,7 +170,7 @@ def test_leaf_offsets_place_each_token(text, data):
         return offsets is not None and [written[s:e] for s, e in offsets] == tokens
 
     assert spelled(detokenize(tokens))
-    spaces = st.text(alphabet=" \t\n", max_size=3)
+    spaces = st.text(alphabet=" \t\n" + UNICODE_SPACES, max_size=3)
     gaps = data.draw(st.lists(spaces, min_size=len(tokens) + 1, max_size=len(tokens) + 1))
     spaced = gaps[0] + "".join(tok + gap for tok, gap in zip(tokens, gaps[1:]))
     assert spelled(spaced)
@@ -180,16 +186,16 @@ TAGS = ["S", "NP", "VP", "PP", "ADJP"]
 WORDS = ["cat", "dog", "runs", "blue", "fast", "tree", "x1", "y2"]
 
 
-def random_tree_text(rng, max_depth=6, max_leaves=40):
+def random_tree_text(rng, max_depth=6, max_leaves=40, tags=TAGS):
     budget = [rng.randint(1, max_leaves)]
 
     def gen(depth):
         if depth >= max_depth or budget[0] <= 0 or rng.random() < 0.3:
             budget[0] -= 1
-            return f"({rng.choice(TAGS)} {rng.choice(WORDS)})"
+            return f"({rng.choice(tags)} {rng.choice(WORDS)})"
         n_children = rng.randint(1, 3)
         children = " ".join(gen(depth + 1) for _ in range(n_children))
-        return f"({rng.choice(TAGS)} {children})"
+        return f"({rng.choice(tags)} {children})"
 
     return gen(1)
 
@@ -283,7 +289,7 @@ def test_errors_name_the_offending_token(pieces):
         assert count_trees(text) == roots
         # the read that skips the check builds the same tree
         checked, unchecked = parse_bracketed(text), parse_bracketed(text, roots)
-        fields = lambda tree: [(n.id, n.label, n.depth, n.token) for n in tree.nodes()]
+        fields = lambda tree: [(n.id, n.label, n.depth, n.token) for n in tree_nodes(tree)]
         assert fields(unchecked) == fields(checked)
         return
     cls, message, offset = expected
@@ -294,6 +300,44 @@ def test_errors_name_the_offending_token(pieces):
         assert str(exc.value) == message
         if cls is UnbalancedError:
             assert exc.value.position == offset
+
+
+def test_regex_space_is_str_isspace_over_every_code_point():
+    """The premise of `_lex`: `\\s` matches exactly the characters that
+    `str.isspace` accepts, which are the ones `str.split` splits at."""
+    space = re.compile(r"\s")
+    differ = [
+        c for c in map(chr, range(0x110000)) if bool(space.match(c)) != c.isspace()
+    ]
+    assert differ == []
+
+
+@given(st.lists(st.sampled_from(["(", ")", "NP", "d", "-LRB-", " ", "\t", "\n", *UNICODE_SPACES])))
+@settings(max_examples=500, deadline=None)
+def test_lexer_tokens_equal_the_regex_tokens(pieces):
+    text = "".join(pieces)
+    assert _lex(text) == _LEXER.findall(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("(S\u3000(NP a)\u2028)\u3000b", "stray token 'b' at offset 12"),
+        ("(S\u2028(NP a))\u3000)", "unmatched ')' at offset 11"),
+        ("(S\u3000(\u2028(NP a))", "expected a constituent label at offset 5"),
+        ("\u2028(S (NP a)\u3000\u3000(VP", "unclosed '(' opened at offset 12"),
+        ("(S (NP a))\u3000(\u2028", "expected a constituent label at offset 13"),
+    ],
+)
+def test_error_offsets_count_unicode_whitespace(text, message):
+    """An error names the offset of its token in text, where each Unicode
+    space counts as one character, as the tokens' own regex offsets do."""
+    assert reference_parse_error(text)[1] == message
+    for read in (parse_bracketed, count_trees):
+        with pytest.raises(UnbalancedError) as exc:
+            read(text)
+        assert str(exc.value) == message
+        assert exc.value.position == int(message.rsplit(" ", 1)[1])
 
 
 LABELS = st.sampled_from(TAGS)
@@ -341,7 +385,7 @@ def test_layout_carried_through_removals_equals_the_walk(text, picks):
     after each removal it equals the walk over the pruned root."""
     tree = parse_bracketed(text)
     for pick in picks:
-        candidates = [node.id for node in tree.nodes() if node.id != tree.root.id]
+        candidates = [node.id for node in tree_nodes(tree) if node.id != tree.root.id]
         if not candidates:
             break
         tree = remove_subtree(tree, candidates[pick % len(candidates)])

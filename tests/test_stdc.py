@@ -23,7 +23,7 @@ from defkit.stdc import (
     unannotated_share,
 )
 
-from conftest import FOX_TREE_TEXT, make_task, subtree_leaves
+from conftest import FOX_TREE_TEXT, make_task, subtree_leaves, tree_nodes
 
 
 class DefinitionHashBackend(Backend):
@@ -488,7 +488,7 @@ def test_category_retention_equals_a_brute_force_reference(text, data):
     cuts = sorted(data.draw(st.sets(st.integers(0, len(definition)), max_size=6)))
     spans = tuple(Span(lo, hi, data.draw(_CATEGORIES)) for lo, hi in zip(cuts[::2], cuts[1::2]))
     ann = AnnotationSet(task.id, spans, "a1")
-    candidates = [n.id for n in tree.nodes() if n.id != tree.root.id]
+    candidates = [n.id for n in tree_nodes(tree) if n.id != tree.root.id]
     accepted = data.draw(st.lists(st.sampled_from(candidates), unique=True)) if candidates else []
     steps = tuple(Step(n, tree.node(n).label, (), 0.0, True) for n in accepted)
     result = CompressionResult(task.id, rendered, "", 0.0, 0.0, 0.0, steps)

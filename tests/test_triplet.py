@@ -1,9 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defkit.annotations import AnnotationSet, ContentCategory, Span
 from defkit.corpus import TaskKind
-from defkit.errors import InvariantError, MissingSpanError
-from defkit.parse import parse_bracketed
+from defkit.errors import DefkitError, InvariantError, MissingSpanError
+from defkit.parse import parse_bracketed, remove_subtree
 from defkit.triplet import (
     MetaTag,
     TripletDefinition,
@@ -12,7 +14,9 @@ from defkit.triplet import (
     render_triplet,
 )
 
-from conftest import make_task
+from conftest import make_task, tree_nodes
+from reference_variants import build_triplet_reference
+from test_parse import random_tree_text
 
 TASK6_DEF = "Given a statement, generate a question such that the answer is contained in that statement."
 TASK6_TREE = (
@@ -159,6 +163,69 @@ class TestBuildTriplet:
         for entry in (trip.input_entry, trip.action_entry, *trip.output_entry):
             for token in entry.split():
                 assert token in TASK6_DEF
+
+
+# between two leaves: nothing, ASCII or Unicode whitespace, or a character
+# no leaf writes, which the tree does not align with
+SEPARATORS = ["", " ", "  ", "\t", "\n ", "\u3000", "\x85", "-"]
+# labels with function tags and indices, verbs over leaves and over phrases,
+# and a label whose base is empty
+TRIPLET_TAGS = ["S", "NP", "NP-SBJ", "NP=2", "VP", "VP-TPC", "VB", "VBZ", "VBD=1", "PP", "-NONE-"]
+
+
+def _outcome(build, task, ann, tree):
+    """What build returns, or the type and message of what it raises."""
+    try:
+        return build(task, ann, tree)
+    except DefkitError as exc:
+        return type(exc), str(exc)
+
+
+@given(
+    rng=st.randoms(use_true_random=False),
+    trees=st.integers(1, 3),
+    removals=st.integers(0, 2),
+    separators=st.lists(st.sampled_from(SEPARATORS), min_size=1),
+    aligned=st.booleans(),
+    kind=st.sampled_from(TaskKind),
+    data=st.data(),
+)
+@settings(max_examples=400, deadline=None)
+def test_build_triplet_equals_the_reference(
+    rng, trees, removals, separators, aligned, kind, data
+):
+    """Random trees, alone or several under TOP and after removals, against
+    definitions that spell their leaves (with any whitespace, none
+    included, between them) or that do not (a leaf too many, or a "-"
+    between two), under random annotations."""
+    tree = parse_bracketed(
+        " ".join(random_tree_text(rng, max_leaves=12, tags=TRIPLET_TAGS) for _ in range(trees))
+    )
+    for _ in range(removals):
+        candidates = [n.id for n in tree_nodes(tree) if n.id != tree.root.id]
+        if candidates:
+            tree = remove_subtree(tree, rng.choice(candidates))
+    tokens = tree.source_tokens if aligned else [*tree.source_tokens, "zebra"]
+    definition = tokens[0] if tokens else "zebra"
+    for k, token in enumerate(tokens[1:]):
+        definition += separators[k % len(separators)] + token
+    n = len(definition)
+    spans = []
+    for category in ContentCategory:
+        required = category in (ContentCategory.INPUT_CONTENT, ContentCategory.ACTION_CONTENT)
+        for _ in range(data.draw(st.integers(1 if required else 0, 2))):
+            start = data.draw(st.integers(0, n - 1))
+            spans.append(Span(start, data.draw(st.integers(start + 1, n)), category))
+    task = make_task(
+        task_id="prop",
+        definition=definition,
+        kind=kind,
+        label_list=("yes", "no") if kind is TaskKind.CLASSIFICATION else None,
+    )
+    ann = AnnotationSet(task.id, tuple(data.draw(st.permutations(spans))), "a1")
+    assert _outcome(build_triplet, task, ann, tree) == _outcome(
+        build_triplet_reference, task, ann, tree
+    )
 
 
 class TestRenderTriplet:
