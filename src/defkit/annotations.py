@@ -28,6 +28,11 @@ class ContentCategory(enum.Enum):
     INPUT_MENTION = "input_mention"
 
 
+# each category by its value: a dict lookup, where calling ContentCategory
+# goes through the enum's Python-level __call__
+_CATEGORIES = {c.value: c for c in ContentCategory}
+
+
 @record
 class Span:
     start: int
@@ -192,8 +197,8 @@ def annotation_from_dict(data: dict, *, where: str = "annotation") -> Annotation
         if not isinstance(s, dict):
             raise SchemaError(f"{where}: spans[{i}] must be an object")
         try:
-            category = ContentCategory(s["category"])
-        except (KeyError, ValueError) as exc:
+            category = _CATEGORIES[s["category"]]
+        except (KeyError, TypeError) as exc:  # missing, unknown or unhashable
             raise SchemaError(f"{where}: spans[{i}]: bad category") from exc
         if not all(type(s.get(k)) is int for k in ("start", "end")):  # bool is no offset
             raise SchemaError(f"{where}: spans[{i}]: start/end must be integers")

@@ -438,10 +438,10 @@ def cmd_triplet(args) -> int:
     n_triplets = n_meta = 0
     with triplet_file.open("w", encoding="utf-8") as tf, meta_file.open("w", encoding="utf-8") as mf:
         for task, trip in run.results(build_triplet):
-            tf.write(json.dumps(trip.to_dict(), sort_keys=True) + "\n")
+            tf.write(json.dumps(trip.to_dict()) + "\n")
             n_triplets += 1
             for inst in meta_tuning_instances(task, trip, split_outputs=args.split_outputs):
-                mf.write(json.dumps(inst.to_dict(), sort_keys=True) + "\n")
+                mf.write(json.dumps(inst.to_dict()) + "\n")
                 n_meta += 1
     print(f"wrote {n_triplets} triplets and {n_meta} meta-tuning instances to {run.out}")
     return run.finish({"split_outputs": args.split_outputs}, [])

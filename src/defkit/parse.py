@@ -1,5 +1,6 @@
-"""Bracketed constituency trees: reading, layer traversal, subtree removal,
-detokenized re-rendering, and the offsets of leaves in a text.
+"""Bracketed constituency trees: reading, nodes by depth, subtree removal,
+detokenized re-rendering, and the offsets of leaves in a text. A tree is
+its nodes, and each node carries the range of its leaves.
 
 Depth convention: the root sits at depth 1 and token nodes count as nodes
 one level below their preterminal, so leaves are traversable candidates for
@@ -12,7 +13,6 @@ import re
 from itertools import islice
 from typing import NamedTuple
 
-from ._record import record
 from .errors import (
     DepthError,
     EmptyError,
@@ -37,17 +37,17 @@ _ATTACH_LEFT = set(".,;:!?')]%") | {"'s", "n't", "'re", "'ve", "'ll", "'d", "'m"
 _ATTACH_RIGHT = set("([$")
 
 
-# Nodes are tuples, so they carry no __dict__, but they compare and hash by
-# identity (so a tree, a record of its root, does too), and a node's repr
-# stops at its own fields: the tuple's would recurse through children, which
-# fails on deep trees.
+# Nodes and trees are tuples, so they carry no __dict__, but they compare
+# and hash by identity, and their reprs stop at a node's own fields: the
+# tuple's would recurse through children, which fails on deep trees.
 class ParseNode(NamedTuple):
     id: int
     label: str
     depth: int
-    children: tuple["ParseNode", ...] = ()
-    token: str | None = None  # literal form, escapes resolved (leaves only)
-    raw: str | None = None  # original token text as read (leaves only)
+    lo: int  # its leaves are tree.leaves[lo:hi]
+    hi: int
+    children: tuple["ParseNode", ...]
+    token: str | None  # literal form, escapes resolved (leaves only)
 
     __eq__ = object.__eq__
     __ne__ = object.__ne__
@@ -64,59 +64,34 @@ class ParseNode(NamedTuple):
         return self.token is not None
 
 
-class _Layout(NamedTuple):
-    index: dict[int, ParseNode]  # every node by id, in pre-order
-    leaves: list[ParseNode]  # left to right
-    ranges: dict[int, tuple[int, int]]  # node id -> [lo, hi): its leaves are leaves[lo:hi]
-    layers: dict[int, list[int]]  # depth -> node ids, left to right
-
-
-@record
-class ParseTree:
-    """A tree and its layout, which every traversal reads. `_tree` sets the
-    layout from the code that makes the tree: `_read` fills it as it reads,
-    and `remove_subtree` derives it from the layout of the tree it prunes."""
+class ParseTree(NamedTuple):
+    """A tree: its root, every node by id in pre-order, and its leaves left
+    to right, as `parse_bracketed` and `remove_subtree` make them."""
 
     root: ParseNode
+    nodes: dict[int, ParseNode]
+    leaves: tuple[ParseNode, ...]
+
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
+
+    def __repr__(self) -> str:
+        return f"ParseTree(root={self.root!r})"
 
     def node(self, node_id: int) -> ParseNode:
         try:
-            return self._layout.index[node_id]
+            return self.nodes[node_id]
         except KeyError:
             raise UnknownNodeError(f"no node with id {node_id}")
 
-    def __contains__(self, node_id: int) -> bool:
-        return node_id in self._layout.index
-
-    def constituents(self) -> list[tuple[ParseNode, int, int]]:
-        """(node, lo, hi) of every internal node, in pre-order, where the
-        node's leaves are leaves()[lo:hi]."""
-        ranges = self._layout.ranges
-        return [
-            (node, *ranges[node.id]) for node in self._layout.index.values() if node.token is None
-        ]
-
-    def leaves(self) -> list[ParseNode]:
-        return list(self._layout.leaves)
-
-    def leaf_range(self, node_id: int) -> tuple[int, int]:
-        """[lo, hi) such that the node's leaves are leaves()[lo:hi]."""
-        return self._layout.ranges[self.node(node_id).id]
-
     @property
     def source_tokens(self) -> list[str]:
-        return [leaf.token for leaf in self._layout.leaves]
+        return [leaf.token for leaf in self.leaves]
 
     @property
     def depth(self) -> int:
-        return max(self._layout.layers)
-
-
-def _tree(root: ParseNode, layout: _Layout) -> ParseTree:
-    """The tree of root, with the layout of its nodes."""
-    tree = ParseTree(root)
-    object.__setattr__(tree, "_layout", layout)  # past the record's frozen __setattr__
-    return tree
+        return max(node.depth for node in self.nodes.values())
 
 
 _LEXER = re.compile(r"\(|\)|[^\s()]+")  # the tokens of `_lex`, with their offsets
@@ -184,11 +159,11 @@ def parse_bracketed(text: str, trees: int | None = None) -> ParseTree:
 
     Multiple top-level trees are joined under a synthetic TOP node. PTB
     escape tokens (-LRB- etc.) are mapped to literal brackets in the token
-    value; the raw form is kept for bracketed re-serialization.
+    value; a leaf's label is the token as read.
 
     Ids are handed out in pre-order from 1; the root takes id 0, so a lone
-    top-level tree leaves id 1 unused. The tree's layout is filled in the
-    same pass, so no traversal walks the tree again.
+    top-level tree leaves id 1 unused. Each node's leaf range is set as it
+    is read, so no traversal walks the tree again.
 
     A caller that has checked text already passes what `count_trees`
     returned for it as `trees`; text is then read without a second check.
@@ -204,100 +179,83 @@ def _read(tokens: list[str], single: bool) -> ParseTree:
     """The tree of checked tokens; `single` says whether they hold one
     top-level tree, which is the root at depth 1. Several sit at depth 2
     under TOP."""
-    top_depth = 1 if single else 2
     new = tuple.__new__  # a ParseNode without the generated __new__'s argument handling
-    index: dict[int, ParseNode | None] = {}
+    nodes: dict[int, ParseNode | None] = {}
     leaves: list[ParseNode] = []
-    ranges: dict[int, tuple[int, int]] = {}
-    layers: list[list[int]] = [[], []]  # layers[d]: node ids at depth d, left to right
     if not single:
-        index[0] = None
-        layers[1].append(0)
+        nodes[0] = None
     roots: list[ParseNode] = []
     # one entry per open constituent: (id, label, its first leaf, children)
     open_nodes: list[tuple[int, str, int, list[ParseNode]]] = []
     kids = roots  # the children of the innermost open constituent
-    depth = top_depth  # the depth of the next node, one below that constituent
-    n_leaves = 0
+    depth = 1 if single else 2  # the depth of the next node, one below that constituent
     next_id = 1
     lexemes = iter(tokens)
     for tok in lexemes:
         if tok == "(":
             node_id = next_id if depth > 1 else 0  # a lone top-level tree is the root
             next_id += 1
-            if depth == len(layers):
-                layers.append([])
-            layers[depth].append(node_id)
-            index[node_id] = None  # its pre-order slot, filled at its ')'
+            nodes[node_id] = None  # its pre-order slot, filled at its ')'
             kids = []
-            open_nodes.append((node_id, next(lexemes), n_leaves, kids))
+            open_nodes.append((node_id, next(lexemes), len(leaves), kids))
             depth += 1
         elif tok == ")":
             depth -= 1
             node_id, label, lo, children = open_nodes.pop()
-            node = new(ParseNode, (node_id, label, depth, tuple(children), None, None))
-            index[node_id] = node
-            ranges[node_id] = (lo, n_leaves)
+            node = new(ParseNode, (node_id, label, depth, lo, len(leaves), tuple(children), None))
+            nodes[node_id] = node
             kids = open_nodes[-1][3] if open_nodes else roots
             kids.append(node)
         else:
-            if depth == len(layers):
-                layers.append([])
-            layers[depth].append(next_id)
-            leaf = new(ParseNode, (next_id, tok, depth, (), PTB_ESCAPES.get(tok, tok), tok))
-            index[next_id] = leaf
-            ranges[next_id] = (n_leaves, n_leaves + 1)
-            n_leaves += 1
+            lo = len(leaves)
+            leaf = new(ParseNode, (next_id, tok, depth, lo, lo + 1, (), PTB_ESCAPES.get(tok, tok)))
+            nodes[next_id] = leaf
             leaves.append(leaf)
             kids.append(leaf)
             next_id += 1
     if single:
         root = roots[0]
     else:
-        root = index[0] = ParseNode(0, SYNTHETIC_ROOT_LABEL, 1, tuple(roots))
-        ranges[0] = (0, len(leaves))
-    layout = _Layout(index, leaves, ranges, {d: ids for d, ids in enumerate(layers) if ids})
-    return _tree(root, layout)
+        root = nodes[0] = ParseNode(0, SYNTHETIC_ROOT_LABEL, 1, 0, len(leaves), tuple(roots), None)
+    return ParseTree(root, nodes, tuple(leaves))
 
 
 def nodes_at_depth(tree: ParseTree, d: int) -> list[int]:
     """Node ids at layer d, in left-to-right span order."""
     if d < 1 or d > tree.depth:
         raise DepthError(f"depth {d} outside 1..{tree.depth}")
-    return list(tree._layout.layers.get(d, ()))
+    return [node.id for node in tree.nodes.values() if node.depth == d]
 
 
 def remove_subtree(tree: ParseTree, node_id: int) -> ParseTree:
     """Return a new tree without the given node's subtree.
 
     Internal nodes left with no leaf descendants are pruned; surviving nodes
-    keep their ids and depths. The original tree is unchanged. The new
-    tree's layout is the old one with the pruned nodes and leaves cut out.
+    keep their ids and depths, and their leaf ranges close over the cut.
+    The original tree is unchanged.
     """
-    if tree.node(node_id).id == tree.root.id:  # raises UnknownNodeError
+    removed = tree.node(node_id)  # raises UnknownNodeError
+    if removed.id == tree.root.id:
         raise RootRemovalError("cannot remove the root node")
-    lo, hi = tree.leaf_range(node_id)
-    index, leaves, ranges, layers = tree._layout
-    kept: dict[int, ParseNode] = {}
-    for node in reversed(index.values()):  # every child before its parent
-        if node.is_leaf:
-            if not lo <= ranges[node.id][0] < hi:
-                kept[node.id] = node
-            continue
-        children = tuple(kept[c.id] for c in node.children if c.id in kept)
-        if children or node.id == tree.root.id:  # emptied internal nodes go
-            kept[node.id] = ParseNode(
-                id=node.id, label=node.label, depth=node.depth, children=children
-            )
+    lo, hi = removed.lo, removed.hi
     cut = hi - lo  # a kept node's bounds lie at or before lo, or at or past hi
-    layout = _Layout(
-        {i: kept[i] for i in index if i in kept},
-        leaves[:lo] + leaves[hi:],
-        {i: (a - cut if a > lo else a, b - cut if b > lo else b)
-         for i, (a, b) in ranges.items() if i in kept},
-        {d: ids for d, old in layers.items() if (ids := [i for i in old if i in kept])},
-    )
-    return _tree(kept[tree.root.id], layout)
+    kept: dict[int, ParseNode] = {}
+    for node in reversed(tree.nodes.values()):  # every child before its parent
+        if node.is_leaf:
+            if lo <= node.lo < hi:
+                continue
+            children = ()
+        else:
+            children = tuple(kept[c.id] for c in node.children if c.id in kept)
+            if not children and node.id != tree.root.id:  # emptied internal nodes go
+                continue
+        a, b = node.lo, node.hi
+        kept[node.id] = ParseNode(
+            node.id, node.label, node.depth, a - cut if a > lo else a, b - cut if b > lo else b,
+            children, node.token,
+        )
+    nodes = dict(reversed(kept.items()))
+    return ParseTree(kept[tree.root.id], nodes, tuple(n for n in nodes.values() if n.is_leaf))
 
 
 def spelling(token: str, before: str | None) -> str:

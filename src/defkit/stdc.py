@@ -145,24 +145,24 @@ def compress(
     full = tuple(written)
     paper = cfg.baseline_mode == BASELINE_PAPER_LITERAL
     steps: list[Step] = []
-    queue: deque[tuple[ParseNode, int, int]] = deque()
+    queue: deque[ParseNode] = deque()
 
     with ScoreStream(task, fit, backend, cache) as stream:
 
         def enqueue(nodes) -> None:
             for node in nodes:
-                lo, hi = tree.leaf_range(node.id)
-                if lo == hi:  # no leaf below it: nothing to remove
+                if node.lo == node.hi:  # no leaf below it: nothing to remove
                     continue
-                queue.append((node, lo, hi))
+                queue.append(node)
                 if paper:
-                    stream.submit(_spliced(tokens, full, lo, hi))
+                    stream.submit(_spliced(tokens, full, node.lo, node.hi))
 
         stream.submit(full_text)
         enqueue(map(tree.node, nodes_at_depth(tree, 2)) if tree.depth > 1 else ())
         full_score = baseline = stream.take().mean_score
         while queue:
-            node, lo, hi = queue.popleft()
+            node = queue.popleft()
+            lo, hi = node.lo, node.hi
             if not paper:
                 stream.submit(_spliced(tokens, written, lo, hi))
             candidate_score = stream.take().mean_score
@@ -259,8 +259,8 @@ def category_retention(
     offsets = leaf_offsets(tree, full_text)
     kept_chars = [True] * len(full_text)
     for node_id in result.accepted_node_ids():
-        lo, hi = tree.leaf_range(node_id)
-        for start, end in offsets[lo:hi]:
+        node = tree.node(node_id)
+        for start, end in offsets[node.lo : node.hi]:
             kept_chars[start:end] = [False] * (end - start)
 
     counts: dict[str, list[int]] = {}

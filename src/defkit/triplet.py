@@ -33,12 +33,13 @@ class TripletDefinition:
             raise InvariantError("triplet entries must be non-empty")
 
     def to_dict(self) -> dict:
+        """The row `triplet` writes, its keys in sorted order."""
         return {
-            "task_id": self.task_id,
-            "input": [self.input_entry],
             "action": [self.action_entry],
-            "output": list(self.output_entry),
+            "input": [self.input_entry],
             "needs_review": self.needs_review,
+            "output": list(self.output_entry),
+            "task_id": self.task_id,
         }
 
 
@@ -49,7 +50,8 @@ class MetaTuneInstance:
     target: str
 
     def to_dict(self) -> dict:
-        return {"tag": self.tag.value, "source": self.source, "target": self.target}
+        """The row `triplet` writes, its keys in sorted order."""
+        return {"source": self.source, "tag": self.tag.value, "target": self.target}
 
 
 def _base_label(label: str) -> str:
@@ -77,26 +79,26 @@ def build_triplet(task: Task, ann: AnnotationSet, tree: ParseTree) -> TripletDef
 
     needs_review = False
     leaf_pos = leaf_offsets(tree, text)
-    # (node, char start, char end, lo, hi) of each NP and VP with a leaf, in
+    # (node, char start, char end) of each NP and VP with a leaf, in
     # pre-order, and the index of each leaf whose preterminal is a verb
-    nps: list[tuple[ParseNode, int, int, int, int]] = []
-    vps: list[tuple[ParseNode, int, int, int, int]] = []
+    nps: list[tuple[ParseNode, int, int]] = []
+    vps: list[tuple[ParseNode, int, int]] = []
     verbs: list[int] = []
-    for node, lo, hi in tree.constituents() if leaf_pos is not None else ():
+    for node in tree.nodes.values() if leaf_pos is not None else ():
         # a base label is NP, VP or VB... only if its label starts so
-        if lo == hi or not node.label.startswith(("NP", "VP", "VB")):
+        if node.is_leaf or node.lo == node.hi or not node.label.startswith(("NP", "VP", "VB")):
             continue
         base = _base_label(node.label)
         if base == "NP" or base == "VP":
             (nps if base == "NP" else vps).append(
-                (node, leaf_pos[lo][0], leaf_pos[hi - 1][1], lo, hi)
+                (node, leaf_pos[node.lo][0], leaf_pos[node.hi - 1][1])
             )
         elif base.startswith("VB"):
-            verbs.extend(tree.leaf_range(child.id)[0] for child in node.children if child.is_leaf)
+            verbs.extend(child.lo for child in node.children if child.is_leaf)
 
     # input entry: NP maximally overlapping the first InputContent span
     np_extent, best_key = None, None
-    for node, start, end, _, _ in nps:
+    for node, start, end in nps:
         overlap = min(end, input_end) - max(start, input_start)
         if overlap > 0:
             key = (overlap, node.depth, -start)
@@ -117,7 +119,8 @@ def build_triplet(task: Task, ann: AnnotationSet, tree: ParseTree) -> TripletDef
         verb_end = leaf_pos[verb][1]
         # the VPs whose leaves hold the verb's are its VP ancestors
         vp_node = max(
-            (vp for vp in vps if vp[3] <= verb < vp[4]), key=lambda vp: vp[0].depth, default=None
+            (vp for vp in vps if vp[0].lo <= verb < vp[0].hi), key=lambda vp: vp[0].depth,
+            default=None,
         )
     if vp_node is not None:
         action_entry = text[vp_node[1] : vp_node[2]]
@@ -133,12 +136,13 @@ def build_triplet(task: Task, ann: AnnotationSet, tree: ParseTree) -> TripletDef
     else:
         obj_extent = None
         if vp_node is not None:  # found from a verb, so verb_end is set
-            vp, _, _, vp_lo, vp_hi = vp_node
+            vp = vp_node[0]
             best_key = None
-            for node, start, end, lo, hi in nps:
+            for node, start, end in nps:
                 # below the VP: deeper than it, with leaves inside its leaf
                 # range, and starting at or after the verb's end
-                if node.depth <= vp.depth or not vp_lo <= lo < hi <= vp_hi or start < verb_end:
+                inside = vp.lo <= node.lo < node.hi <= vp.hi
+                if node.depth <= vp.depth or not inside or start < verb_end:
                     continue
                 key = (-start, node.depth)
                 if best_key is None or key > best_key:

@@ -6,7 +6,7 @@ from defkit.annotations import AnnotationSet, ContentCategory, Span
 from defkit.corpus import Demonstration, Instance, Task, TaskKind
 from defkit.errors import EmptyResultError, InvariantError
 from defkit.metrics import compression_ratio
-from defkit.parse import _Layout, nodes_at_depth, parse_bracketed, spelling
+from defkit.parse import PTB_ESCAPES, nodes_at_depth, parse_bracketed, spelling
 from defkit.scorer import score_many
 from defkit.stdc import (
     BASELINE_PAPER_LITERAL,
@@ -153,8 +153,12 @@ def annotation_to_dict(ann):
     }
 
 
+# each literal token by its escaped form, the inverse of PTB_ESCAPES
+_PTB_UNESCAPES = {token: escaped for escaped, token in PTB_ESCAPES.items()}
+
+
 def to_bracketed(tree):
-    """A tree in bracketed notation, with raw (escaped) token forms, as
+    """A tree in bracketed notation, with its tokens escaped again, as
     `parse_bracketed` reads it; iterative, so deep trees print."""
     out = []
     stack = [tree.root]
@@ -163,7 +167,7 @@ def to_bracketed(tree):
         if isinstance(item, str):
             out.append(item)
         elif item.is_leaf:
-            out.append(item.raw if item.raw is not None else item.token)
+            out.append(_PTB_UNESCAPES.get(item.token, item.token))
         else:
             out.append(f"({item.label}")
             stack.append(")")
@@ -172,40 +176,34 @@ def to_bracketed(tree):
     return "".join(out)
 
 
-def walk_layout(root):
-    """The layout of the tree below root, from one iterative pre-order walk:
-    the reference for the layouts that `parse_bracketed` and
-    `remove_subtree` give their trees."""
-    layout = _Layout({}, [], {}, {})
-    index, leaves, ranges, layers = layout
+def walk(root):
+    """Every node below root, root first, in pre-order, as (node, lo, hi)
+    where the node's leaves are leaves[lo:hi], and those leaves left to
+    right: one iterative walk, the reference for the nodes, leaves and leaf
+    ranges that `parse_bracketed` and `remove_subtree` give their trees."""
+    walked, leaves = [], []
     stack = [root]
     while stack:
-        node = stack.pop()
-        # an (id, lo) mark, not a node (nodes are tuples too): every leaf
+        item = stack.pop()
+        # a [node, lo, hi] entry, not a node (nodes are tuples): every leaf
         # below that node has been seen
-        if type(node) is tuple:
-            ranges[node[0]] = (node[1], len(leaves))
+        if type(item) is list:
+            item[2] = len(leaves)
             continue
-        index[node.id] = node
-        layers.setdefault(node.depth, []).append(node.id)
-        lo = len(leaves)
-        if node.is_leaf:
-            ranges[node.id] = (lo, lo + 1)
-            leaves.append(node)
+        entry = [item, len(leaves), None]
+        walked.append(entry)
+        if item.is_leaf:
+            leaves.append(item)
+            entry[2] = len(leaves)
         else:
-            stack.append((node.id, lo))
-            stack.extend(reversed(node.children))
-    return layout
-
-
-def tree_nodes(tree):
-    """Every node of tree, in pre-order, as its layout indexes them."""
-    return list(tree._layout.index.values())
+            stack.append(entry)
+            stack.extend(reversed(item.children))
+    return [tuple(entry) for entry in walked], leaves
 
 
 def subtree_leaves(node):
     """The leaves below a node, left to right."""
-    return walk_layout(node).leaves
+    return walk(node)[1]
 
 
 def fields(record_or_class):
@@ -241,17 +239,16 @@ def layered_compress(task, tree, fit, backend, cfg=StdcConfig(), cache=None):
     paper = cfg.baseline_mode == BASELINE_PAPER_LITERAL
     steps = []
     for depth in range(2, tree.depth + 1):
-        ranges = [(n, *tree.leaf_range(n)) for n in nodes_at_depth(tree, depth)]
-        pending = [(n, lo, hi) for n, lo, hi in ranges if any(written[lo:hi])]
+        nodes = map(tree.node, nodes_at_depth(tree, depth))
+        pending = [node for node in nodes if any(written[node.lo : node.hi])]
         for batch in [pending] if paper else [[p] for p in pending]:
             base = full if paper else written
-            candidates = [_spliced(tokens, base, lo, hi) for _, lo, hi in batch]
-            for (node_id, lo, hi), candidate_score in zip(batch, f(candidates)):
+            candidates = [_spliced(tokens, base, node.lo, node.hi) for node in batch]
+            for node, candidate_score in zip(batch, f(candidates)):
+                lo, hi = node.lo, node.hi
                 accepted = candidate_score >= baseline - cfg.epsilon
                 surviving = tuple(tok for tok, w in zip(tokens[lo:hi], written[lo:hi]) if w)
-                steps.append(
-                    Step(node_id, tree.node(node_id).label, surviving, candidate_score, accepted)
-                )
+                steps.append(Step(node.id, node.label, surviving, candidate_score, accepted))
                 if accepted:
                     _remove(tokens, written, lo, hi)
                     if not paper:

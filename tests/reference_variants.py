@@ -1,6 +1,6 @@
 """`ablation.remove_spans` and `triplet.build_triplet`, with the
 `parse.leaf_offsets` it calls, as they were before whitespace was read with
-`str.split` and `str.find` and the tree's ranges through its layout: the
+`str.split` and `str.find` and the NP and VP ranges gathered in one pass: the
 references that `test_ablation` and `test_triplet` hold the current
 versions to, record for record."""
 
@@ -12,8 +12,6 @@ from defkit.corpus import Task, TaskKind
 from defkit.errors import MissingSpanError
 from defkit.parse import ParseNode, ParseTree
 from defkit.triplet import TripletDefinition
-
-from conftest import tree_nodes
 
 
 def remove_spans_reference(task: Task, ann: AnnotationSet, spec: AblationSpec) -> AblatedDefinition:
@@ -97,10 +95,10 @@ def build_triplet_reference(task: Task, ann: AnnotationSet, tree: ParseTree) -> 
 
     needs_review = False
     leaf_pos = _leaf_offsets(tree, text)
-    nodes = [n for n in tree_nodes(tree) if not n.is_leaf] if leaf_pos is not None else []
+    nodes = [n for n in tree.nodes.values() if not n.is_leaf] if leaf_pos is not None else []
     extents: dict[int, tuple[int, int] | None] = {}  # char extent of each internal node
     for node in nodes:
-        lo, hi = tree.leaf_range(node.id)
+        lo, hi = node.lo, node.hi
         extents[node.id] = (leaf_pos[lo][0], leaf_pos[hi - 1][1]) if lo < hi else None
 
     def pick_np(window: tuple[int, int]) -> ParseNode | None:
@@ -135,7 +133,7 @@ def build_triplet_reference(task: Task, ann: AnnotationSet, tree: ParseTree) -> 
         for node in nodes:
             for child in node.children:
                 parent[child.id] = node
-        for leaf, (start, end) in zip(tree.leaves(), leaf_pos):
+        for leaf, (start, end) in zip(tree.leaves, leaf_pos):
             pre = parent.get(leaf.id)
             if (
                 action_span[0] <= start
@@ -168,12 +166,11 @@ def build_triplet_reference(task: Task, ann: AnnotationSet, tree: ParseTree) -> 
     else:
         obj = None
         if vp_node is not None:  # found from verb_leaf, so verb_end is set
-            vp_lo, vp_hi = tree.leaf_range(vp_node.id)
             best_key = None
             for node in nodes:
                 # below the VP: deeper than it, with leaves inside its leaf range
-                lo, hi = tree.leaf_range(node.id)
-                if node.depth <= vp_node.depth or not vp_lo <= lo < hi <= vp_hi:
+                inside = vp_node.lo <= node.lo < node.hi <= vp_node.hi
+                if node.depth <= vp_node.depth or not inside:
                     continue
                 extent = extents[node.id]
                 if _base_label(node.label) != "NP" or extent[0] < verb_end:

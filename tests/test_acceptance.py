@@ -110,10 +110,10 @@ def test_criterion_03_parse_round_trip():
     for _ in range(500):
         tree = parse_bracketed(random_tree_text(rng))
         again = parse_bracketed(to_bracketed(tree))
-        if [l.token for l in tree.leaves()] != [l.token for l in again.leaves()]:
+        if tree.source_tokens != again.source_tokens:
             ok = False
             break
-        total = len(tree.leaves())
+        total = len(tree.leaves)
 
         def all_nodes(node):
             yield node
@@ -124,7 +124,7 @@ def test_criterion_03_parse_round_trip():
             if node.id == tree.root.id:
                 continue
             pruned = remove_subtree(tree, node.id)
-            if len(pruned.leaves()) != total - len(subtree_leaves(node)):
+            if len(pruned.leaves) != total - len(subtree_leaves(node)):
                 ok = False
                 break
         if not ok:

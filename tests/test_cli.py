@@ -1236,6 +1236,19 @@ BAD_INPUTS = [
      lambda _: '\n{"task_id": "task_fox", "annotator": "a1", "spans": '
                '[{"start": true, "end": 3, "category": "input_content"}]}\n', 2,
      ("ablate", "triplet"), "{annotations}:2: spans[0]: start/end must be integers"),
+    # a category missing, unknown or unhashable (a list) is no category
+    ("annotation-category-missing", "annotations",
+     lambda _: '\n{"task_id": "task_fox", "annotator": "a1", "spans": '
+               '[{"start": 0, "end": 3}]}\n', 2,
+     ("ablate", "triplet"), "{annotations}:2: spans[0]: bad category"),
+    ("annotation-category-unknown", "annotations",
+     lambda _: '\n{"task_id": "task_fox", "annotator": "a1", "spans": '
+               '[{"start": 0, "end": 3, "category": "input"}]}\n', 2,
+     ("ablate", "triplet"), "{annotations}:2: spans[0]: bad category"),
+    ("annotation-category-a-list", "annotations",
+     lambda _: '\n{"task_id": "task_fox", "annotator": "a1", "spans": '
+               '[{"start": 0, "end": 3, "category": ["input_content"]}]}\n', 2,
+     ("ablate", "triplet"), "{annotations}:2: spans[0]: bad category"),
     ("parse-unclosed", "parses", lambda _: "\n(S (NN fox)\n", 2, ("compress", "triplet"),
      "{parses}:2: unclosed '(' opened at offset 0"),
     ("parse-file-missing", "parses", lambda _: None, 1, ("compress", "triplet"), "{parses}"),

@@ -25,7 +25,7 @@ from defkit.parse import (
     render,
 )
 
-from conftest import FOX_TREE_TEXT, subtree_leaves, to_bracketed, tree_nodes, walk_layout
+from conftest import FOX_TREE_TEXT, subtree_leaves, to_bracketed, walk
 from test_stdc import _TREE_TEXTS
 
 CAT_TREE = "(S (NP (DT the) (NN cat)) (VP (VBD sat)))"
@@ -87,7 +87,7 @@ class TestNodesAtDepth:
         seen = []
         for d in range(1, tree.depth + 1):
             seen.extend(nodes_at_depth(tree, d))
-        assert sorted(seen) == sorted(node.id for node in tree_nodes(tree))
+        assert sorted(seen) == sorted(tree.nodes)
         assert len(seen) == len(set(seen))
 
 
@@ -119,7 +119,7 @@ class TestRemoveSubtree:
     def test_token_accounting(self):
         tree = parse_bracketed(FOX_TREE_TEXT)
         before = len(tree.source_tokens)
-        for node_id in sorted(node.id for node in tree_nodes(tree)):
+        for node_id in sorted(tree.nodes):
             if node_id == tree.root.id:
                 continue
             removed_leaves = len(subtree_leaves(tree.node(node_id)))
@@ -222,8 +222,8 @@ def test_deep_tree_without_recursion_limit():
     assert to_bracketed(tree) == text
     leaf = nodes_at_depth(tree, DEEP + 2)[0]
     assert render(remove_subtree(tree, leaf)) == ", tree"
-    assert subtree_leaves(tree.node(DEEP)) == tree.leaves()
-    assert tree.leaf_range(DEEP + 3) == (1, 2)
+    assert subtree_leaves(tree.node(DEEP)) == list(tree.leaves)
+    assert (tree.node(DEEP + 3).lo, tree.node(DEEP + 3).hi) == (1, 2)
 
 
 def test_deep_unclosed_bracket_reports_its_opening():
@@ -242,7 +242,7 @@ def test_deep_tree_compares_hashes_and_prints_without_recursion():
     assert len({tree, again, tree.root, again.root}) == 4
     assert repr(tree.root) == "ParseNode(id=0, label='X', depth=1, children=1)"
     assert repr(tree) == f"ParseTree(root={tree.root!r})"
-    assert repr(tree.leaves()[0]) == "ParseNode(id=2002, label='deep', depth=2002, children=0)"
+    assert repr(tree.leaves[0]) == "ParseNode(id=2002, label='deep', depth=2002, children=0)"
 
 
 def reference_parse_error(text):
@@ -289,7 +289,7 @@ def test_errors_name_the_offending_token(pieces):
         assert count_trees(text) == roots
         # the read that skips the check builds the same tree
         checked, unchecked = parse_bracketed(text), parse_bracketed(text, roots)
-        fields = lambda tree: [(n.id, n.label, n.depth, n.token) for n in tree_nodes(tree)]
+        fields = lambda tree: [(*n[:5], n.token) for n in tree.nodes.values()]
         assert fields(unchecked) == fields(checked)
         return
     cls, message, offset = expected
@@ -343,7 +343,10 @@ def test_error_offsets_count_unicode_whitespace(text, message):
 LABELS = st.sampled_from(TAGS)
 TOKENS = st.sampled_from(WORDS + ["-LRB-", "-RRB-", ",", "n't"])
 TREES = st.recursive(
-    st.tuples(LABELS, TOKENS).map(lambda lt: f"({lt[0]} {lt[1]})"),
+    st.one_of(
+        st.tuples(LABELS, TOKENS).map(lambda lt: f"({lt[0]} {lt[1]})"),
+        LABELS.map("({})".format),  # an empty constituent: a range with no leaf
+    ),
     lambda children: st.tuples(LABELS, st.lists(children, min_size=1, max_size=4)).map(
         lambda lc: f"({lc[0]} {' '.join(lc[1])})"
     ),
@@ -355,41 +358,42 @@ def _deep(tree, levels):
     return "(X " * levels + tree + ")" * levels
 
 
-LAYOUT_INPUTS = st.one_of(
+TREE_INPUTS = st.one_of(
     TREES,  # one root
     st.lists(TREES, min_size=2, max_size=4).map(" ".join),  # several, joined under TOP
     st.tuples(TREES, st.integers(200, 3000)).map(lambda t: _deep(*t)),
 )
 
 
-def assert_layout_is_the_walk(tree):
-    layout, walked = tree._layout, walk_layout(tree.root)
-    assert layout == walked
-    assert list(layout.index) == list(walked.index)  # pre-order
-    assert list(layout.layers) == list(walked.layers)
-    assert None not in layout.index.values()
+def assert_tree_is_the_walk(tree):
+    walked, leaves = walk(tree.root)
+    assert list(tree.nodes) == [node.id for node, _, _ in walked]  # pre-order
+    assert all(tree.nodes[node.id] is node for node, _, _ in walked)
+    assert len(tree.leaves) == len(leaves)
+    assert all(a is b for a, b in zip(tree.leaves, leaves))
+    assert [(node.lo, node.hi) for node, _, _ in walked] == [(lo, hi) for _, lo, hi in walked]
 
 
-@given(LAYOUT_INPUTS)
+@given(TREE_INPUTS)
 @settings(max_examples=300, deadline=None)
-def test_layout_read_with_the_tree_equals_the_walk(text):
-    """parse_bracketed fills the layout as it reads; the walk over the same
-    nodes is the reference."""
-    assert_layout_is_the_walk(parse_bracketed(text))
+def test_tree_read_equals_the_walk(text):
+    """parse_bracketed indexes the nodes and sets their leaf ranges as it
+    reads; the walk over the same nodes is the reference."""
+    assert_tree_is_the_walk(parse_bracketed(text))
 
 
-@given(LAYOUT_INPUTS, st.lists(st.integers(0, 10**6), min_size=1, max_size=4))
+@given(TREE_INPUTS, st.lists(st.integers(0, 10**6), min_size=1, max_size=4))
 @settings(max_examples=300, deadline=None)
-def test_layout_carried_through_removals_equals_the_walk(text, picks):
-    """remove_subtree derives the pruned tree's layout from the old one;
-    after each removal it equals the walk over the pruned root."""
+def test_tree_after_removals_equals_the_walk(text, picks):
+    """remove_subtree rebuilds the kept nodes with their leaf ranges closed
+    over the cut; after each removal the tree equals the walk over its root."""
     tree = parse_bracketed(text)
     for pick in picks:
-        candidates = [node.id for node in tree_nodes(tree) if node.id != tree.root.id]
+        candidates = [node.id for node in tree.nodes.values() if node.id != tree.root.id]
         if not candidates:
             break
         tree = remove_subtree(tree, candidates[pick % len(candidates)])
-        assert_layout_is_the_walk(tree)
+        assert_tree_is_the_walk(tree)
 
 
 def test_nodes_are_immutable_tuples_without_a_dict():
@@ -401,5 +405,5 @@ def test_nodes_are_immutable_tuples_without_a_dict():
     twin = ParseNode(*node)
     assert tuple(twin) == tuple(node)
     assert twin != node and not twin == node
-    leaf = tree.leaves()[0]
-    assert leaf != ParseNode(leaf.id, leaf.label, leaf.depth, (), leaf.token, leaf.raw)
+    leaf = tree.leaves[0]
+    assert leaf != ParseNode(*leaf)

@@ -8,9 +8,9 @@ anywhere outside its own definition, on any object. Names are matched
 without types, so a method shares its callers with every method of the
 same name.
 
-Likewise every annotated field of a `@record` class is read in
-`src/defkit`, as an attribute of any object or through `getattr` with a
-constant name, or is listed with the reason nothing reads it.
+Likewise every annotated field of a `@record` or `NamedTuple` class is
+read in `src/defkit`, as an attribute of any object or through `getattr`
+with a constant name, or is listed with the reason nothing reads it.
 """
 
 import ast
@@ -110,13 +110,17 @@ ALLOWED_FIELDS = {
 }
 
 
-def _is_record(node: ast.ClassDef) -> bool:
-    return any(isinstance(d, ast.Name) and d.id == "record" for d in node.decorator_list)
+def _has_fields(node: ast.ClassDef) -> bool:
+    """Whether the class is a `@record` or a `NamedTuple`, whose annotated
+    names are its fields."""
+    return any(isinstance(d, ast.Name) and d.id == "record" for d in node.decorator_list) or any(
+        isinstance(b, ast.Name) and b.id == "NamedTuple" for b in node.bases
+    )
 
 
 def _unread_fields() -> list[str]:
-    """module.Class.field of each annotated field of a @record class that
-    no attribute read, and no getattr with a constant name, reads."""
+    """module.Class.field of each annotated field of a @record or NamedTuple
+    class that no attribute read, and no getattr with a constant name, reads."""
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
     read = set()
     for tree in trees.values():
@@ -134,7 +138,7 @@ def _unread_fields() -> list[str]:
     out = []
     for module, tree in trees.items():
         for name, node, _ in _definitions(tree, module):
-            if isinstance(node, ast.ClassDef) and _is_record(node):
+            if isinstance(node, ast.ClassDef) and _has_fields(node):
                 for stmt in node.body:
                     if isinstance(stmt, ast.AnnAssign) and stmt.target.id not in read:
                         out.append(f"{name}.{stmt.target.id}")

@@ -23,7 +23,7 @@ from defkit.stdc import (
     unannotated_share,
 )
 
-from conftest import FOX_TREE_TEXT, make_task, subtree_leaves, tree_nodes
+from conftest import FOX_TREE_TEXT, make_task, subtree_leaves
 
 
 class DefinitionHashBackend(Backend):
@@ -450,10 +450,10 @@ def reference_retention(task, tree, accepted, ann):
     the rendered text as the tail of detokenize(tokens[:j + 1])."""
     current = tree
     for node_id in accepted:
-        if node_id in current:  # not pruned with an earlier removal
+        if node_id in current.nodes:  # not pruned with an earlier removal
             current = remove_subtree(current, node_id)
-    surviving = {leaf.id for leaf in current.leaves()}
-    leaves = tree.leaves()
+    surviving = {leaf.id for leaf in current.leaves}
+    leaves = tree.leaves
     tokens = [leaf.token for leaf in leaves]
     ends = [len(detokenize(tokens[: j + 1])) for j in range(len(tokens))]
     starts = [end - len(tok) for end, tok in zip(ends, tokens)]
@@ -488,7 +488,7 @@ def test_category_retention_equals_a_brute_force_reference(text, data):
     cuts = sorted(data.draw(st.sets(st.integers(0, len(definition)), max_size=6)))
     spans = tuple(Span(lo, hi, data.draw(_CATEGORIES)) for lo, hi in zip(cuts[::2], cuts[1::2]))
     ann = AnnotationSet(task.id, spans, "a1")
-    candidates = [n.id for n in tree_nodes(tree) if n.id != tree.root.id]
+    candidates = [n.id for n in tree.nodes.values() if n.id != tree.root.id]
     accepted = data.draw(st.lists(st.sampled_from(candidates), unique=True)) if candidates else []
     steps = tuple(Step(n, tree.node(n).label, (), 0.0, True) for n in accepted)
     result = CompressionResult(task.id, rendered, "", 0.0, 0.0, 0.0, steps)

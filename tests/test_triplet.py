@@ -14,7 +14,7 @@ from defkit.triplet import (
     render_triplet,
 )
 
-from conftest import make_task, tree_nodes
+from conftest import make_task
 from reference_variants import build_triplet_reference
 from test_parse import random_tree_text
 
@@ -202,7 +202,7 @@ def test_build_triplet_equals_the_reference(
         " ".join(random_tree_text(rng, max_leaves=12, tags=TRIPLET_TAGS) for _ in range(trees))
     )
     for _ in range(removals):
-        candidates = [n.id for n in tree_nodes(tree) if n.id != tree.root.id]
+        candidates = [n.id for n in tree.nodes.values() if n.id != tree.root.id]
         if candidates:
             tree = remove_subtree(tree, rng.choice(candidates))
     tokens = tree.source_tokens if aligned else [*tree.source_tokens, "zebra"]
