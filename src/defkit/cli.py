@@ -182,19 +182,24 @@ class _Run:
             else:
                 yield task, result
 
-    def table(self, headers: list[str], rows: list[list[str]], csv_headers=None) -> None:
-        print(_format_table(headers, rows))
+    def table(self, headers: list[str], rows: list[list[str]], csv_headers=None) -> str:
+        """The table as `finish` prints it; with `--csv`, written to
+        `summary.csv` first."""
         if self.args.csv:
             _write_csv(self.out / "summary.csv", csv_headers or headers, rows)
+        return _format_table(headers, rows)
 
-    def finish(self, config: dict, seeds: list[int], extra: dict | None = None) -> int:
+    def finish(self, summary: str, config: dict, seeds: list[int], extra: dict | None = None) -> int:
         """Write the manifest, digesting `--annotations` and `--parses` if
-        the command has them; then print a line per failed task, and raise
-        the first backend error or return the exit code."""
+        the command has them; then print `summary` and a line per failed
+        task, and raise the first backend error or return the exit code.
+        Every file is written before the first line, so a closed stdout
+        loses no output."""
         from .manifest import file_digest, write_manifest
 
         inputs = [vars(self.args)[flag] for flag in ("annotations", "parses") if flag in self.args]
         write_manifest(self.out, config, {path: file_digest(path) for path in inputs}, seeds, extra)
+        print(summary)
         for failure in self.failures:
             print(f"validation failure: {failure}", file=sys.stderr)
         if self.backend_errors:
@@ -210,7 +215,6 @@ def _backend(args):
         args.backend,
         GenerationParams(args.max_new_tokens, args.temperature, args.seed),
         endpoint_url=args.endpoint_url,
-        constant_value=args.constant_value,
         phrase=args.phrase,
     )
 
@@ -256,8 +260,8 @@ def cmd_ablate(args) -> int:
         [spec.name.value, f"{100 * (sum(r) / len(r) if r else 0.0):.0f}%", str(len(r))]
         for spec, r in zip(specs, ratios)
     ]
-    run.table(["spec", "%C", "tasks"], rows, ["spec", "pct_c", "tasks"])
-    return run.finish({"spec": args.spec, "lenient": args.lenient}, [])
+    table = run.table(["spec", "%C", "tasks"], rows, ["spec", "pct_c", "tasks"])
+    return run.finish(table, {"spec": args.spec, "lenient": args.lenient}, [])
 
 
 # ---------------------------------------------------------------- compress
@@ -288,28 +292,34 @@ def cmd_compress(args) -> int:
             )
         return result, report
 
+    # A backend that generates in the caller's thread gains nothing from task
+    # threads, which only contend for the interpreter lock: its tasks run one
+    # after another here. Remote tasks wait on the network, so up to --jobs
+    # of them run at once.
+    pool = Pool(args.jobs) if backend.max_in_flight else None
     rows: list[list[str]] = []
     aggregates: list[tuple[float, ...]] = []
     try:
-        with Pool(args.jobs) as pool:
-            for task, (result, report) in run.results(compress_task, pool.map):
-                payload = {"compression": result, "holdout": report}
-                (run.out / f"{task.id}.json").write_text(indented(payload) + "\n")
-                if report is None:
-                    aggregates.append((result.ratio,))
-                else:
-                    aggregates.append((result.ratio, report.before, report.after, report.coverage))
-                rows.append([task.id, *_compress_columns(aggregates[-1])])
+        for task, (result, report) in run.results(compress_task, pool.map if pool else map):
+            payload = {"compression": result, "holdout": report}
+            (run.out / f"{task.id}.json").write_text(indented(payload) + "\n")
+            if report is None:
+                aggregates.append((result.ratio,))
+            else:
+                aggregates.append((result.ratio, report.before, report.after, report.coverage))
+            rows.append([task.id, *_compress_columns(aggregates[-1])])
     finally:
+        if pool is not None:
+            pool.close()
         if cache is not None:
             cache.close()
 
     if aggregates:
         n = len(aggregates)
         rows.append(["MEAN", *_compress_columns([sum(col) / n for col in zip(*aggregates)])])
-    run.table(["task", "ratio", "before", "after", "coverage"], rows)
     config = ("backend", "mode", "epsilon", "fit_n", "holdout_n", "temperature", "max_new_tokens")
     return run.finish(
+        run.table(["task", "ratio", "before", "after", "coverage"], rows),
         {name: vars(args)[name] for name in config},
         [args.seed],
         {
@@ -384,6 +394,11 @@ def cmd_report(args) -> int:
         [Path(path).name, f"{r.overall:.4f}", f"{r.cls_mean:.4f}", f"{r.gen_mean:.4f}"]
         for path, r in reports
     ]
+    # every file is written before the first line, so a closed stdout loses none
+    if out_file is not None:
+        out_file.write_text(indented(reports[0][1].to_dict()) + "\n")
+    if csv_file is not None:
+        _write_csv(csv_file, headers, rows)
     print(_format_table(headers, rows))
     if args.verbose:
         for path, r in reports:
@@ -419,11 +434,6 @@ def cmd_report(args) -> int:
                 ["verbalizers"] + [Path(p).name for p, _ in reports], group_rows
             )
         )
-
-    if out_file is not None:
-        out_file.write_text(indented(reports[0][1].to_dict()) + "\n")
-    if csv_file is not None:
-        _write_csv(csv_file, headers, rows)
     return EXIT_OK
 
 
@@ -443,8 +453,11 @@ def cmd_triplet(args) -> int:
             for inst in meta_tuning_instances(task, trip, split_outputs=args.split_outputs):
                 mf.write(json.dumps(inst.to_dict()) + "\n")
                 n_meta += 1
-    print(f"wrote {n_triplets} triplets and {n_meta} meta-tuning instances to {run.out}")
-    return run.finish({"split_outputs": args.split_outputs}, [])
+    return run.finish(
+        f"wrote {n_triplets} triplets and {n_meta} meta-tuning instances to {run.out}",
+        {"split_outputs": args.split_outputs},
+        [],
+    )
 
 
 # ---------------------------------------------------------------- score
@@ -483,9 +496,8 @@ def cmd_score(args) -> int:
 
 
 def _add_backend_args(p: _Parser):
-    p.add_argument("--backend", choices=["remote", "constant", "planted", "keyword"], required=True)
+    p.add_argument("--backend", choices=["remote", "planted", "keyword"], required=True)
     p.add_argument("--endpoint-url", default=None)
-    p.add_argument("--constant-value", type=float, default=0.5)
     p.add_argument("--phrase", default="", help="planted phrase for the planted backend")
     p.add_argument("--max-new-tokens", type=_int_at_least(1), default=128)
     p.add_argument("--temperature", type=float, default=0.0)
@@ -593,19 +605,35 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    """Run the command `argv` names and return its exit code. Without
+    `argv`, as the console script and `python -m defkit.cli` call it, the
+    command line is `sys.argv` and the process ends with the exit code
+    once stdout and stderr are flushed, skipping the interpreter's
+    teardown: every file a command opens is closed when it returns, and
+    defkit registers no `atexit` hook. An exception that escapes (usage
+    errors, `--help`, an interrupt) exits the normal way."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "report" and (args.train_tasks is None) != (args.test_tasks is None):
         parser.error("report: --train-tasks and --test-tasks go together")
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a closed stdout fails here, as one `error:` line, not at exit
+        sys.stdout.flush()
     except (DefkitError, OSError) as exc:
         code = next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
         if code == EXIT_BACKEND:
             print(f"backend error: {exc}", file=sys.stderr)
         else:
             print(f"error: {exc}", file=sys.stderr)
+    if argv is not None:
         return code
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:
+            pass  # stdout failed above and was reported; stderr cannot be told
+    os._exit(code)
 
 
 if __name__ == "__main__":

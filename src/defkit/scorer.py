@@ -55,7 +55,8 @@ class Backend:
     A `ScoreStream` has up to `max_in_flight` contexts generated at once,
     each on a thread of its own pool; with 0, as in the in-process
     backends, it generates a context in the caller's thread when the
-    context's record is taken."""
+    context's record is taken, and `compress` runs such a backend's tasks
+    one after another in the calling thread, whatever `--jobs` is."""
 
     backend_id: str = "backend"
     max_in_flight: int = 0
@@ -71,24 +72,6 @@ class Backend:
 
     def generate(self, ctx: GenerationContext) -> list[str]:
         raise NotImplementedError
-
-    def score_batch(self, ctx: GenerationContext) -> list[float] | None:
-        """Direct per-instance scores, bypassing generation; None for
-        generation-based backends."""
-        return None
-
-
-class ConstantBackend(Backend):
-    """Scores every definition with a fixed value. Useful for tie-behavior tests."""
-
-    def __init__(self, value: float, params: GenerationParams = GenerationParams()):
-        super().__init__(params)
-        self.value = value
-        self.backend_id = f"constant:{value}"
-
-    def score_batch(self, ctx: GenerationContext) -> list[float]:
-        self.count_call()
-        return [self.value] * len(ctx.instances)
 
 
 class PlantedPhraseBackend(Backend):
@@ -255,10 +238,9 @@ def build_backend(
     params: GenerationParams,
     *,
     endpoint_url: str | None = None,
-    constant_value: float = 0.5,
     phrase: str = "",
 ) -> Backend:
-    """The backend `name` (remote, constant, planted or keyword), generating
+    """The backend `name` (remote, planted or keyword), generating
     with `params`: the one place where the command line's backend settings
     are checked and become a backend. A missing or unusable setting raises
     ConfigError."""
@@ -270,13 +252,10 @@ def build_backend(
         raise ConfigError(
             f"endpoint_url must be an http or https URL with a host, got {endpoint_url!r}"
         )
-    for setting, value in (("temperature", params.temperature), ("constant_value", constant_value)):
-        if not math.isfinite(value):
-            raise ConfigError(f"{setting} must be finite, got {value}")
+    if not math.isfinite(params.temperature):
+        raise ConfigError(f"temperature must be finite, got {params.temperature}")
     if name == "remote":
         return RemoteBackend(endpoint_url, params)
-    if name == "constant":
-        return ConstantBackend(constant_value, params)
     if name == "planted":
         return PlantedPhraseBackend(phrase, params)
     if name == "keyword":
@@ -528,18 +507,16 @@ class ScoreStream:
         definition, key, ctx, call = self._queue.popleft()
         if ctx is None:
             return self.cache.get(key)
-        per = None if call else self.backend.score_batch(ctx)
-        if per is None:
-            try:
-                generations = call.result() if call else self.backend.generate(ctx)
-            except BackendError as exc:
-                raise BackendError(f"task {self.task.id}: {exc}") from exc
-            if len(generations) != len(self.instances):
-                raise BackendError(
-                    f"task {self.task.id}: backend returned {len(generations)} generations "
-                    f"for {len(self.instances)} instances"
-                )
-            per = [rouge_l(g, inst.references) for g, inst in zip(generations, self.instances)]
+        try:
+            generations = call.result() if call else self.backend.generate(ctx)
+        except BackendError as exc:
+            raise BackendError(f"task {self.task.id}: {exc}") from exc
+        if len(generations) != len(self.instances):
+            raise BackendError(
+                f"task {self.task.id}: backend returned {len(generations)} generations "
+                f"for {len(self.instances)} instances"
+            )
+        per = [rouge_l(g, inst.references) for g, inst in zip(generations, self.instances)]
         record = ScoreRecord(
             cache_key=key,
             definition=definition,

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -7,7 +8,7 @@ from defkit.corpus import Demonstration, Instance, Task, TaskKind
 from defkit.errors import EmptyResultError, InvariantError
 from defkit.metrics import compression_ratio
 from defkit.parse import PTB_ESCAPES, nodes_at_depth, parse_bracketed, spelling
-from defkit.scorer import score_many
+from defkit.scorer import Backend, score_many
 from defkit.stdc import (
     BASELINE_PAPER_LITERAL,
     CompressionResult,
@@ -110,6 +111,34 @@ def fox_task():
         n_instances=4,
         references=[["review summary one"], ["review summary two"], ["three"], ["four"]],
     )
+
+
+def padded(reference, fillers):
+    """A generation with Rouge-L 2n / (2n + fillers) against a reference of
+    n words: the reference, then `fillers` words it lacks."""
+    return reference + " filler" * fillers
+
+
+class SeededBackend(Backend):
+    """Pseudo-random scores, fixed per (salt, definition), reached through
+    generations as any backend's are: each instance generates nothing
+    (Rouge-L 0.0) or its first reference padded with 0 to `levels - 2`
+    fillers (1.0 and below), so a score takes one of `levels` values."""
+
+    def __init__(self, salt, levels=20):
+        super().__init__()
+        self.salt = salt
+        self.levels = levels
+        self.backend_id = f"seeded:{salt}"
+
+    def generate(self, ctx):
+        self.count_call()
+        rng = random.Random(f"{self.salt}:{ctx.definition}")
+        out = []
+        for inst in ctx.instances:
+            fillers = rng.randrange(-1, self.levels - 1)
+            out.append("" if fillers < 0 else padded(inst.references[0], fillers))
+        return out
 
 
 def task_to_dict(task):

@@ -19,7 +19,6 @@ from defkit.errors import BackendError
 from defkit.metrics import rouge_l
 from defkit.parse import parse_bracketed, remove_subtree
 from defkit.scorer import (
-    Backend,
     GenerationParams,
     KeywordLabelBackend,
     PlantedPhraseBackend,
@@ -30,7 +29,7 @@ from defkit.stdc import StdcConfig, category_retention, compress, replay_removal
 from defkit.stubserver import StubServer
 from defkit.triplet import MetaTag, build_triplet, meta_tuning_instances, render_triplet
 
-from conftest import FOX_TREE_TEXT, make_task, subtree_leaves, to_bracketed
+from conftest import FOX_TREE_TEXT, SeededBackend, make_task, subtree_leaves, to_bracketed
 from test_triplet import TASK6_TREE, task6, task6_annotation
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -168,18 +167,6 @@ def test_criterion_04_stdc_trace():
     check(4, "planted-phrase compression trace matches the hand trace", ok)
 
 
-class SeededScoreBackend(Backend):
-    def __init__(self, salt):
-        super().__init__()
-        self.salt = salt
-        self.backend_id = f"seeded:{salt}"
-
-    def score_batch(self, ctx):
-        self.calls += 1
-        rng = random.Random(f"{self.salt}:{ctx.definition}")
-        return [rng.random() for _ in ctx.instances]
-
-
 def test_criterion_05_stdc_monotonicity():
     rng = random.Random(31)
     ok = True
@@ -197,7 +184,7 @@ def test_criterion_05_stdc_monotonicity():
         )
         fit, _ = split_examples(task, 2, 0, i)
         result = compress(
-            task, tree, fit, SeededScoreBackend(i), cfg=StdcConfig(allow_empty_result=True)
+            task, tree, fit, SeededBackend(i), cfg=StdcConfig(allow_empty_result=True)
         )
         if result.fit_score_after < result.fit_score_before:
             ok = False

@@ -2,8 +2,10 @@ import inspect
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
+import threading
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -21,7 +23,7 @@ from defkit.annotations import (
     validate_annotation,
 )
 from defkit.cli import build_parser, main
-from defkit import metrics, parse, scorer
+from defkit import metrics, parse, scorer, stdc
 from defkit.corpus import TaskKind, load_task_file, split_examples
 from defkit.parse import parse_bracketed
 from defkit.scorer import GenerationParams, PlantedPhraseBackend
@@ -335,15 +337,21 @@ class TestCompressCommand:
         out = capsys.readouterr().out
         assert "MEAN" in out and "task_fox" in out
 
-    def test_results_are_the_same_at_any_jobs(self, tmp_path):
-        """Two tasks at `--jobs 1` and `--jobs 2`, each with a fresh cache:
-        the same result files, summary, manifest bar its timestamp and
-        command line, and set of cache lines. The cache's lines come in the
-        order the scores are made, so only their set is fixed."""
+    @staticmethod
+    def two_tasks(tmp_path):
         tasks_dir, parses = fox_corpus(tmp_path)
         fox = load_task_file(tasks_dir / "task_fox.json")
         write_task_file(tasks_dir / "task_fox2.json", replace(fox, id="task_fox2"))
         parses.write_text((FOX_TREE_TEXT + "\n") * 2, encoding="utf-8")
+        return tasks_dir, parses
+
+    def test_results_are_the_same_at_any_jobs(self, tmp_path):
+        """Two tasks at `--jobs 1` and `--jobs 2`, each with a fresh cache:
+        the same result files, summary, manifest bar its timestamp and
+        command line, and cache file. An in-process backend's tasks run one
+        after another at any `--jobs`, so even the order of the cache's
+        lines is fixed."""
+        tasks_dir, parses = self.two_tasks(tmp_path)
 
         def run(jobs):
             out, cache = tmp_path / f"jobs{jobs}", tmp_path / f"jobs{jobs}.jsonl"
@@ -355,12 +363,53 @@ class TestCompressCommand:
             files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
             manifest = json.loads((out / "manifest.json").read_text())
             del manifest["timestamp"], manifest["command_line"]
-            return files, manifest, sorted(cache.read_text().splitlines())
+            return files, manifest, cache.read_bytes()
 
-        files, manifest, cache_lines = run(1)
+        files, manifest, cache_bytes = run(1)
         assert sorted(files) == ["summary.csv", "task_fox.json", "task_fox2.json"]
-        assert len(cache_lines) > 2
-        assert run(2) == (files, manifest, cache_lines)
+        assert cache_bytes.count(b"\n") > 2
+        assert run(2) == (files, manifest, cache_bytes)
+
+    def test_in_process_backend_runs_every_task_in_the_calling_thread(self, tmp_path, monkeypatch):
+        tasks_dir, parses = self.two_tasks(tmp_path)
+        threads = []
+        generate = scorer.KeywordLabelBackend.generate
+
+        def recording(backend, ctx):
+            threads.append(threading.current_thread())
+            return generate(backend, ctx)
+
+        monkeypatch.setattr(scorer.KeywordLabelBackend, "generate", recording)
+        assert main([
+            "compress", "--tasks", str(tasks_dir), "--parses", str(parses), "--backend", "keyword",
+            "--fit-n", "2", "--holdout-n", "2", "--allow-empty", "--jobs", "2",
+            "--out", str(tmp_path / "out"),
+        ]) == 0
+        assert threads and set(threads) == {threading.main_thread()}
+
+    def test_remote_tasks_run_at_once_under_jobs(self, tmp_path, monkeypatch):
+        """Under `--jobs 2` both remote tasks are in their search at the same
+        time: each waits for the other at its start, which a run of one task
+        after another would never get past."""
+        tasks_dir, parses = self.two_tasks(tmp_path)
+        both_started = threading.Barrier(2, timeout=30)
+        threads = set()
+        compress_task = stdc.compress
+
+        def meeting(*args, **kwargs):
+            threads.add(threading.current_thread())
+            both_started.wait()
+            return compress_task(*args, **kwargs)
+
+        monkeypatch.setattr(stdc, "compress", meeting)
+        with StubServer() as server:
+            assert main([
+                "compress", "--tasks", str(tasks_dir), "--parses", str(parses),
+                "--backend", "remote", "--endpoint-url", server.url,
+                "--fit-n", "2", "--holdout-n", "2", "--allow-empty", "--jobs", "2",
+                "--out", str(tmp_path / "out"),
+            ]) == 0
+        assert len(threads) == 2 and threading.main_thread() not in threads
 
     def test_cached_rerun_skips_backend(self, tmp_path):
         tasks_dir, parses = fox_corpus(tmp_path)
@@ -633,9 +682,10 @@ def test_second_annotation_record_of_a_task_is_dropped_with_a_warning(
     )
 
 
-def run_cli(args, as_module=False):
+def run_cli(args, as_module=False, stdout=subprocess.PIPE, env=None):
     """The CLI in a fresh interpreter, as the `defkit` console script runs it
-    (`cli` is imported as `defkit.cli`), or else as `python -m defkit.cli`."""
+    (`cli` is imported as `defkit.cli`), or else as `python -m defkit.cli`;
+    `env` is added to the environment."""
     src = Path(defkit.__file__).resolve().parents[1]
     if as_module:
         launch = ["-m", "defkit.cli"]
@@ -643,7 +693,75 @@ def run_cli(args, as_module=False):
         launch = ["-c", "import sys; from defkit.cli import main; sys.exit(main())"]
     return subprocess.run(
         [sys.executable, *launch, *args],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=300,
+        stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": str(src), **(env or {})},
+    )
+
+
+def _exit_runs(tmp_path):
+    """argv of ablate, compress --cache, triplet, report --out and score
+    --cache on the pipeline files, and every path each one writes."""
+    _, commands = pipeline(tmp_path)
+    out, cache, report = tmp_path / "out", tmp_path / "cache.jsonl", tmp_path / "report.json"
+    return {
+        "ablate": (commands["ablate"], [out]),
+        "compress": ([*commands["compress"], "--cache", str(cache)], [out, cache]),
+        "triplet": (commands["triplet"], [out]),
+        "report": ([*commands["report"], "--out", str(report)], [report]),
+        "score": ([*commands["score"], "--cache", str(cache)], [cache]),
+    }
+
+
+def _written(paths):
+    """Each file under `paths` by its path, a manifest without its timestamp
+    and command line; the files are removed."""
+    files = {}
+    for path in paths:
+        for file in sorted(path.rglob("*")) if path.is_dir() else [path]:
+            data = file.read_bytes()
+            if file.name == "manifest.json":
+                data = json.loads(data)
+                del data["timestamp"], data["command_line"]
+            files[str(file)] = data
+        if path.is_dir():
+            shutil.rmtree(path)
+        else:
+            path.unlink()
+    return files
+
+
+@pytest.mark.parametrize("command", ["ablate", "compress", "triplet", "report", "score"])
+def test_the_console_script_loses_nothing_at_exit(tmp_path, capsys, command):
+    """The console-script path ends its process without the interpreter's
+    teardown; with stdout buffered, as Python buffers a pipe by default, it
+    gives the exit code, stdout, stderr and files of `main(argv)`."""
+    argv, paths = _exit_runs(tmp_path)[command]
+    proc = run_cli(argv, env={"PYTHONUNBUFFERED": ""})
+    script = proc.returncode, proc.stdout, proc.stderr, _written(paths)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert script == (code, captured.out, captured.err, _written(paths))
+    assert code == 0 and captured.out
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+@pytest.mark.parametrize("command", ["ablate", "compress", "triplet", "report"])
+def test_a_closed_stdout_ends_with_exit_1_and_one_line(tmp_path, capsys, command, buffered):
+    """stdout a pipe whose read end is closed: the command writes every file,
+    the manifest included, as a run with an open stdout does; then it exits
+    1 with one `error:` line after that run's stderr, whether Python
+    buffers stdout or not."""
+    argv, paths = _exit_runs(tmp_path)[command]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_cli(argv, stdout=write_end, env={"PYTHONUNBUFFERED": "" if buffered else "1"})
+    finally:
+        os.close(write_end)
+    written = _written(paths)
+    assert main(argv) == 0
+    assert (proc.returncode, proc.stderr, written) == (
+        1, capsys.readouterr().err + "error: [Errno 32] Broken pipe\n", _written(paths)
     )
 
 
@@ -855,21 +973,15 @@ class TestDeepTrees:
 
 
 class TestScoreCommand:
-    def test_constant_backend_stdout(self, tmp_path, capsys):
+    def test_score_prints_the_record(self, tmp_path, capsys):
         task = make_task(task_id="task_one")
         path = write_task_file(tmp_path / "task_one.json", task)
-        rc = main(
-            [
-                "score",
-                "--task", str(path),
-                "--backend", "constant",
-                "--constant-value", "0.25",
-            ]
-        )
+        rc = main(["score", "--task", str(path), "--backend", "planted", "--phrase", "classify"])
         assert rc == 0
         record = json.loads(capsys.readouterr().out)
-        assert record["mean_score"] == pytest.approx(0.25)
-        assert len(record["per_instance"]) == 3
+        assert record["definition"] == "Classify the text."
+        assert record["mean_score"] == 1.0
+        assert record["per_instance"] == [1.0] * 3
 
     def test_definition_override(self, tmp_path, capsys):
         task = make_task(
@@ -1032,8 +1144,6 @@ class TestConfigErrors:
             )
             for flag, name, value in [
                 ("--temperature", "temperature", "nan"),
-                ("--constant-value", "constant_value", "nan"),
-                ("--constant-value", "constant_value", "inf"),
             ]
         ],
     )
@@ -1062,7 +1172,7 @@ class TestBadInputs:
     def test_score_more_instances_than_the_task_has(self, tmp_path):
         path = write_task_file(tmp_path / "t.json", make_task(task_id="t", n_instances=4))
         proc = run_cli(
-            ["score", "--task", str(path), "--backend", "constant", "--n", "1000"]
+            ["score", "--task", str(path), "--backend", "keyword", "--n", "1000"]
         )
         assert "Traceback" not in proc.stderr
         assert proc.returncode == 2, proc.stderr
@@ -1080,7 +1190,7 @@ class TestBadInputs:
         args = {
             "ablate": ["--tasks", missing, "--annotations", str(ann_file), "--spec", "all"],
             "compress": [
-                "--tasks", missing, "--parses", str(parses), "--backend", "constant",
+                "--tasks", missing, "--parses", str(parses), "--backend", "keyword",
                 "--fit-n", "1", "--holdout-n", "1",
             ],
             "triplet": [
@@ -1135,7 +1245,7 @@ class TestBadInputs:
         }[command]
         with pytest.raises(SystemExit) as exc:
             main(
-                [command, *args, "--backend", "constant", "--cache", str(cache), flag, value]
+                [command, *args, "--backend", "keyword", "--cache", str(cache), flag, value]
             )
         assert exc.value.code == 64
         assert f"{flag}: expected an integer >= {least}, got '{value}'" in capsys.readouterr().err
@@ -1450,9 +1560,8 @@ class TestErrorTable:
 # `GenerationParams` -> (the flag that sets it, a value for the flag, the
 # value it gives the setting, which is not the setting's default)
 SCORER_FLAGS = {
-    "name": ("--backend", "constant", "constant"),
+    "name": ("--backend", "remote", "remote"),
     "endpoint_url": ("--endpoint-url", "http://127.0.0.1:9/x", "http://127.0.0.1:9/x"),
-    "constant_value": ("--constant-value", "0.25", 0.25),
     "phrase": ("--phrase", "quick fox", "quick fox"),
     "max_new_tokens": ("--max-new-tokens", "7", 7),
     "temperature": ("--temperature", "0.5", 0.5),
@@ -1524,7 +1633,7 @@ PENDING = {
     "triplet": {"--tasks", "--lenient"},
 }
 # The backend flags that `extra.backend_id` carries
-BACKEND_ID_FLAGS = {"--endpoint-url", "--constant-value", "--phrase"}
+BACKEND_ID_FLAGS = {"--endpoint-url", "--phrase"}
 
 
 @pytest.mark.parametrize("command", sorted(PENDING))

@@ -13,7 +13,6 @@ from defkit.errors import BackendError, InvariantError
 from defkit.metrics import normalize
 from defkit.scorer import (
     Backend,
-    ConstantBackend,
     GenerationContext,
     GenerationParams,
     KeywordLabelBackend,
@@ -48,9 +47,12 @@ def fit_set(task, n=4, seed=0):
 
 class TestBackends:
     def test_constant(self, gen_task):
-        record = score("any definition", gen_task, fit_set(gen_task), ConstantBackend(0.7))
-        assert record.mean_score == pytest.approx(0.7)
-        assert record.per_instance == (0.7,) * 4
+        """The planted backend with no phrase scores every definition alike."""
+        backend = PlantedPhraseBackend("")
+        for definition in ("any definition", "another", ""):
+            record = score(definition, gen_task, fit_set(gen_task), backend)
+            assert record.mean_score == 1.0
+            assert record.per_instance == (1.0,) * 4
 
     def test_planted_present(self, gen_task):
         backend = PlantedPhraseBackend("classifies reviews")
@@ -107,7 +109,7 @@ class TestBackends:
         with pytest.raises(InvariantError):
             build_backend("remote", GenerationParams())
 
-    @pytest.mark.parametrize("name", ["remote", "constant", "planted", "keyword"])
+    @pytest.mark.parametrize("name", ["remote", "planted", "keyword"])
     def test_build_backend_gives_the_backend_its_params(self, name):
         params = GenerationParams(max_new_tokens=7, temperature=0.5, seed=3)
         backend = build_backend(name, params, endpoint_url="http://127.0.0.1:9/x", phrase="alpha")
@@ -124,7 +126,7 @@ class TestCache:
     def test_roundtrip(self, tmp_path, gen_task):
         cache_path = tmp_path / "cache.jsonl"
         cache = ScoreCache(cache_path)
-        backend = ConstantBackend(0.5)
+        backend = PlantedPhraseBackend("alpha")
         record = score("defn", gen_task, fit_set(gen_task), backend, cache=cache)
         cache.close()
         reloaded = ScoreCache(cache_path)
@@ -198,7 +200,7 @@ class TestCache:
         corrupt line, not a hit."""
         path = tmp_path / "cache.jsonl"
         fit = fit_set(gen_task)
-        backend = ConstantBackend(0.5)
+        backend = PlantedPhraseBackend("alpha")
         cache = ScoreCache(path)
         record = score("defn", gen_task, fit, backend, cache=cache)
         cache.close()
@@ -216,7 +218,7 @@ class TestCache:
     def test_record_over_no_instances_is_a_hit(self, tmp_path, gen_task):
         """`score --n 0` writes mean_score 0.0 over an empty per_instance."""
         path = tmp_path / "cache.jsonl"
-        backend = ConstantBackend(0.5)
+        backend = PlantedPhraseBackend("alpha")
         cache = ScoreCache(path)
         record = score("defn", gen_task, fit_set(gen_task, 0), backend, cache=cache)
         cache.close()
@@ -449,4 +451,4 @@ class TestScoreRecord:
         from defkit.errors import ScorerError
 
         with pytest.raises(ScorerError):
-            score("d", gen_task, fit_set(other, 2), ConstantBackend(0.1))
+            score("d", gen_task, fit_set(other, 2), PlantedPhraseBackend("alpha"))

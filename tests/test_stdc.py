@@ -11,7 +11,7 @@ from defkit.errors import EmptyResultError, InvariantError
 from defkit.metrics import normalize
 from defkit import stdc
 from defkit.parse import detokenize, parse_bracketed, remove_subtree, render
-from defkit.scorer import Backend, ConstantBackend, PlantedPhraseBackend
+from defkit.scorer import Backend, PlantedPhraseBackend
 from defkit.stdc import (
     CompressionResult,
     StdcConfig,
@@ -23,35 +23,27 @@ from defkit.stdc import (
     unannotated_share,
 )
 
-from conftest import FOX_TREE_TEXT, make_task, subtree_leaves
-
-
-class DefinitionHashBackend(Backend):
-    """Deterministic pseudo-random score per definition text."""
-
-    def __init__(self, salt=0):
-        super().__init__()
-        self.salt = salt
-        self.backend_id = f"hash:{salt}"
-
-    def score_batch(self, ctx):
-        self.calls += 1
-        rng = random.Random(f"{self.salt}:{ctx.definition}")
-        return [rng.random() for _ in ctx.instances]
+from conftest import FOX_TREE_TEXT, SeededBackend, make_task, padded, subtree_leaves
 
 
 class DropOnRemovalBackend(Backend):
-    """Scores the full definition 1.0 and anything shorter strictly lower."""
+    """Scores the full definition 1.0 and anything shorter 0.0."""
 
     def __init__(self, full_text):
         super().__init__()
         self.full_text = full_text
         self.backend_id = "drop"
 
-    def score_batch(self, ctx):
-        self.calls += 1
-        value = 1.0 if ctx.definition == self.full_text else 0.1
-        return [value] * len(ctx.instances)
+    def generate(self, ctx):
+        self.count_call()
+        full = ctx.definition == self.full_text
+        return [inst.references[0] if full else "" for inst in ctx.instances]
+
+
+def constant_backend():
+    """A backend that scores every definition alike: the planted backend
+    with no phrase generates every reference, so every score is 1.0."""
+    return PlantedPhraseBackend("")
 
 
 def fit_holdout(task, n_fit=2, n_holdout=2, seed=0):
@@ -81,12 +73,12 @@ class TestCompressTrace:
     def test_constant_backend_empties(self, fox_task, fox_tree):
         fit, _ = fit_holdout(fox_task)
         with pytest.raises(EmptyResultError):
-            compress(fox_task, fox_tree, fit, ConstantBackend(0.4))
+            compress(fox_task, fox_tree, fit, constant_backend())
 
     def test_constant_backend_allow_empty(self, fox_task, fox_tree):
         fit, _ = fit_holdout(fox_task)
         result = compress(
-            fox_task, fox_tree, fit, ConstantBackend(0.4),
+            fox_task, fox_tree, fit, constant_backend(),
             cfg=StdcConfig(allow_empty_result=True),
         )
         assert result.compressed_definition == ""
@@ -108,7 +100,7 @@ class TestCompressTrace:
         other = parse_bracketed("(S (NN hello))")
         fit, _ = fit_holdout(fox_task)
         with pytest.raises(InvariantError, match="token-equal"):
-            compress(fox_task, other, fit, ConstantBackend(0.5))
+            compress(fox_task, other, fit, constant_backend())
 
     def test_paper_literal_baseline(self, fox_task, fox_tree):
         fit, _ = fit_holdout(fox_task)
@@ -143,7 +135,7 @@ class TestMonotonicityAndReplay:
         for i in range(50):
             task, tree = random_tree_task(rng, i)
             fit, _ = fit_holdout(task, 2, 0, seed=i)
-            backend = DefinitionHashBackend(salt=i)
+            backend = SeededBackend(salt=i)
             result = compress(
                 task, tree, fit, backend, cfg=StdcConfig(allow_empty_result=True)
             )
@@ -176,22 +168,17 @@ class TestMonotonicityAndReplay:
                 accepted |= set(collect(fox_tree.node(step.node_id)))
 
 
-class RecordingBackend(Backend):
+class RecordingBackend(SeededBackend):
     """Coarse pseudo-random scores (so ties and acceptances are common);
     records every definition it is asked about."""
 
-    backend_id = "recording"
-
     def __init__(self, salt):
-        super().__init__()
-        self.salt = salt
+        super().__init__(salt, levels=3)
         self.seen = []
 
-    def score_batch(self, ctx):
-        self.calls += 1
+    def generate(self, ctx):
         self.seen.append(ctx.definition)
-        rng = random.Random(f"{self.salt}:{ctx.definition}")
-        return [rng.choice([0.0, 0.5, 1.0]) for _ in ctx.instances]
+        return super().generate(ctx)
 
 
 _LABELS = st.sampled_from(["S", "NP", "VP", "PP"])
@@ -308,11 +295,12 @@ class TestHoldout:
                 super().__init__()
                 self.full = full
 
-            def score_batch(self, ctx):
-                self.calls += 1
-                if ctx.definition == self.full:
-                    return [0.5, 0.5, 0.5][: len(ctx.instances)]
-                return [0.6, 0.5, 0.7][: len(ctx.instances)]
+            def generate(self, ctx):
+                self.count_call()
+                # the full definition scores each instance below 1.0; the
+                # other gains on the first and third and ties on the second
+                fillers = [2, 2, 2] if ctx.definition == self.full else [0, 2, 0]
+                return [padded(inst.references[0], n) for inst, n in zip(ctx.instances, fillers)]
 
         from defkit.stdc import CompressionResult
 
