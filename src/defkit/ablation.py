@@ -2,39 +2,26 @@
 
 from __future__ import annotations
 
-import enum
 import random
 
-from ._record import record
-from .annotations import AnnotationSet, ContentCategory, validate_annotation
+from .annotations import AnnotationSet, ContentCategory, check_annotation
 from .corpus import Task, TaskKind
-from .errors import InvariantError, ValidationError, warn
+from .errors import InvariantError, warn
 from .metrics import compression_ratio  # also public here, as ablation.compression_ratio
 
 
-class AblationName(enum.Enum):
-    INPUT_ADD = "input_add"
-    OUTPUT_ADD = "output_add"
-    ALL_ADD = "all_add"
-    LABEL_LIST = "label_list"
-    LABEL_DESC = "label_desc"
-    ALL_LABEL = "all_label"
-    ALL_OUTPUT = "all_output"
-    ALL_INPUT = "all_input"
-
-
-REMOVED_CATEGORIES: dict[AblationName, frozenset[ContentCategory]] = {
-    AblationName.INPUT_ADD: frozenset({ContentCategory.ADDITIONAL_INPUT_DETAILS}),
-    AblationName.OUTPUT_ADD: frozenset({ContentCategory.ADDITIONAL_OUTPUT_DETAILS}),
-    AblationName.ALL_ADD: frozenset(
+# Each `ablate --spec` name and the categories its variant deletes, in the
+# order `--spec all` writes them
+REMOVED_CATEGORIES: dict[str, frozenset[ContentCategory]] = {
+    "input_add": frozenset({ContentCategory.ADDITIONAL_INPUT_DETAILS}),
+    "output_add": frozenset({ContentCategory.ADDITIONAL_OUTPUT_DETAILS}),
+    "all_add": frozenset(
         {ContentCategory.ADDITIONAL_INPUT_DETAILS, ContentCategory.ADDITIONAL_OUTPUT_DETAILS}
     ),
-    AblationName.LABEL_LIST: frozenset({ContentCategory.LABEL_LIST}),
-    AblationName.LABEL_DESC: frozenset({ContentCategory.LABEL_DEFINITION}),
-    AblationName.ALL_LABEL: frozenset(
-        {ContentCategory.LABEL_LIST, ContentCategory.LABEL_DEFINITION}
-    ),
-    AblationName.ALL_OUTPUT: frozenset(
+    "label_list": frozenset({ContentCategory.LABEL_LIST}),
+    "label_desc": frozenset({ContentCategory.LABEL_DEFINITION}),
+    "all_label": frozenset({ContentCategory.LABEL_LIST, ContentCategory.LABEL_DEFINITION}),
+    "all_output": frozenset(
         {
             ContentCategory.OUTPUT_CONTENT,
             ContentCategory.ADDITIONAL_OUTPUT_DETAILS,
@@ -42,52 +29,29 @@ REMOVED_CATEGORIES: dict[AblationName, frozenset[ContentCategory]] = {
             ContentCategory.LABEL_DEFINITION,
         }
     ),
-    AblationName.ALL_INPUT: frozenset(
+    "all_input": frozenset(
         {ContentCategory.INPUT_CONTENT, ContentCategory.ADDITIONAL_INPUT_DETAILS}
     ),
 }
 
 
-@record
-class AblationSpec:
-    name: AblationName
-
-    @property
-    def removed_categories(self) -> frozenset[ContentCategory]:
-        return REMOVED_CATEGORIES[self.name]
-
-
-@record
-class AblatedDefinition:
-    task_id: str
-    text: str
-    tokens_kept: int
-    tokens_full: int
-
-    @property
-    def ratio(self) -> float:
-        return self.tokens_kept / self.tokens_full if self.tokens_full else 0.0
-
-
-def apply_ablation(task: Task, ann: AnnotationSet, spec: AblationSpec) -> AblatedDefinition:
+def apply_ablation(task: Task, ann: AnnotationSet, categories: frozenset[ContentCategory]) -> str:
     """Check the annotation against the task, then `remove_spans`."""
-    report = validate_annotation(task, ann)
-    if not report.ok:
-        raise ValidationError("; ".join(report.problems))
-    return remove_spans(task, ann, spec)
+    check_annotation(task, ann)
+    return remove_spans(task, ann, categories)
 
 
-def remove_spans(task: Task, ann: AnnotationSet, spec: AblationSpec) -> AblatedDefinition:
-    """Delete every annotated span of the spec's categories from the definition.
+def remove_spans(task: Task, ann: AnnotationSet, categories: frozenset[ContentCategory]) -> str:
+    """The definition with every annotated span of the categories deleted.
 
     The annotation must already be valid for the task (`validate_annotation`).
     InputMention spans are deleted only when their enclosing ActionContent
-    span is deleted. Whitespace is collapsed afterwards; token counts are
-    over whitespace tokens of the raw text.
+    span is deleted. Whitespace runs in what is left become single spaces,
+    and leading and trailing whitespace goes.
     """
     # `in` a tuple finds a member by identity, in C; `in` a set would hash
     # each category with Enum.__hash__, which runs Python code
-    removed = tuple(spec.removed_categories)
+    removed = tuple(categories)
     delete: list[tuple[int, int]] = []
     deleted_actions = []
     for span in ann.spans:
@@ -107,13 +71,7 @@ def remove_spans(task: Task, ann: AnnotationSet, spec: AblationSpec) -> AblatedD
         pieces.append(text[kept_from:start])  # empty when start <= kept_from
         kept_from = max(kept_from, end)
     pieces.append(text[kept_from:])
-    words = "".join(pieces).split()
-    return AblatedDefinition(
-        task_id=task.id,
-        text=" ".join(words),
-        tokens_kept=len(words),
-        tokens_full=len(text.split()),
-    )
+    return " ".join("".join(pieces).split())
 
 
 def shuffle_definition(text: str, seed: int) -> str:

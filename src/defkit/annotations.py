@@ -10,11 +10,11 @@ import enum
 import json
 import re
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ._record import record
 from .corpus import Task, _require, numbered_lines
-from .errors import DegenerateError, InvariantError, SchemaError
+from .errors import DegenerateError, InvariantError, SchemaError, ValidationError
 
 
 class ContentCategory(enum.Enum):
@@ -100,6 +100,14 @@ def validate_annotation(task: Task, ann: AnnotationSet) -> ValidationReport:
     return ValidationReport(tuple(problems))
 
 
+def check_annotation(task: Task, ann: AnnotationSet) -> None:
+    """Raise ValidationError, naming every problem, unless the annotation
+    fits the task (`validate_annotation`)."""
+    report = validate_annotation(task, ann)
+    if not report.ok:
+        raise ValidationError("; ".join(report.problems))
+
+
 _TRIGGERS = ("Given ", "Provided with ", "You're given ", "You are given ")
 
 _SENTENCE_END = re.compile(r"[.?!]+(?=\s|$)")
@@ -140,41 +148,22 @@ def presplit_definition(text: str) -> list[str]:
     return segments
 
 
-@record
-class RatingMatrix:
-    """Per-item counts of annotators assigning each category.
-
-    Rows are items, columns categories; every row must sum to the same
-    number of raters.
-    """
-
-    counts: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if not self.counts:
-            raise InvariantError("rating matrix: need >= 1 item")
-        widths = {len(row) for row in self.counts}
-        if len(widths) != 1:
-            raise InvariantError("rating matrix: ragged rows")
-        sums = {sum(row) for row in self.counts}
-        if len(sums) != 1:
-            raise InvariantError("rating matrix: rows sum to different rater counts")
-        if any(c < 0 for row in self.counts for c in row):
-            raise InvariantError("rating matrix: negative count")
-
-    @property
-    def n_raters(self) -> int:
-        return sum(self.counts[0])
-
-
-def fleiss_kappa(m: RatingMatrix | Sequence[Sequence[int]]) -> float:
-    """Fleiss' kappa over a ratings matrix; requires >= 2 raters."""
-    if not isinstance(m, RatingMatrix):
-        m = RatingMatrix(tuple(tuple(row) for row in m))
-    n = m.n_raters
+def fleiss_kappa(counts: Sequence[Sequence[int]]) -> float:
+    """Fleiss' kappa over per-item counts of the raters assigning each
+    category: rows are items, columns categories, and every row sums to
+    the same number of raters, at least 2."""
+    rows = [tuple(row) for row in counts]
+    if not rows:
+        raise InvariantError("rating matrix: need >= 1 item")
+    if len({len(row) for row in rows}) != 1:
+        raise InvariantError("rating matrix: ragged rows")
+    if len({sum(row) for row in rows}) != 1:
+        raise InvariantError("rating matrix: rows sum to different rater counts")
+    if any(c < 0 for row in rows for c in row):
+        raise InvariantError("rating matrix: negative count")
+    n = sum(rows[0])
     if n < 2:
         raise InvariantError("fleiss_kappa: need >= 2 raters")
-    rows = m.counts
     n_items = len(rows)
     k = len(rows[0])
     # observed agreement

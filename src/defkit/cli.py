@@ -101,14 +101,12 @@ def _annotations_by_task(path: str) -> dict[str, AnnotationSet]:
 def _annotation(task: Task, anns: dict[str, AnnotationSet]) -> AnnotationSet:
     """The task's annotation record; a ValidationError if it has none or the
     record does not fit the task's definition."""
-    from .annotations import validate_annotation
+    from .annotations import check_annotation
 
     ann = anns.get(task.id)
     if ann is None:
         raise ValidationError("no annotation record")
-    report = validate_annotation(task, ann)
-    if not report.ok:
-        raise ValidationError("; ".join(report.problems))
+    check_annotation(task, ann)
     return ann
 
 
@@ -225,39 +223,35 @@ def _backend(args):
 def cmd_ablate(args) -> int:
     from contextlib import ExitStack
 
-    from .ablation import AblationName, AblationSpec, remove_spans
+    from .ablation import REMOVED_CATEGORIES, compression_ratio, remove_spans
 
-    names = list(AblationName) if args.spec == "all" else [AblationName(args.spec)]
-    specs = [AblationSpec(name) for name in names]
-    run = _Run(args, lambda tasks: [f"{spec.name.value}.jsonl" for spec in specs])
+    specs = list(REMOVED_CATEGORIES) if args.spec == "all" else [args.spec]
+    removed = [REMOVED_CATEGORIES[spec] for spec in specs]
+    run = _Run(args, lambda tasks: [f"{spec}.jsonl" for spec in specs])
 
     def ablate(task, ann):
-        ablated = [remove_spans(task, ann, spec) for spec in specs]
-        for spec, variant in zip(specs, ablated):
-            if variant.ratio == 1.0 and not any(
-                s.category in spec.removed_categories for s in ann.spans
-            ):
-                warn(__name__, f"task {task.id}: no {spec.name.value} spans to remove; ratio 1.0")
-        return ablated
+        variants = []
+        for spec, categories in zip(specs, removed):
+            text = remove_spans(task, ann, categories)
+            ratio = compression_ratio(task.definition, text)
+            if ratio == 1.0 and not any(s.category in categories for s in ann.spans):
+                warn(__name__, f"task {task.id}: no {spec} spans to remove; ratio 1.0")
+            variants.append((text, ratio))
+        return variants
 
     ratios: list[list[float]] = [[] for _ in specs]
     with ExitStack() as stack:
         files = [stack.enter_context(path.open("w", encoding="utf-8")) for path in run.outputs]
-        for task, ablated in run.results(ablate):
-            for spec, fh, variant, spec_ratios in zip(specs, files, ablated, ratios):
+        for task, variants in run.results(ablate):
+            for spec, fh, (text, ratio), spec_ratios in zip(specs, files, variants, ratios):
                 # keys in sorted order: json.dumps without sort_keys reuses
                 # its shared encoder
-                row = {
-                    "ratio": variant.ratio,
-                    "spec": spec.name.value,
-                    "task_id": task.id,
-                    "text": variant.text,
-                }
+                row = {"ratio": ratio, "spec": spec, "task_id": task.id, "text": text}
                 fh.write(json.dumps(row) + "\n")
-                spec_ratios.append(variant.ratio)
+                spec_ratios.append(ratio)
 
     rows = [
-        [spec.name.value, f"{100 * (sum(r) / len(r) if r else 0.0):.0f}%", str(len(r))]
+        [spec, f"{100 * (sum(r) / len(r) if r else 0.0):.0f}%", str(len(r))]
         for spec, r in zip(specs, ratios)
     ]
     table = run.table(["spec", "%C", "tasks"], rows, ["spec", "pct_c", "tasks"])
@@ -519,9 +513,9 @@ def _int_at_least(least: int):
     return parse
 
 
-# The `ablate --spec` choices: "all", then the values of
-# `ablation.AblationName` in order. Spelled out here, so that building the
-# parser loads neither ablation nor annotations; a test keeps the two equal.
+# The `ablate --spec` choices: "all", then the keys of
+# `ablation.REMOVED_CATEGORIES` in order. Spelled out here, so that building
+# the parser loads neither ablation nor annotations; a test keeps the two equal.
 ABLATE_SPECS = (
     "all", "input_add", "output_add", "all_add", "label_list", "label_desc",
     "all_label", "all_output", "all_input",

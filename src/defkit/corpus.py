@@ -81,13 +81,15 @@ class Task:
             trimmed = [label.strip() for label in self.label_list]
             if len(set(trimmed)) != len(trimmed):
                 raise InvariantError("label_list: entries not unique after trimming")
+        first: dict[str, int] = {}
+        for i, inst in enumerate(self.instances):
+            j = first.setdefault(inst.id, i)
+            if j != i:
+                raise InvariantError(f"instances: id {inst.id!r} repeated at indices {j} and {i}")
 
     @cached_property
     def _instances_by_id(self) -> dict[str, Instance]:
-        index: dict[str, Instance] = {}
-        for inst in self.instances:
-            index.setdefault(inst.id, inst)  # a repeated id finds its first instance
-        return index
+        return {inst.id: inst for inst in self.instances}
 
     def instance_by_id(self, instance_id: str) -> Instance:
         return self._instances_by_id[instance_id]

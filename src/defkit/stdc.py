@@ -9,7 +9,7 @@ from typing import TYPE_CHECKING
 
 from ._record import record
 from .corpus import ExampleSet, Task
-from .errors import ConfigError, EmptyResultError, InvariantError, ValidationError
+from .errors import ConfigError, EmptyResultError, InvariantError, warn
 from .metrics import compression_ratio, normalize, word_spans
 from .parse import (
     ParseNode, ParseTree, leaf_offsets, nodes_at_depth, remove_subtree, render, spelling
@@ -124,7 +124,9 @@ def compress(
     epsilon, where the baseline is the running compressed score ("current"
     mode) or the original full-definition score ("paper" mode). Accepted
     subtrees are skipped thereafter; the search stops after all leaf-node
-    removals have been attempted.
+    removals have been attempted. Paper mode scores each removal alone,
+    never their union: when the result's fit score ends below the full
+    score - epsilon, a warning names both scores.
 
     The nodes to try wait in one first-in-first-out queue, seeded with
     depth 2; a rejected node queues its children. That is the order above:
@@ -188,6 +190,12 @@ def compress(
             raise EmptyResultError(f"task {task.id}: compression emptied the definition")
         stream.submit(compressed)
         score_after = stream.take().mean_score
+    if paper and score_after < full_score - cfg.epsilon:
+        warn(
+            __name__,
+            f"task {task.id}: paper mode ends at fit score {score_after:.3f}, "
+            f"below the full definition's {full_score:.3f} - epsilon {cfg.epsilon:g}",
+        )
     return CompressionResult(
         task_id=task.id,
         full_definition=full_text,
@@ -247,11 +255,9 @@ def category_retention(
     Words inside no annotated span are reported under the "unannotated"
     bucket. Only categories with at least one word are included.
     """
-    from .annotations import validate_annotation
+    from .annotations import check_annotation
 
-    report = validate_annotation(task, ann)
-    if not report.ok:
-        raise ValidationError("; ".join(report.problems))
+    check_annotation(task, ann)
     full_text = _render_checked(task, tree)
     if result.full_definition != full_text:
         raise InvariantError(f"task {task.id}: the result was not compressed from this tree")

@@ -6,7 +6,6 @@ versions to, record for record."""
 
 import re
 
-from defkit.ablation import AblatedDefinition, AblationSpec
 from defkit.annotations import AnnotationSet, ContentCategory
 from defkit.corpus import Task, TaskKind
 from defkit.errors import MissingSpanError
@@ -14,15 +13,15 @@ from defkit.parse import ParseNode, ParseTree
 from defkit.triplet import TripletDefinition
 
 
-def remove_spans_reference(task: Task, ann: AnnotationSet, spec: AblationSpec) -> AblatedDefinition:
-    """Delete every annotated span of the spec's categories from the definition.
+def remove_spans_reference(
+    task: Task, ann: AnnotationSet, removed: frozenset[ContentCategory]
+) -> str:
+    """The definition with every annotated span of the categories deleted.
 
     The annotation must already be valid for the task (`validate_annotation`).
     InputMention spans are deleted only when their enclosing ActionContent
-    span is deleted. Whitespace is collapsed afterwards; token counts are
-    over whitespace tokens of the raw text.
+    span is deleted. Whitespace is collapsed afterwards.
     """
-    removed = spec.removed_categories
     delete: list[tuple[int, int]] = []
     deleted_actions = []
     for span in ann.spans:
@@ -42,13 +41,7 @@ def remove_spans_reference(task: Task, ann: AnnotationSet, spec: AblationSpec) -
         pieces.append(text[kept_from:start])  # empty when start <= kept_from
         kept_from = max(kept_from, end)
     pieces.append(text[kept_from:])
-    kept = re.sub(r"\s+", " ", "".join(pieces)).strip()
-    return AblatedDefinition(
-        task_id=task.id,
-        text=kept,
-        tokens_kept=len(kept.split()),
-        tokens_full=len(text.split()),
-    )
+    return re.sub(r"\s+", " ", "".join(pieces)).strip()
 
 
 _SPACES = re.compile(r"\s*")

@@ -1,13 +1,10 @@
 import re
-from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defkit.ablation import (
-    AblationName,
-    AblationSpec,
     REMOVED_CATEGORIES,
     apply_ablation,
     build_metadata_definition,
@@ -26,19 +23,19 @@ from reference_variants import remove_spans_reference
 class TestSpecTable:
     def test_mapping_fixed(self):
         C = ContentCategory
-        assert REMOVED_CATEGORIES[AblationName.INPUT_ADD] == {C.ADDITIONAL_INPUT_DETAILS}
-        assert REMOVED_CATEGORIES[AblationName.OUTPUT_ADD] == {C.ADDITIONAL_OUTPUT_DETAILS}
-        assert REMOVED_CATEGORIES[AblationName.ALL_ADD] == {
+        assert REMOVED_CATEGORIES["input_add"] == {C.ADDITIONAL_INPUT_DETAILS}
+        assert REMOVED_CATEGORIES["output_add"] == {C.ADDITIONAL_OUTPUT_DETAILS}
+        assert REMOVED_CATEGORIES["all_add"] == {
             C.ADDITIONAL_INPUT_DETAILS,
             C.ADDITIONAL_OUTPUT_DETAILS,
         }
-        assert REMOVED_CATEGORIES[AblationName.ALL_OUTPUT] == {
+        assert REMOVED_CATEGORIES["all_output"] == {
             C.OUTPUT_CONTENT,
             C.ADDITIONAL_OUTPUT_DETAILS,
             C.LABEL_LIST,
             C.LABEL_DEFINITION,
         }
-        assert REMOVED_CATEGORIES[AblationName.ALL_INPUT] == {
+        assert REMOVED_CATEGORIES["all_input"] == {
             C.INPUT_CONTENT,
             C.ADDITIONAL_INPUT_DETAILS,
         }
@@ -46,26 +43,26 @@ class TestSpecTable:
 
 class TestApplyAblation:
     def test_label_list_removed(self, review_task, review_annotation):
-        out = apply_ablation(review_task, review_annotation, AblationSpec(AblationName.LABEL_LIST))
-        assert out.text == "You are given a review. Classify it."
-        assert (out.tokens_kept, out.tokens_full) == (7, 13)
-        assert out.ratio == pytest.approx(7 / 13)
+        text = apply_ablation(review_task, review_annotation, REMOVED_CATEGORIES["label_list"])
+        assert text == "You are given a review. Classify it."
+        assert (len(text.split()), len(review_task.definition.split())) == (7, 13)
+        assert compression_ratio(review_task.definition, text) == pytest.approx(7 / 13)
 
     def test_all_input_removed(self, review_task, review_annotation):
-        out = apply_ablation(review_task, review_annotation, AblationSpec(AblationName.ALL_INPUT))
-        assert out.text == "Classify it. The labels are positive and negative."
+        text = apply_ablation(review_task, review_annotation, REMOVED_CATEGORIES["all_input"])
+        assert text == "Classify it. The labels are positive and negative."
 
     def test_absent_category_is_noop(self, review_task, review_annotation):
-        out = apply_ablation(review_task, review_annotation, AblationSpec(AblationName.OUTPUT_ADD))
-        assert out.text == review_task.definition
-        assert out.ratio == 1.0
+        text = apply_ablation(review_task, review_annotation, REMOVED_CATEGORIES["output_add"])
+        assert text == review_task.definition
+        assert compression_ratio(review_task.definition, text) == 1.0
 
     def test_invalid_annotation_raises(self, review_task):
         bad = AnnotationSet(
             review_task.id, (Span(0, 999, ContentCategory.LABEL_LIST),), "a1"
         )
         with pytest.raises(ValidationError):
-            apply_ablation(review_task, bad, AblationSpec(AblationName.LABEL_LIST))
+            apply_ablation(review_task, bad, REMOVED_CATEGORIES["label_list"])
 
     def test_all_add_at_most_either_side(self, review_task):
         definition = review_task.definition
@@ -78,25 +75,24 @@ class TestApplyAblation:
             "a1",
         )
         ratios = {
-            name: apply_ablation(review_task, ann, AblationSpec(name)).ratio
-            for name in (AblationName.INPUT_ADD, AblationName.OUTPUT_ADD, AblationName.ALL_ADD)
+            spec: compression_ratio(
+                definition, apply_ablation(review_task, ann, REMOVED_CATEGORIES[spec])
+            )
+            for spec in ("input_add", "output_add", "all_add")
         }
-        assert ratios[AblationName.ALL_ADD] <= min(
-            ratios[AblationName.INPUT_ADD], ratios[AblationName.OUTPUT_ADD]
-        )
+        assert ratios["all_add"] <= min(ratios["input_add"], ratios["output_add"])
 
     def test_pure_span_deletion(self, review_task, review_annotation):
         # output text never contains characters absent from the original
-        for name in AblationName:
-            out = apply_ablation(review_task, review_annotation, AblationSpec(name))
+        for categories in REMOVED_CATEGORIES.values():
+            text = apply_ablation(review_task, review_annotation, categories)
             it = iter(review_task.definition)
-            assert all(c in it for c in out.text.replace(" ", ""))
+            assert all(c in it for c in text.replace(" ", ""))
 
 
-def mask_ablation(task, ann, spec):
-    """Reference for apply_ablation: (text, tokens_kept, tokens_full) from a
-    per-character deletion mask."""
-    removed = spec.removed_categories
+def mask_ablation(task, ann, removed):
+    """Reference for apply_ablation: the text left by a per-character
+    deletion mask of the categories `removed`."""
     delete = []
     deleted_actions = []
     for span in ann.spans:
@@ -114,8 +110,7 @@ def mask_ablation(task, ann, spec):
         for i in range(start, end):
             deleted_mask[i] = True
     kept_raw = "".join(c for i, c in enumerate(text) if not deleted_mask[i])
-    kept = re.sub(r"\s+", " ", kept_raw).strip()
-    return kept, len(kept.split()), len(text.split())
+    return re.sub(r"\s+", " ", kept_raw).strip()
 
 
 TOP_LEVEL = [c for c in ContentCategory if c is not ContentCategory.INPUT_MENTION]
@@ -144,32 +139,18 @@ def annotated_definitions(draw, alphabet="ab.,  \t\n"):
     return task, AnnotationSet(task.id, tuple(spans), "a1")
 
 
-@dataclass(frozen=True)
-class CategorySpec:
-    """A spec outside the table, so nested deletions (an input mention inside
-    deleted action content) are reached too. It reads as an `AblationSpec`
-    reads: a name and the categories it removes."""
-
-    name: AblationName
-    categories: frozenset = frozenset()
-
-    @property
-    def removed_categories(self):
-        return self.categories
-
-
 @given(annotated_definitions(), st.sets(st.sampled_from(ContentCategory)))
 @settings(max_examples=300, deadline=None)
 def test_span_slices_equal_character_mask(task_ann, categories):
     task, ann = task_ann
     nested = {ContentCategory.ACTION_CONTENT, ContentCategory.INPUT_MENTION}
-    specs = [AblationSpec(name) for name in AblationName] + [
-        CategorySpec(AblationName.ALL_INPUT, frozenset(categories)),
-        CategorySpec(AblationName.ALL_INPUT, frozenset(categories | nested)),
+    # beyond the table's sets, so that nested deletions (an input mention
+    # inside deleted action content) are reached too
+    removed_sets = [
+        *REMOVED_CATEGORIES.values(), frozenset(categories), frozenset(categories | nested)
     ]
-    for spec in specs:
-        out = apply_ablation(task, ann, spec)
-        assert (out.text, out.tokens_kept, out.tokens_full) == mask_ablation(task, ann, spec)
+    for removed in removed_sets:
+        assert apply_ablation(task, ann, removed) == mask_ablation(task, ann, removed)
 
 
 # ASCII and Unicode whitespace that `str.split` splits at: tab, newline, a
@@ -181,9 +162,8 @@ MIXED_SPACES = "ab.,  \t\n\x1c\x85\xa0\u2028\u3000"
 @settings(max_examples=300, deadline=None)
 def test_remove_spans_equals_the_reference(task_ann):
     task, ann = task_ann
-    for name in AblationName:
-        spec = AblationSpec(name)
-        assert remove_spans(task, ann, spec) == remove_spans_reference(task, ann, spec)
+    for removed in REMOVED_CATEGORIES.values():
+        assert remove_spans(task, ann, removed) == remove_spans_reference(task, ann, removed)
 
 
 class TestShuffle:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from defkit.annotations import (
     AnnotationSet,
     ContentCategory,
-    RatingMatrix,
     Span,
     fleiss_kappa,
     load_annotations,
@@ -140,12 +139,22 @@ class TestFleissKappa:
             fleiss_kappa([[1, 0]])
 
     def test_ragged_rejected(self):
-        with pytest.raises(InvariantError):
-            RatingMatrix(((1, 2), (3,)))
+        with pytest.raises(InvariantError, match="rating matrix: ragged rows"):
+            fleiss_kappa([[1, 2], [3]])
 
     def test_row_sum_mismatch_rejected(self):
-        with pytest.raises(InvariantError):
-            RatingMatrix(((2, 1), (1, 1)))
+        with pytest.raises(
+            InvariantError, match="rating matrix: rows sum to different rater counts"
+        ):
+            fleiss_kappa([[2, 1], [1, 1]])
+
+    def test_no_items_rejected(self):
+        with pytest.raises(InvariantError, match="rating matrix: need >= 1 item"):
+            fleiss_kappa([])
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(InvariantError, match="rating matrix: negative count"):
+            fleiss_kappa([[3, -1], [1, 1]])
 
     @given(
         rows=st.lists(

@@ -180,9 +180,9 @@ class TestAblateCommand:
         assert exc.value.code == 64
 
     def test_spec_choices_are_all_and_every_ablation(self):
-        from defkit.ablation import AblationName
+        from defkit.ablation import REMOVED_CATEGORIES
 
-        assert list(cli.ABLATE_SPECS) == ["all", *(name.value for name in AblationName)]
+        assert list(cli.ABLATE_SPECS) == ["all", *REMOVED_CATEGORIES]
 
     def test_missing_annotation_exit2(self, tmp_path, capsys):
         tasks_dir, _ = review_corpus(tmp_path)
@@ -1298,6 +1298,16 @@ def _with_task_fields(**fields):
     return lambda text: json.dumps({**json.loads(text), **fields})
 
 
+def _with_instance_ids(*ids):
+    def change(text):
+        task = json.loads(text)
+        for instance, instance_id in zip(task["instances"], ids):
+            instance["id"] = instance_id
+        return json.dumps(task)
+
+    return change
+
+
 def _with_first_demonstration_fields(**fields):
     def change(text):
         task = json.loads(text)
@@ -1333,6 +1343,9 @@ BAD_INPUTS = [
      ALL_COMMANDS, "{task}: field 'reasoning_types' must hold strings only"),
     ("task-explanation-a-number", "task", _with_first_demonstration_fields(explanation=5), 2,
      ALL_COMMANDS, "{task}: demonstrations[0]: field 'explanation' must be a string"),
+    # a repeated instance id would score one instance in place of the other
+    ("task-instance-id-repeated", "task", _with_instance_ids("b", "a", "b"), 2, ALL_COMMANDS,
+     "{task}: instances: id 'b' repeated at indices 0 and 2"),
     ("annotation-not-an-object", "annotations", lambda _: '\n"task_id spans annotator"\n', 2,
      ("ablate", "triplet"), "{annotations}:2: record must be a JSON object"),
     ("annotation-spans-a-number", "annotations",
@@ -1427,6 +1440,17 @@ class TestErrorTable:
         assert names.format(**files) in lines[0]
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_repeated_instance_id_fails_at_every_seed(self, tmp_path, capsys, seed):
+        """At load, not only at the seeds whose split draws the id twice."""
+        files, commands = pipeline(tmp_path)
+        task = files["task"]
+        task.write_text(_with_instance_ids("b", "a", "b")(task.read_text(encoding="utf-8")))
+        assert main([*commands["compress"], "--seed", str(seed)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {task}: instances: id 'b' repeated at indices 0 and 2"
+        ]
 
     @pytest.mark.parametrize(
         "command, flags",

@@ -216,8 +216,8 @@ class TestInstanceById:
         with pytest.raises(KeyError):
             task.instance_by_id("nope")
 
-    def test_repeated_id_finds_first_instance(self):
+    def test_repeated_id_rejected(self):
         data = minimal_task_dict()
         data["instances"][2]["id"] = "i1"
-        task = task_from_dict(data)
-        assert task.instance_by_id("i1") is task.instances[0]
+        with pytest.raises(InvariantError, match="instances: id 'i1' repeated at indices 0 and 2"):
+            task_from_dict(data)

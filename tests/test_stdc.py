@@ -1,5 +1,7 @@
 import random
 import re
+from contextlib import redirect_stderr
+from io import StringIO
 
 import pytest
 from hypothesis import assume, given, settings
@@ -234,6 +236,58 @@ def test_mask_candidates_equal_tree_removals(text, salt, mode, epsilon):
             current = remove_subtree(current, step.node_id)
     assert result.compressed_definition == render(current)
     assert result.compressed_definition == replay_removals(tree, result.accepted_node_ids())
+
+
+
+class TestPaperModeFitLoss:
+    """Paper mode scores each removal alone, never their union; `compress`
+    warns when the union ends below the full score - epsilon."""
+
+    TWICE = "(S (NP (DT the) (NN fox)) (VP (VBD saw) (NP (DT the) (NN fox))))"
+
+    def run(self, mode):
+        tree = parse_bracketed(self.TWICE)
+        task = make_task(
+            task_id="task_twice", definition=render(tree), kind=TaskKind.GENERATION,
+            label_list=None, n_instances=4,
+        )
+        fit, _ = fit_holdout(task)
+        # "fox" occurs twice, so each "the fox" can go alone, but not both
+        backend = PlantedPhraseBackend("fox saw")
+        return compress(task, tree, fit, backend, cfg=StdcConfig(baseline_mode=mode))
+
+    def test_planted_word_twice_warns_once(self, capsys):
+        result = self.run("paper")
+        assert [s.label for s in result.steps if s.accepted] == ["NP", "NP"]
+        assert result.compressed_definition == "saw"
+        assert (result.fit_score_before, result.fit_score_after) == (1.0, 0.0)
+        assert capsys.readouterr().err.splitlines() == [
+            "WARNING defkit.stdc: task task_twice: paper mode ends at fit score 0.000, "
+            "below the full definition's 1.000 - epsilon 0"
+        ]
+
+    def test_current_mode_keeps_its_score_silently(self, capsys):
+        result = self.run("current")
+        assert result.compressed_definition == "saw fox"
+        assert result.fit_score_after == 1.0
+        assert capsys.readouterr().err == ""
+
+
+@given(text=_TREE_TEXTS, salt=st.integers(0, 10**6), epsilon=st.sampled_from([0.0, 0.25]))
+@settings(max_examples=200, deadline=None)
+def test_paper_mode_warns_iff_its_fit_score_falls(text, salt, epsilon):
+    tree = parse_bracketed(text)
+    assume(render(tree).strip())
+    task = make_task(
+        task_id="prop", definition=render(tree), kind=TaskKind.GENERATION,
+        label_list=None, n_instances=2,
+    )
+    fit, _ = fit_holdout(task, 2, 0)
+    cfg = StdcConfig(baseline_mode="paper", epsilon=epsilon, allow_empty_result=True)
+    with redirect_stderr(StringIO()) as err:
+        result = compress(task, tree, fit, RecordingBackend(salt), cfg=cfg)
+    fell = result.fit_score_after < result.fit_score_before - epsilon
+    assert len(err.getvalue().splitlines()) == fell
 
 
 # Leaf tokens as `parse_bracketed` yields them, escapes resolved
