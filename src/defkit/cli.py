@@ -263,7 +263,6 @@ def cmd_ablate(args) -> int:
 
 def cmd_compress(args) -> int:
     from ._jsontext import indented
-    from ._pool import Pool
     from .scorer import ScoreCache
     from .stdc import StdcConfig, compress, evaluate_holdout
 
@@ -290,7 +289,11 @@ def cmd_compress(args) -> int:
     # threads, which only contend for the interpreter lock: its tasks run one
     # after another here. Remote tasks wait on the network, so up to --jobs
     # of them run at once.
-    pool = Pool(args.jobs) if backend.max_in_flight else None
+    pool = None
+    if backend.max_in_flight:
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(args.jobs)
     rows: list[list[str]] = []
     aggregates: list[tuple[float, ...]] = []
     try:
@@ -304,7 +307,7 @@ def cmd_compress(args) -> int:
             rows.append([task.id, *_compress_columns(aggregates[-1])])
     finally:
         if pool is not None:
-            pool.close()
+            pool.shutdown(cancel_futures=True)
         if cache is not None:
             cache.close()
 

@@ -13,13 +13,15 @@ import threading
 import time
 from collections import deque
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from ._pool import Call, Pool
 from ._record import record
 from .corpus import ExampleSet, Instance, Task, assemble_prompt, finite_number, numbered_lines
 from .errors import BackendError, BackendTimeoutError, ConfigError, InvariantError, ScorerError, warn
 from .metrics import normalize, rouge_l
+
+if TYPE_CHECKING:  # only a remote stream imports concurrent.futures, when it starts
+    from concurrent.futures import Future
 
 API_KEY_ENV = "DEFKIT_API_KEY"
 
@@ -475,11 +477,15 @@ class ScoreStream:
         self.cache = cache
         self.fingerprint = example_fingerprint(examples)
         self.instances = tuple(task.instance_by_id(i) for i in examples.instance_ids)
-        # (definition, key, context or None for a hit, pool call or None) per
+        # (definition, key, context or None for a hit, future or None) per
         # submitted definition not yet taken
-        self._queue: deque[tuple[str, str, GenerationContext | None, Call | None]] = deque()
+        self._queue: deque[tuple[str, str, GenerationContext | None, Future | None]] = deque()
         self._misses: set[str] = set()
-        self._pool = Pool(backend.max_in_flight) if backend.max_in_flight else None
+        self._pool = None
+        if backend.max_in_flight:
+            from concurrent.futures import ThreadPoolExecutor
+
+            self._pool = ThreadPoolExecutor(backend.max_in_flight)
 
     def __enter__(self) -> "ScoreStream":
         return self
@@ -489,26 +495,26 @@ class ScoreStream:
 
     def close(self) -> None:
         if self._pool is not None:
-            self._pool.close()
+            self._pool.shutdown(cancel_futures=True)
 
     def submit(self, definition: str) -> None:
         backend = self.backend
         key = cache_key_for(backend.backend_id, definition, self.fingerprint, backend.params)
-        ctx = call = None
+        ctx = future = None
         if self.cache is None or not (key in self.cache or key in self._misses):
             self._misses.add(key)
             ctx = GenerationContext(definition, self.task, self.instances)
             if self._pool is not None:
-                call = self._pool.submit(backend.generate, ctx)
-        self._queue.append((definition, key, ctx, call))
+                future = self._pool.submit(backend.generate, ctx)
+        self._queue.append((definition, key, ctx, future))
 
     def take(self) -> ScoreRecord:
         """The record of the earliest submitted definition not yet taken."""
-        definition, key, ctx, call = self._queue.popleft()
+        definition, key, ctx, future = self._queue.popleft()
         if ctx is None:
             return self.cache.get(key)
         try:
-            generations = call.result() if call else self.backend.generate(ctx)
+            generations = future.result() if future else self.backend.generate(ctx)
         except BackendError as exc:
             raise BackendError(f"task {self.task.id}: {exc}") from exc
         if len(generations) != len(self.instances):

@@ -32,8 +32,8 @@ class StdcConfig:
     allow_empty_result: bool = False
 
     def __post_init__(self):
-        if not self.epsilon >= 0:  # NaN too
-            raise ConfigError("epsilon must be >= 0")
+        if not 0 <= self.epsilon < float("inf"):  # NaN too
+            raise ConfigError("epsilon must be finite and >= 0")
         if self.baseline_mode not in (BASELINE_CURRENT, BASELINE_PAPER_LITERAL):
             raise ConfigError(f"unknown baseline mode {self.baseline_mode!r}")
 
@@ -125,8 +125,9 @@ def compress(
     mode) or the original full-definition score ("paper" mode). Accepted
     subtrees are skipped thereafter; the search stops after all leaf-node
     removals have been attempted. Paper mode scores each removal alone,
-    never their union: when the result's fit score ends below the full
-    score - epsilon, a warning names both scores.
+    never their union, and current mode's slack adds up over its accepted
+    removals: in either mode, when the result's fit score ends below the
+    full score - epsilon, a warning names both scores.
 
     The nodes to try wait in one first-in-first-out queue, seeded with
     depth 2; a rejected node queues its children. That is the order above:
@@ -190,10 +191,10 @@ def compress(
             raise EmptyResultError(f"task {task.id}: compression emptied the definition")
         stream.submit(compressed)
         score_after = stream.take().mean_score
-    if paper and score_after < full_score - cfg.epsilon:
+    if score_after < full_score - cfg.epsilon:
         warn(
             __name__,
-            f"task {task.id}: paper mode ends at fit score {score_after:.3f}, "
+            f"task {task.id}: {cfg.baseline_mode} mode ends at fit score {score_after:.3f}, "
             f"below the full definition's {full_score:.3f} - epsilon {cfg.epsilon:g}",
         )
     return CompressionResult(

@@ -1062,7 +1062,7 @@ class TestConfigErrors:
     def test_compress_negative_epsilon(self, tmp_path):
         tasks_dir, parses = fox_corpus(tmp_path)
         out_dir = tmp_path / "out"
-        for epsilon in ("-1", "nan"):
+        for epsilon in ("-1", "nan", "inf", "1e400"):
             proc = run_cli(
                 [
                     "compress",
@@ -1076,7 +1076,7 @@ class TestConfigErrors:
                     "--epsilon", epsilon,
                 ]
             )
-            self.assert_usage_error(proc, "epsilon must be >= 0")
+            self.assert_usage_error(proc, "epsilon must be finite and >= 0")
             assert not out_dir.exists()
 
     @pytest.mark.parametrize("phrase", [None, "", "!!"])
@@ -1706,8 +1706,9 @@ def _modules_loaded_by(commands, modules, *python_flags):
 
 
 def test_ablate_triplet_report_leave_the_scoring_stack_unloaded(tmp_path):
-    """Only compress and score import the scorer, STDC and a thread pool, and
-    no command imports `logging`: defkit writes its own warnings."""
+    """Only compress and score import the scorer, STDC and (with the remote
+    backend) a thread pool, and these commands import no `logging`: defkit
+    writes its own warnings."""
     review_tasks, review_ann = review_corpus(tmp_path)
     fox_tasks, parses = fox_corpus(tmp_path)
     fox_ann = fox_annotations(tmp_path)
@@ -1752,14 +1753,15 @@ LOADED = {
     ],
     "report": [*_EVERY_COMMAND, "defkit.metrics"],
     "compress": [
-        *_EVERY_COMMAND, "defkit._pool", "defkit.metrics", "defkit.parse", "defkit.manifest",
-        "defkit.scorer", "defkit.stdc",
+        *_EVERY_COMMAND, "defkit.metrics", "defkit.parse", "defkit.manifest", "defkit.scorer",
+        "defkit.stdc",
     ],
-    "score": [*_EVERY_COMMAND, "defkit._pool", "defkit.metrics", "defkit.scorer"],
+    "score": [*_EVERY_COMMAND, "defkit.metrics", "defkit.scorer"],
 }
 
-# Standard modules no command loads, with any backend: defkit writes its own
-# warnings and runs its own thread pool
+# Standard modules no command loads with an in-process backend: defkit writes
+# its own warnings, and only the remote backend takes threads from
+# concurrent.futures (which imports the rest of this list)
 NEVER_LOADED = ["concurrent.futures", "logging", "traceback", "linecache", "tokenize"]
 
 # Other modules a command, run alone, must not load besides NEVER_LOADED,
@@ -1806,7 +1808,9 @@ def test_in_process_backends_load_no_http_client(tmp_path):
 
 @pytest.mark.parametrize("backend", ["keyword", "remote"])
 def test_compress_and_score_load_neither_logging_nor_a_stdlib_pool(tmp_path, backend):
-    """With either kind of backend, and two tasks at once under `--jobs 2`."""
+    """With either kind of backend, and two tasks at once under `--jobs 2`:
+    an in-process backend loads none of NEVER_LOADED. The remote backend
+    takes its threads from concurrent.futures, which imports logging."""
     tasks_dir, parses = fox_corpus(tmp_path)
     fox = load_task_file(tasks_dir / "task_fox.json")
     write_task_file(tasks_dir / "task_fox2.json", replace(fox, id="task_fox2"))
@@ -1825,7 +1829,10 @@ def test_compress_and_score_load_neither_logging_nor_a_stdlib_pool(tmp_path, bac
         ]
         codes, loaded = _modules_loaded_by(commands, NEVER_LOADED)
     assert codes == [0, 0]
-    assert loaded == []
+    if backend == "remote":
+        assert "concurrent.futures" in loaded
+    else:
+        assert loaded == []
     assert (len(server.requests) > 0) == (backend == "remote")
 
 

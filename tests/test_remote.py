@@ -7,7 +7,7 @@ import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -27,6 +27,7 @@ from defkit.scorer import (
     PlantedPhraseBackend,
     RemoteBackend,
     ScoreCache,
+    ScoreStream,
     cache_key_for,
     example_fingerprint,
     score,
@@ -409,6 +410,23 @@ class TestConcurrentRequests:
         one.close()
         assert batch.path.exists(), "no record of the batch was cached"
         assert batch.path.read_bytes() == one.path.read_bytes()
+
+    @pytest.mark.parametrize("ending", ["closed", "failed"])
+    def test_a_stream_ended_early_never_sends_its_queued_misses(self, ending):
+        """Six misses on one thread: a stream closed before any is taken, or
+        left on the first's BackendError, drops those not yet started and
+        waits for the running one."""
+        task = echo_task(2)
+        definitions = [f"definition {i}" for i in range(6)]
+        backend = InProcessRemote(max_in_flight=1, delay=lambda d: 0.02, fail={definitions[0]})
+        with pytest.raises(BackendError) if ending == "failed" else nullcontext():
+            with ScoreStream(task, fit_set(task), backend) as stream:
+                for definition in definitions:
+                    stream.submit(definition)
+                if ending == "failed":
+                    stream.take()
+        assert backend.calls < len(definitions)
+        assert backend.in_flight[task.id] == 0
 
 
 @given(

@@ -273,9 +273,39 @@ class TestPaperModeFitLoss:
         assert capsys.readouterr().err == ""
 
 
-@given(text=_TREE_TEXTS, salt=st.integers(0, 10**6), epsilon=st.sampled_from([0.0, 0.25]))
-@settings(max_examples=200, deadline=None)
-def test_paper_mode_warns_iff_its_fit_score_falls(text, salt, epsilon):
+def test_current_mode_slack_adds_up_and_warns(capsys):
+    """Current mode accepts each removal against the last accepted score, so
+    three accepted removals, each within epsilon of the score before it, end
+    below full - epsilon."""
+    tree = parse_bracketed(
+        "(S (NP (DT the) (NN cat)) (VP (VBD sat) (PP (IN on) (NNS mats))) (ADVP (RB today)))"
+    )
+    task = make_task(
+        task_id="task_slack", definition=render(tree), kind=TaskKind.GENERATION,
+        label_list=None, n_instances=4,
+    )
+    fit, _ = fit_holdout(task)
+    cfg = StdcConfig(baseline_mode="current", epsilon=0.25)
+    result = compress(task, tree, fit, SeededBackend(200), cfg=cfg)
+    assert result.compressed_definition == "cat sat"
+    assert sum(s.accepted for s in result.steps) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "WARNING defkit.stdc: task task_slack: current mode ends at fit score 0.476, "
+        "below the full definition's 0.733 - epsilon 0.25"
+    ]
+
+
+@given(
+    text=_TREE_TEXTS,
+    salt=st.integers(0, 10**6),
+    epsilon=st.sampled_from([0.0, 0.25]),
+    mode=st.sampled_from(["paper", "current"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_paper_mode_warns_iff_its_fit_score_falls(text, salt, epsilon, mode):
+    """Either mode warns once iff its fit score ends below full - epsilon:
+    paper mode's removals are scored alone, and current mode's slack adds
+    up over its accepted removals."""
     tree = parse_bracketed(text)
     assume(render(tree).strip())
     task = make_task(
@@ -283,11 +313,15 @@ def test_paper_mode_warns_iff_its_fit_score_falls(text, salt, epsilon):
         label_list=None, n_instances=2,
     )
     fit, _ = fit_holdout(task, 2, 0)
-    cfg = StdcConfig(baseline_mode="paper", epsilon=epsilon, allow_empty_result=True)
+    cfg = StdcConfig(baseline_mode=mode, epsilon=epsilon, allow_empty_result=True)
     with redirect_stderr(StringIO()) as err:
         result = compress(task, tree, fit, RecordingBackend(salt), cfg=cfg)
     fell = result.fit_score_after < result.fit_score_before - epsilon
-    assert len(err.getvalue().splitlines()) == fell
+    lines = err.getvalue().splitlines()
+    assert len(lines) == fell
+    assert all(f"task prop: {mode} mode ends at fit score " in line for line in lines)
+    if mode == "current" and epsilon == 0:
+        assert not fell
 
 
 # Leaf tokens as `parse_bracketed` yields them, escapes resolved
