@@ -4,8 +4,8 @@ compared and hashed by value and shown as `Name(field=value, ...)`.
 `record` stands in for the parts of `dataclasses.dataclass(frozen=True)`
 that defkit uses. It builds no code: every method is a closure over the
 class's field names, so a module of records imports without `dataclasses`,
-`inspect` or an `exec` per class. Instances keep `__dict__`, where
-`cached_property` and `vars` find them.
+`inspect` or an `exec` per class. Instances keep `__dict__`, where `vars`
+finds them.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ import random
 
 from .annotations import AnnotationSet, ContentCategory, check_annotation
 from .corpus import Task, TaskKind
-from .errors import InvariantError, warn
+from .errors import warn
 from .metrics import compression_ratio  # also public here, as ablation.compression_ratio
 
 
@@ -86,8 +86,6 @@ def build_metadata_definition(task: Task) -> str:
 
     The label slot becomes "generate free text" for generation tasks.
     """
-    if task.kind is TaskKind.CLASSIFICATION and not task.label_list:
-        raise InvariantError(f"task {task.id}: classification without label_list")
     for slot, value in (("reasoning type", task.reasoning_types), ("domain", task.domains)):
         if not value:
             warn(__name__, f"task {task.id}: empty {slot} slot in metadata definition")

@@ -279,7 +279,7 @@ def cmd_compress(args) -> int:
         fit, holdout = split_examples(task, args.fit_n, args.holdout_n, args.seed)
         result = compress(task, tree, fit, backend, stdc_cfg, cache)
         report = None  # --holdout-n 0: no holdout to measure
-        if holdout.instance_ids:
+        if holdout.instances:
             report = evaluate_holdout(
                 task, result, holdout, backend, cache, strict=not args.non_strict_coverage
             )
@@ -342,6 +342,7 @@ def _compress_columns(values) -> list[str]:
 
 def _read_score_rows(path: str) -> list[tuple[str, TaskKind, float]]:
     rows = []
+    kind_of: dict[str, tuple[TaskKind, int]] = {}  # task id -> its kind, the line it is on
     for lineno, line in numbered_lines(path):
         try:
             data = json.loads(line)
@@ -350,6 +351,13 @@ def _read_score_rows(path: str) -> list[tuple[str, TaskKind, float]]:
             rows.append((data["task_id"], TaskKind(data["kind"]), finite_number(data["score"])))
         except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise ValidationError(f"{path}:{lineno}: malformed score row: {exc}")
+        task_id, kind, _ = rows[-1]
+        first, first_line = kind_of.setdefault(task_id, (kind, lineno))
+        if first is not kind:
+            raise ValidationError(
+                f"{path}:{lineno}: task {task_id} is {kind.value} here "
+                f"but {first.value} on line {first_line}"
+            )
     if not rows:
         raise ValidationError(f"{path}: no score rows")
     return rows
@@ -447,8 +455,8 @@ def cmd_triplet(args) -> int:
         for task, trip in run.results(build_triplet):
             tf.write(json.dumps(trip.to_dict()) + "\n")
             n_triplets += 1
-            for inst in meta_tuning_instances(task, trip, split_outputs=args.split_outputs):
-                mf.write(json.dumps(inst.to_dict()) + "\n")
+            for row in meta_tuning_instances(task, trip, split_outputs=args.split_outputs):
+                mf.write(json.dumps(row) + "\n")
                 n_meta += 1
     return run.finish(
         f"wrote {n_triplets} triplets and {n_meta} meta-tuning instances to {run.out}",
@@ -485,7 +493,7 @@ def cmd_score(args) -> int:
     finally:
         if cache is not None:
             cache.close()
-    print(indented(record.to_dict()))
+    print(indented(record))
     return EXIT_OK
 
 

@@ -6,7 +6,6 @@ import enum
 import json
 import math
 import random
-from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -87,22 +86,15 @@ class Task:
             if j != i:
                 raise InvariantError(f"instances: id {inst.id!r} repeated at indices {j} and {i}")
 
-    @cached_property
-    def _instances_by_id(self) -> dict[str, Instance]:
-        return {inst.id: inst for inst in self.instances}
-
-    def instance_by_id(self, instance_id: str) -> Instance:
-        return self._instances_by_id[instance_id]
-
 
 @record
 class ExampleSet:
     task_id: str
-    instance_ids: tuple[str, ...]
+    instances: tuple[Instance, ...]
     role: SplitRole
 
     def __post_init__(self):
-        if len(set(self.instance_ids)) != len(self.instance_ids):
+        if len({inst.id for inst in self.instances}) != len(self.instances):
             raise InvariantError("example set: instance ids not unique")
 
 
@@ -284,15 +276,15 @@ def assemble_prompt(task: Task, definition: str, instance: Instance) -> str:
 def split_examples(
     task: Task, n_fit: int, n_holdout: int, seed: int
 ) -> tuple[ExampleSet, ExampleSet]:
-    """Seeded Fisher-Yates shuffle of instance ids, then prefix slicing."""
+    """Seeded Fisher-Yates shuffle of the task's instances, then prefix slicing."""
     if n_fit < 0 or n_holdout < 0:
         raise SizeError("split sizes must be non-negative")
     if n_fit + n_holdout > len(task.instances):
         raise SizeError(
             f"task {task.id}: need {n_fit}+{n_holdout} instances, have {len(task.instances)}"
         )
-    ids = [inst.id for inst in task.instances]
-    random.Random(seed).shuffle(ids)
-    fit = ExampleSet(task.id, tuple(ids[:n_fit]), SplitRole.FIT)
-    holdout = ExampleSet(task.id, tuple(ids[n_fit : n_fit + n_holdout]), SplitRole.HOLDOUT)
+    shuffled = list(task.instances)
+    random.Random(seed).shuffle(shuffled)
+    fit = ExampleSet(task.id, tuple(shuffled[:n_fit]), SplitRole.FIT)
+    holdout = ExampleSet(task.id, tuple(shuffled[n_fit : n_fit + n_holdout]), SplitRole.HOLDOUT)
     return fit, holdout

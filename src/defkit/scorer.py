@@ -280,24 +280,14 @@ class ScoreRecord:
         if abs(mean - self.mean_score) > 1e-12:
             raise InvariantError("mean_score inconsistent with per_instance")
 
-    def to_dict(self) -> dict:
-        return {
-            "cache_key": self.cache_key,
-            "definition": self.definition,
-            "example_fingerprint": self.example_fingerprint,
-            "mean_score": self.mean_score,
-            "per_instance": list(self.per_instance),
-            "backend_id": self.backend_id,
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "ScoreRecord":
-        """The record a `to_dict` dict holds. A field of the wrong type raises
-        TypeError, ValueError or OverflowError."""
+        """The record a cache line holds, as `ScoreCache.put` writes it. A
+        field of the wrong type raises TypeError, ValueError or OverflowError."""
         per_instance = data["per_instance"]
         if not isinstance(per_instance, list):
             raise TypeError(f"per_instance must be a list, got {per_instance!r}")
-        # a list of finite floats, as `to_dict` writes it, is checked in C;
+        # a list of finite floats, as `put` writes it, is checked in C;
         # any other goes through finite_number, to convert or to raise
         if not ({*map(type, per_instance)} <= {float} and all(map(math.isfinite, per_instance))):
             per_instance = list(map(finite_number, per_instance))
@@ -319,7 +309,7 @@ def _string(value) -> str:
 
 def example_fingerprint(examples: ExampleSet) -> str:
     payload = json.dumps(
-        [examples.task_id, examples.role.value, list(examples.instance_ids)],
+        [examples.task_id, examples.role.value, [inst.id for inst in examples.instances]],
         separators=(",", ":"),
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
@@ -388,7 +378,7 @@ class ScoreCache:
         return record
 
     def put(self, record: ScoreRecord) -> None:
-        line = json.dumps(record.to_dict(), sort_keys=True) + "\n"
+        line = json.dumps(vars(record), sort_keys=True) + "\n"
         with self._lock:
             self._records[record.cache_key] = record
             if self._fh is None:
@@ -476,7 +466,7 @@ class ScoreStream:
         self.backend = backend
         self.cache = cache
         self.fingerprint = example_fingerprint(examples)
-        self.instances = tuple(task.instance_by_id(i) for i in examples.instance_ids)
+        self.instances = examples.instances
         # (definition, key, context or None for a hit, future or None) per
         # submitted definition not yet taken
         self._queue: deque[tuple[str, str, GenerationContext | None, Future | None]] = deque()

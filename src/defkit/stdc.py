@@ -137,7 +137,7 @@ def compress(
     node is queued; a current-mode candidate depends on every decision
     before it, so it is sent when the node reaches the head of the queue.
     """
-    if not fit.instance_ids:
+    if not fit.instances:
         raise InvariantError("fit set must be non-empty")
     full_text = _render_checked(task, tree)
     # The compression state: written[i] is what leaf i writes into the

@@ -3,21 +3,18 @@ meta-tuning training instances derived from them."""
 
 from __future__ import annotations
 
-import enum
-
 from ._record import record
-from .annotations import AnnotationSet, ContentCategory, Span
+from .annotations import AnnotationSet, ContentCategory
 from .corpus import Task, TaskKind
 from .errors import InvariantError, MissingSpanError
 from .parse import ParseNode, ParseTree, leaf_offsets
 
 META_FRAME = "Generate segments of task definitions based on the tag and two examples."
 
-
-class MetaTag(enum.Enum):
-    TASK_INPUT = "<Task input>"
-    TASK_ACTION = "<Task action>"
-    TASK_OUTPUT = "<Task output>"
+# the tag of each meta-tuning row
+TASK_INPUT = "<Task input>"
+TASK_ACTION = "<Task action>"
+TASK_OUTPUT = "<Task output>"
 
 
 @record
@@ -41,17 +38,6 @@ class TripletDefinition:
             "output": list(self.output_entry),
             "task_id": self.task_id,
         }
-
-
-@record
-class MetaTuneInstance:
-    tag: MetaTag
-    source: str
-    target: str
-
-    def to_dict(self) -> dict:
-        """The row `triplet` writes, its keys in sorted order."""
-        return {"source": self.source, "tag": self.tag.value, "target": self.target}
 
 
 def _base_label(label: str) -> str:
@@ -178,37 +164,22 @@ def render_triplet(t: TripletDefinition) -> str:
 
 def meta_tuning_instances(
     task: Task, t: TripletDefinition, split_outputs: bool = False
-) -> list[MetaTuneInstance]:
-    """Three training instances per triplet, one per tag, sharing the same
-    two demonstrations used in instruction prompts.
+) -> list[dict]:
+    """The rows `triplet` writes, their keys in sorted order: one per tag,
+    each with the two demonstrations used in instruction prompts.
 
-    With split_outputs=True, each output entry becomes its own TaskOutput
-    instance instead of being joined with '; '.
+    With split_outputs=True, each output entry becomes its own TASK_OUTPUT
+    row instead of being joined with '; '.
     """
-    if len(task.demonstrations) < 2:
-        raise InvariantError(f"task {task.id}: need >= 2 demonstrations")
     d1, d2 = task.demonstrations[0], task.demonstrations[1]
+    demos = f"Input: {d1.input} Output: {d1.output}. Input: {d2.input} Output: {d2.output}"
 
-    def source(tag: MetaTag) -> str:
-        return (
-            f"{META_FRAME} {tag.value}. "
-            f"Input: {d1.input} Output: {d1.output}. "
-            f"Input: {d2.input} Output: {d2.output}"
-        )
+    def row(tag: str, target: str) -> dict:
+        return {"source": f"{META_FRAME} {tag}. {demos}", "tag": tag, "target": target}
 
-    out = [
-        MetaTuneInstance(MetaTag.TASK_INPUT, source(MetaTag.TASK_INPUT), t.input_entry),
-        MetaTuneInstance(MetaTag.TASK_ACTION, source(MetaTag.TASK_ACTION), t.action_entry),
+    outputs = t.output_entry if split_outputs else ["; ".join(t.output_entry)]
+    return [
+        row(TASK_INPUT, t.input_entry),
+        row(TASK_ACTION, t.action_entry),
+        *(row(TASK_OUTPUT, entry) for entry in outputs),
     ]
-    if split_outputs:
-        out.extend(
-            MetaTuneInstance(MetaTag.TASK_OUTPUT, source(MetaTag.TASK_OUTPUT), entry)
-            for entry in t.output_entry
-        )
-    else:
-        out.append(
-            MetaTuneInstance(
-                MetaTag.TASK_OUTPUT, source(MetaTag.TASK_OUTPUT), "; ".join(t.output_entry)
-            )
-        )
-    return out

@@ -253,7 +253,7 @@ def layered_compress(task, tree, fit, backend, cfg=StdcConfig(), cache=None):
     the whole layer against the full definition in one `score_many` call
     and so waits for the layer's last answer before the next layer starts;
     current mode scores one node at a time against the current state."""
-    if not fit.instance_ids:
+    if not fit.instances:
         raise InvariantError("fit set must be non-empty")
     full_text = _render_checked(task, tree)
 

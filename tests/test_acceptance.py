@@ -9,6 +9,7 @@ import json
 import random
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 from defkit.ablation import REMOVED_CATEGORIES, apply_ablation, build_metadata_definition
@@ -27,7 +28,7 @@ from defkit.scorer import (
 )
 from defkit.stdc import StdcConfig, category_retention, compress, replay_removals
 from defkit.stubserver import StubServer
-from defkit.triplet import MetaTag, build_triplet, meta_tuning_instances, render_triplet
+from defkit.triplet import build_triplet, meta_tuning_instances, render_triplet
 
 from conftest import FOX_TREE_TEXT, SeededBackend, make_task, subtree_leaves, to_bracketed
 from test_triplet import TASK6_TREE, task6, task6_annotation
@@ -275,12 +276,12 @@ def test_criterion_08_meta_tuning_counts():
         trip = build_triplet(task, ann, parse_bracketed(TASK6_TREE))
         batch = meta_tuning_instances(task, trip)
         instances.extend(batch)
-        if batch[0].target == "a statement":
+        if batch[0]["target"] == "a statement":
             target_ok = True
-    counts = {tag: sum(1 for inst in instances if inst.tag is tag) for tag in MetaTag}
+    counts = Counter(row["tag"] for row in instances)
     ok = (
         len(instances) == 15
-        and counts == {MetaTag.TASK_INPUT: 5, MetaTag.TASK_ACTION: 5, MetaTag.TASK_OUTPUT: 5}
+        and counts == {"<Task input>": 5, "<Task action>": 5, "<Task output>": 5}
         and target_ok
     )
     check(8, "5 tasks yield 15 balanced meta-tuning instances; input target exact", ok)

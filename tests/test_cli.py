@@ -1393,6 +1393,11 @@ BAD_INPUTS = [
     ("score-row-huge-int", "scores",
      lambda _: '{"task_id": "t", "kind": "generation", "score": 1%s}\n' % ("0" * 400), 2,
      ("report",), "{scores}:1: malformed score row"),
+    # a task is filed under one kind: a second kind is no later row's to choose
+    ("score-row-two-kinds", "scores",
+     lambda _: '{"task_id": "t1", "kind": "classification", "score": 1.0}\n'
+               '{"task_id": "t1", "kind": "generation", "score": 0.0}\n', 2,
+     ("report",), "{scores}:2: task t1 is generation here but classification on line 1"),
     # a byte that is not UTF-8 names the file and the line it is on
     ("annotation-bad-utf8", "annotations", lambda text: ("\n" + text).encode() + b"\xff\n", 2,
      ("ablate", "triplet"), "{annotations}:3: not valid UTF-8"),

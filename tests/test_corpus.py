@@ -1,4 +1,5 @@
 import json
+import random
 import re
 
 import pytest
@@ -184,8 +185,8 @@ class TestSplitExamples:
     def test_disjoint_and_sized(self):
         task = make_task(n_instances=10)
         fit, holdout = split_examples(task, 4, 4, seed=7)
-        assert len(fit.instance_ids) == 4 and len(holdout.instance_ids) == 4
-        assert not set(fit.instance_ids) & set(holdout.instance_ids)
+        assert len(fit.instances) == 4 and len(holdout.instances) == 4
+        assert not set(fit.instances) & set(holdout.instances)
 
     def test_size_error(self):
         task = make_task(n_instances=150)
@@ -195,8 +196,8 @@ class TestSplitExamples:
     def test_zero_fit(self):
         task = make_task(n_instances=5)
         fit, holdout = split_examples(task, 0, 3, seed=1)
-        assert fit.instance_ids == ()
-        assert len(holdout.instance_ids) == 3
+        assert fit.instances == ()
+        assert len(holdout.instances) == 3
 
     @given(seed_a=st.integers(0, 1000), seed_b=st.integers(0, 1000))
     @settings(max_examples=40)
@@ -204,18 +205,26 @@ class TestSplitExamples:
         task = make_task(n_instances=8)
         fa, ha = split_examples(task, 4, 4, seed_a)
         fb, hb = split_examples(task, 4, 4, seed_b)
-        assert set(fa.instance_ids) | set(ha.instance_ids) == set(fb.instance_ids) | set(
-            hb.instance_ids
-        )
+        assert set(fa.instances) | set(ha.instances) == set(fb.instances) | set(hb.instances)
+
+    @given(n_instances=st.integers(0, 40), data=st.data(), seed=st.integers(0, 2**32))
+    @settings(max_examples=60)
+    def test_split_is_a_prefix_of_the_seeded_shuffle_of_ids(self, n_instances, data, seed):
+        """The instances of fit then holdout are the task's own, in the order
+        the seeded shuffle of their ids puts them."""
+        task = make_task(n_instances=n_instances)
+        n_fit = data.draw(st.integers(0, n_instances))
+        n_holdout = data.draw(st.integers(0, n_instances - n_fit))
+        fit, holdout = split_examples(task, n_fit, n_holdout, seed)
+        ids = [inst.id for inst in task.instances]
+        random.Random(seed).shuffle(ids)
+        drawn = fit.instances + holdout.instances
+        assert [inst.id for inst in drawn] == ids[: n_fit + n_holdout]
+        own = {inst.id: inst for inst in task.instances}
+        assert all(inst is own[inst.id] for inst in drawn)
 
 
 class TestInstanceById:
-    def test_lookup_and_unknown_id(self):
-        task = make_task()
-        assert task.instance_by_id("inst1") is task.instances[1]
-        with pytest.raises(KeyError):
-            task.instance_by_id("nope")
-
     def test_repeated_id_rejected(self):
         data = minimal_task_dict()
         data["instances"][2]["id"] = "i1"

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defkit import scorer
-from defkit.corpus import ExampleSet, SplitRole, TaskKind, split_examples
+from defkit.corpus import ExampleSet, Instance, SplitRole, TaskKind, split_examples
 from defkit.errors import BackendError, InvariantError
 from defkit.metrics import normalize
 from defkit.scorer import (
@@ -158,7 +158,7 @@ class TestCache:
         path = tmp_path / "cache.jsonl"
         good = ScoreRecord("k1", "d", "fp", 0.5, (0.5,), "b")
         path.write_text(
-            json.dumps(good.to_dict()) + "\n" + "{not json\n" + "\n"
+            json.dumps(vars(good)) + "\n" + "{not json\n" + "\n"
         )
         cache = ScoreCache(path)
         assert cache.get("k1") == good
@@ -167,7 +167,7 @@ class TestCache:
     def test_line_not_utf8_skipped_with_a_warning(self, tmp_path, capsys):
         path = tmp_path / "cache.jsonl"
         good = ScoreRecord("k1", "d", "fp", 0.5, (0.5,), "b")
-        path.write_bytes(b"\xff{}\n" + json.dumps(good.to_dict()).encode() + b"\n")
+        path.write_bytes(b"\xff{}\n" + json.dumps(vars(good)).encode() + b"\n")
         cache = ScoreCache(path)
         assert cache.get("k1") == good
         assert len(cache) == 1
@@ -204,7 +204,7 @@ class TestCache:
         cache = ScoreCache(path)
         record = score("defn", gen_task, fit, backend, cache=cache)
         cache.close()
-        path.write_text(json.dumps({**record.to_dict(), **fields}) + "\n")
+        path.write_text(json.dumps({**vars(record), **fields}) + "\n")
         cache = ScoreCache(path)
         assert len(cache) == 0
         assert capsys.readouterr().err.splitlines() == [
@@ -233,9 +233,11 @@ class TestCache:
         assert not path.exists()  # nothing written, nothing created
         lines = []
         for i in range(3):
-            record = ScoreRecord(f"k{i}", "d", "fp", 0.5, (0.5,), "b")
-            cache.put(record)
-            lines.append(json.dumps(record.to_dict(), sort_keys=True))
+            cache.put(ScoreRecord(f"k{i}", "d", "fp", 0.5, (0.5,), "b"))
+            lines.append(
+                f'{{"backend_id": "b", "cache_key": "k{i}", "definition": "d", '
+                f'"example_fingerprint": "fp", "mean_score": 0.5, "per_instance": [0.5]}}'
+            )
             assert path.read_text().splitlines() == lines
         cache.close()
         cache.close()
@@ -361,7 +363,8 @@ class TestCache:
     def test_equal_example_sets_share_a_fingerprint(self, task_id, ids, role):
         payload = json.dumps([task_id, role.value, ids], separators=(",", ":"))
         expected = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-        first, second = (ExampleSet(task_id, tuple(ids), role) for _ in range(2))
+        instances = tuple(Instance(i, "input", ("ref",)) for i in ids)
+        first, second = (ExampleSet(task_id, instances, role) for _ in range(2))
         assert example_fingerprint(first) == example_fingerprint(second) == expected
 
 

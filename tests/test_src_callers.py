@@ -10,7 +10,9 @@ same name.
 
 Likewise every annotated field of a `@record` or `NamedTuple` class is
 read in `src/defkit`, as an attribute of any object or through `getattr`
-with a constant name, or is listed with the reason nothing reads it.
+with a constant name, or is listed with the reason nothing reads it; and
+every name a module imports is loaded in that module, or is listed with
+the reason it is not.
 """
 
 import ast
@@ -107,6 +109,7 @@ ALLOWED_FIELDS = {
     "stdc.CompressionResult.fit_score_before": "written whole, through vars, by `_jsontext.indented`",
     "stdc.CompressionResult.fit_score_after": "written whole, through vars, by `_jsontext.indented`",
     "corpus.Demonstration.explanation": "a field of the task-file schema",
+    "scorer.ScoreRecord.example_fingerprint": "written whole, through vars, by `ScoreCache.put`",
 }
 
 
@@ -152,3 +155,39 @@ def test_every_record_field_is_read_in_src_or_has_a_reason():
 def test_every_allowed_field_is_still_unread():
     unread = set(_unread_fields())
     assert [name for name in ALLOWED_FIELDS if name not in unread] == []
+
+
+# module.name -> why the module imports a name it never loads
+ALLOWED_IMPORTS = {
+    "ablation.compression_ratio": "a re-export: `ablate` imports it from `ablation`, "
+    "and perfbench/tracer.py wraps it there",
+}
+
+
+def _unused_imports() -> list[str]:
+    """module.name of each name a module imports (from `__future__` aside),
+    at any depth, that the module never loads."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        loaded = {
+            n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Import):
+                bound = [a.asname or a.name.split(".")[0] for a in n.names]
+            elif isinstance(n, ast.ImportFrom) and n.module != "__future__":
+                bound = [a.asname or a.name for a in n.names]
+            else:
+                continue
+            out.extend(f"{path.stem}.{name}" for name in bound if name not in loaded)
+    return out
+
+
+def test_every_src_import_is_used_or_has_a_reason():
+    assert [name for name in _unused_imports() if name not in ALLOWED_IMPORTS] == []
+
+
+def test_every_allowed_import_is_still_unused():
+    unused = set(_unused_imports())
+    assert [name for name in ALLOWED_IMPORTS if name not in unused] == []

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +9,6 @@ from defkit.corpus import TaskKind
 from defkit.errors import DefkitError, InvariantError, MissingSpanError
 from defkit.parse import parse_bracketed, remove_subtree
 from defkit.triplet import (
-    MetaTag,
     TripletDefinition,
     build_triplet,
     meta_tuning_instances,
@@ -257,22 +258,18 @@ class TestMetaTuning:
     def test_three_instances_with_targets(self):
         task = task6()
         trip = build_triplet(task, task6_annotation(), parse_bracketed(TASK6_TREE))
-        instances = meta_tuning_instances(task, trip)
-        assert len(instances) == 3
-        assert [i.tag for i in instances] == [
-            MetaTag.TASK_INPUT,
-            MetaTag.TASK_ACTION,
-            MetaTag.TASK_OUTPUT,
-        ]
-        assert instances[0].target == "a statement"
+        rows = meta_tuning_instances(task, trip)
+        assert [row["tag"] for row in rows] == ["<Task input>", "<Task action>", "<Task output>"]
+        assert rows[0]["target"] == "a statement"
         rendered = render_triplet(trip)
-        assert all(i.target in rendered for i in instances)
+        assert all(row["target"] in rendered for row in rows)
 
     def test_source_frame(self):
         task = task6()
         trip = TripletDefinition(task.id, "a", "b", ("c",))
-        inst = meta_tuning_instances(task, trip)[0]
-        assert inst.source == (
+        row = meta_tuning_instances(task, trip)[0]
+        assert list(row) == ["source", "tag", "target"]
+        assert row["source"] == (
             "Generate segments of task definitions based on the tag and two examples. "
             "<Task input>. "
             "Input: demo input one Output: demo output one. "
@@ -283,13 +280,13 @@ class TestMetaTuning:
         task = task6()
         trip = TripletDefinition(task.id, "a", "b", ("c", "d"))
         joined = meta_tuning_instances(task, trip)
-        assert joined[-1].target == "c; d"
+        assert joined[-1]["target"] == "c; d"
         split = meta_tuning_instances(task, trip, split_outputs=True)
-        assert [i.target for i in split if i.tag is MetaTag.TASK_OUTPUT] == ["c", "d"]
+        assert [row["target"] for row in split if row["tag"] == "<Task output>"] == ["c", "d"]
 
     def test_tags_balanced_across_tasks(self):
         task = task6()
         trip = TripletDefinition(task.id, "a", "b", ("c",))
-        instances = meta_tuning_instances(task, trip) + meta_tuning_instances(task, trip)
-        counts = {tag: sum(1 for i in instances if i.tag is tag) for tag in MetaTag}
-        assert counts == {MetaTag.TASK_INPUT: 2, MetaTag.TASK_ACTION: 2, MetaTag.TASK_OUTPUT: 2}
+        rows = meta_tuning_instances(task, trip) + meta_tuning_instances(task, trip)
+        counts = Counter(row["tag"] for row in rows)
+        assert counts == {"<Task input>": 2, "<Task action>": 2, "<Task output>": 2}
