@@ -5,7 +5,8 @@ compared and hashed by value and shown as `Name(field=value, ...)`.
 that defkit uses. It builds no code: every method is a closure over the
 class's field names, so a module of records imports without `dataclasses`,
 `inspect` or an `exec` per class. Instances keep `__dict__`, where `vars`
-finds them.
+finds them. Assigning to or deleting an attribute raises AttributeError,
+as it does on a `NamedTuple`.
 """
 
 from __future__ import annotations
@@ -13,10 +14,6 @@ from __future__ import annotations
 from operator import attrgetter
 
 _setattr = object.__setattr__  # sets a field past the record's __setattr__
-
-
-class FrozenInstanceError(AttributeError):
-    """An assignment to, or a deletion of, an attribute of a record."""
 
 
 def record(cls):
@@ -75,10 +72,10 @@ def record(cls):
         return NotImplemented
 
     def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+        raise AttributeError(f"cannot delete field {name!r}")
 
     cls.__init__ = __init__
     cls.__repr__ = __repr__

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from ._record import record
 from .corpus import Task, _require, numbered_lines
-from .errors import DegenerateError, InvariantError, SchemaError, ValidationError
+from .errors import DefkitError, InvariantError
 
 
 class ContentCategory(enum.Enum):
@@ -101,11 +101,11 @@ def validate_annotation(task: Task, ann: AnnotationSet) -> ValidationReport:
 
 
 def check_annotation(task: Task, ann: AnnotationSet) -> None:
-    """Raise ValidationError, naming every problem, unless the annotation
+    """Raise DefkitError, naming every problem, unless the annotation
     fits the task (`validate_annotation`)."""
     report = validate_annotation(task, ann)
     if not report.ok:
-        raise ValidationError("; ".join(report.problems))
+        raise DefkitError("; ".join(report.problems))
 
 
 _TRIGGERS = ("Given ", "Provided with ", "You're given ", "You are given ")
@@ -172,25 +172,25 @@ def fleiss_kappa(counts: Sequence[Sequence[int]]) -> float:
     p_j = [sum(row[j] for row in rows) / (n_items * n) for j in range(k)]
     p_e = sum(p * p for p in p_j)
     if p_e >= 1.0:
-        raise DegenerateError("fleiss_kappa: expected agreement is 1 (single category everywhere)")
+        raise InvariantError("fleiss_kappa: expected agreement is 1 (single category everywhere)")
     return (p_bar - p_e) / (1.0 - p_e)
 
 
 def annotation_from_dict(data: dict, *, where: str = "annotation") -> AnnotationSet:
     if not isinstance(data, dict):
-        raise SchemaError(f"{where}: record must be a JSON object")
+        raise DefkitError(f"{where}: record must be a JSON object")
     task_id = _require(data, "task_id", str, where)
     annotator = _require(data, "annotator", str, where)
     spans = []
     for i, s in enumerate(_require(data, "spans", list, where)):
         if not isinstance(s, dict):
-            raise SchemaError(f"{where}: spans[{i}] must be an object")
+            raise DefkitError(f"{where}: spans[{i}] must be an object")
         try:
             category = _CATEGORIES[s["category"]]
         except (KeyError, TypeError) as exc:  # missing, unknown or unhashable
-            raise SchemaError(f"{where}: spans[{i}]: bad category") from exc
+            raise DefkitError(f"{where}: spans[{i}]: bad category") from exc
         if not all(type(s.get(k)) is int for k in ("start", "end")):  # bool is no offset
-            raise SchemaError(f"{where}: spans[{i}]: start/end must be integers")
+            raise DefkitError(f"{where}: spans[{i}]: start/end must be integers")
         spans.append(Span(s["start"], s["end"], category))
     return AnnotationSet(task_id=task_id, spans=tuple(spans), annotator=annotator)
 
@@ -202,6 +202,6 @@ def load_annotations(path: str | Path) -> list[AnnotationSet]:
         try:
             data = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}:{lineno}: not valid JSON") from exc
+            raise DefkitError(f"{path}:{lineno}: not valid JSON") from exc
         out.append(annotation_from_dict(data, where=f"{path}:{lineno}"))
     return out

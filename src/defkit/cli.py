@@ -14,15 +14,7 @@ from . import __version__
 from .corpus import (
     Task, TaskKind, finite_number, load_task_dir, load_task_file, numbered_lines, split_examples
 )
-from .errors import (
-    BackendError,
-    ConfigError,
-    DefkitError,
-    SchemaError,
-    UnbalancedError,
-    ValidationError,
-    warn,
-)
+from .errors import BackendError, ConfigError, DefkitError, UnbalancedError, warn
 
 # Each command imports the modules it runs when it runs, so that a process
 # loads no more than its command needs: report never loads the parser, the
@@ -99,13 +91,13 @@ def _annotations_by_task(path: str) -> dict[str, AnnotationSet]:
 
 
 def _annotation(task: Task, anns: dict[str, AnnotationSet]) -> AnnotationSet:
-    """The task's annotation record; a ValidationError if it has none or the
+    """The task's annotation record; a DefkitError if it has none or the
     record does not fit the task's definition."""
     from .annotations import check_annotation
 
     ann = anns.get(task.id)
     if ann is None:
-        raise ValidationError("no annotation record")
+        raise DefkitError("no annotation record")
     check_annotation(task, ann)
     return ann
 
@@ -119,7 +111,7 @@ def _load_parse_lines(path: str, tasks: list[Task]) -> list[tuple[str, int]]:
 
     lines = list(numbered_lines(path))
     if len(lines) != len(tasks):
-        raise ValidationError(
+        raise DefkitError(
             f"{path}: {len(lines)} parse lines for {len(tasks)} tasks "
             "(lines align by index to the sorted task files)"
         )
@@ -350,16 +342,16 @@ def _read_score_rows(path: str) -> list[tuple[str, TaskKind, float]]:
                 raise TypeError("task_id must be a string")
             rows.append((data["task_id"], TaskKind(data["kind"]), finite_number(data["score"])))
         except (ValueError, KeyError, TypeError, OverflowError) as exc:
-            raise ValidationError(f"{path}:{lineno}: malformed score row: {exc}")
+            raise DefkitError(f"{path}:{lineno}: malformed score row: {exc}")
         task_id, kind, _ = rows[-1]
         first, first_line = kind_of.setdefault(task_id, (kind, lineno))
         if first is not kind:
-            raise ValidationError(
+            raise DefkitError(
                 f"{path}:{lineno}: task {task_id} is {kind.value} here "
                 f"but {first.value} on line {first_line}"
             )
     if not rows:
-        raise ValidationError(f"{path}: no score rows")
+        raise DefkitError(f"{path}: no score rows")
     return rows
 
 
@@ -385,10 +377,11 @@ def cmd_report(args) -> int:
     from ._jsontext import indented
     from .metrics import aggregate
 
+    # inputs are read before outputs are checked, as in the other commands
+    conditions = [(path, _read_score_rows(path)) for path in args.scores]
     out_file = Path(args.out) if args.out else None
     csv_file = Path(args.scores[0]).with_suffix(".summary.csv") if args.csv else None
     _check_overwrite([p for p in (out_file, csv_file) if p is not None], args.force)
-    conditions = [(path, _read_score_rows(path)) for path in args.scores]
     group_of = (
         _verbalizer_groups(args.train_tasks, args.test_tasks) if args.train_tasks else None
     )
@@ -475,12 +468,10 @@ def cmd_score(args) -> int:
     backend = _backend(args)
     task = load_task_file(args.task, lenient=args.lenient)
     if args.definition_file is not None:
-        if not args.definition_file:
-            raise FileNotFoundError("--definition-file: the path is empty")
         try:
             definition = Path(args.definition_file).read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
-            raise SchemaError(f"{args.definition_file}: not valid UTF-8: {exc}") from exc
+            raise DefkitError(f"{args.definition_file}: not valid UTF-8: {exc}") from exc
     elif args.definition is not None:
         definition = args.definition
     else:
@@ -609,6 +600,22 @@ def build_parser() -> _Parser:
     return parser
 
 
+# The arguments that name a file or a directory. `main` refuses an empty one,
+# which would read or write the current directory, or no file at all.
+_PATH_ARGS = (
+    "scores", "task", "tasks", "annotations", "parses", "definition_file",
+    "train_tasks", "test_tasks", "cache", "out",
+)
+
+
+def _check_paths(args) -> None:
+    for dest in _PATH_ARGS:
+        value = vars(args).get(dest)
+        if value == "" or (isinstance(value, list) and "" in value):
+            flag = dest if dest == "scores" else "--" + dest.replace("_", "-")
+            raise FileNotFoundError(f"{flag}: the path is empty")
+
+
 def main(argv=None) -> int:
     """Run the command `argv` names and return its exit code. Without
     `argv`, as the console script and `python -m defkit.cli` call it, the
@@ -622,6 +629,7 @@ def main(argv=None) -> int:
     if args.command == "report" and (args.train_tasks is None) != (args.test_tasks is None):
         parser.error("report: --train-tasks and --test-tasks go together")
     try:
+        _check_paths(args)
         code = args.func(args)
         # a closed stdout fails here, as one `error:` line, not at exit
         sys.stdout.flush()

@@ -10,7 +10,7 @@ from pathlib import Path
 from typing import Callable, Iterator
 
 from ._record import record
-from .errors import InvariantError, SchemaError, SizeError, warn
+from .errors import DefkitError, InvariantError, warn
 
 # The one prompt every definition is scored through: the Super-NaturalInstructions
 # layout of definition, two positive examples, then the instance input.
@@ -114,9 +114,9 @@ _OPTIONAL_TASK_KEYS = {"label_list": list}
 
 def _require(obj: dict, key: str, typ, where: str):
     if key not in obj:
-        raise SchemaError(f"{where}: missing field '{key}'")
+        raise DefkitError(f"{where}: missing field '{key}'")
     if not isinstance(obj[key], typ):
-        raise SchemaError(f"{where}: field '{key}' has wrong type, expected {typ.__name__}")
+        raise DefkitError(f"{where}: field '{key}' has wrong type, expected {typ.__name__}")
     return obj[key]
 
 
@@ -124,27 +124,27 @@ def _strings(obj: dict, key: str, where: str) -> tuple[str, ...]:
     """obj[key], a list of strings, as a tuple: no entry is turned into one."""
     items = _require(obj, key, list, where)
     if not all(isinstance(x, str) for x in items):
-        raise SchemaError(f"{where}: field '{key}' must hold strings only")
+        raise DefkitError(f"{where}: field '{key}' must hold strings only")
     return tuple(items)
 
 
 def task_from_dict(data: dict, *, lenient: bool = False, where: str = "task") -> Task:
     if not isinstance(data, dict):
-        raise SchemaError(f"{where}: top level must be a JSON object")
+        raise DefkitError(f"{where}: top level must be a JSON object")
     known = set(_TASK_KEYS) | set(_OPTIONAL_TASK_KEYS)
     unknown = set(data) - known
     if unknown:
         if lenient:
             warn(__name__, f"{where}: ignoring unknown keys {sorted(unknown)}")
         else:
-            raise SchemaError(f"{where}: unknown keys {sorted(unknown)}")
+            raise DefkitError(f"{where}: unknown keys {sorted(unknown)}")
     for key, typ in _TASK_KEYS.items():
         _require(data, key, typ, where)
     kind_raw = data["kind"]
     try:
         kind = TaskKind(kind_raw)
     except ValueError:
-        raise SchemaError(f"{where}: field 'kind' must be 'classification' or 'generation', got {kind_raw!r}")
+        raise DefkitError(f"{where}: field 'kind' must be 'classification' or 'generation', got {kind_raw!r}")
     label_list = None
     if "label_list" in data:
         label_list = _strings(data, "label_list", where)
@@ -152,9 +152,9 @@ def task_from_dict(data: dict, *, lenient: bool = False, where: str = "task") ->
     demos = []
     for i, entry in enumerate(data["demonstrations"]):
         if not isinstance(entry, dict):
-            raise SchemaError(f"{where}: demonstrations[{i}] must be an object")
+            raise DefkitError(f"{where}: demonstrations[{i}] must be an object")
         if not isinstance(entry.get("explanation"), (str, type(None))):
-            raise SchemaError(f"{where}: demonstrations[{i}]: field 'explanation' must be a string")
+            raise DefkitError(f"{where}: demonstrations[{i}]: field 'explanation' must be a string")
         demos.append(
             Demonstration(
                 input=_require(entry, "input", str, f"{where}: demonstrations[{i}]"),
@@ -165,7 +165,7 @@ def task_from_dict(data: dict, *, lenient: bool = False, where: str = "task") ->
     instances = []
     for i, entry in enumerate(data["instances"]):
         if not isinstance(entry, dict):
-            raise SchemaError(f"{where}: instances[{i}] must be an object")
+            raise DefkitError(f"{where}: instances[{i}] must be an object")
         instances.append(
             Instance(
                 id=_require(entry, "id", str, f"{where}: instances[{i}]"),
@@ -193,7 +193,7 @@ def load_task_file(path: str | Path, *, lenient: bool = False) -> Task:
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError from read_text
-        raise SchemaError(f"{path}: not valid UTF-8 JSON: {exc}") from exc
+        raise DefkitError(f"{path}: not valid UTF-8 JSON: {exc}") from exc
     try:
         return task_from_dict(data, lenient=lenient, where=str(path))
     except InvariantError as exc:
@@ -207,7 +207,7 @@ def numbered_lines(
 
     Lines end at "\n" only, so U+0085, U+2028 and U+2029 inside a JSON
     string neither split a record nor shift the line numbers after it. A
-    line that is not UTF-8 raises SchemaError naming path:line, or, given
+    line that is not UTF-8 raises DefkitError naming path:line, or, given
     `on_undecodable`, is passed to it by number and skipped.
     """
     with open(path, "rb") as fh:
@@ -216,7 +216,7 @@ def numbered_lines(
                 line = raw.decode("utf-8").rstrip("\r\n")
             except UnicodeDecodeError as exc:
                 if on_undecodable is None:
-                    raise SchemaError(f"{path}:{lineno}: not valid UTF-8: {exc}") from exc
+                    raise DefkitError(f"{path}:{lineno}: not valid UTF-8: {exc}") from exc
                 on_undecodable(lineno)
                 continue
             if line.strip():
@@ -240,7 +240,7 @@ def load_task_dir(directory: str | Path, *, lenient: bool = False) -> list[Task]
     `compress` names each task's output file after its id, beside the
     run's `manifest.json`, so an id must be unique in the directory, must
     not be `manifest`, and must be a plain file name: not empty, `.` or
-    `..`, and without `/`, `\\` or NUL. Raises SchemaError otherwise.
+    `..`, and without `/`, `\\` or NUL. Raises DefkitError otherwise.
     """
     if not Path(directory).is_dir():
         raise FileNotFoundError(f"no task directory at {directory}")
@@ -249,11 +249,11 @@ def load_task_dir(directory: str | Path, *, lenient: bool = False) -> list[Task]
     for path in sorted(Path(directory).glob("*.json")):
         task = load_task_file(path, lenient=lenient)
         if task.id in ("", ".", "..") or any(c in task.id for c in "/\\\0"):
-            raise SchemaError(f"{path}: task id {task.id!r} is not a plain file name")
+            raise DefkitError(f"{path}: task id {task.id!r} is not a plain file name")
         if task.id == "manifest":
-            raise SchemaError(f"{path}: task id 'manifest' would overwrite the run's manifest.json")
+            raise DefkitError(f"{path}: task id 'manifest' would overwrite the run's manifest.json")
         if task.id in file_of:
-            raise SchemaError(f"{path}: task id {task.id!r} is also the id in {file_of[task.id]}")
+            raise DefkitError(f"{path}: task id {task.id!r} is also the id in {file_of[task.id]}")
         file_of[task.id] = path
         tasks.append(task)
     return tasks
@@ -278,9 +278,9 @@ def split_examples(
 ) -> tuple[ExampleSet, ExampleSet]:
     """Seeded Fisher-Yates shuffle of the task's instances, then prefix slicing."""
     if n_fit < 0 or n_holdout < 0:
-        raise SizeError("split sizes must be non-negative")
+        raise DefkitError("split sizes must be non-negative")
     if n_fit + n_holdout > len(task.instances):
-        raise SizeError(
+        raise DefkitError(
             f"task {task.id}: need {n_fit}+{n_holdout} instances, have {len(task.instances)}"
         )
     shuffled = list(task.instances)

@@ -10,7 +10,7 @@ from typing import Iterable, Sequence
 
 from ._record import record
 from .corpus import Instance, Task, TaskKind
-from .errors import EmptyDefinitionError, EmptyReferenceListError, InvariantError
+from .errors import InvariantError
 
 _WORD = re.compile(r"[a-z0-9]+")
 
@@ -86,7 +86,7 @@ def rouge_l(candidate: str, references: Sequence[str]) -> float:
     when either side is empty or P+R = 0.
     """
     if not references:
-        raise EmptyReferenceListError("rouge_l: references must be non-empty")
+        raise InvariantError("rouge_l: references must be non-empty")
     return _rouge_l(candidate, tuple(references))
 
 
@@ -114,7 +114,7 @@ def compression_ratio(full_text: str, kept_text: str) -> float:
     n_full = len(full_text.split())
     n_kept = len(kept_text.split())
     if n_full == 0:
-        raise EmptyDefinitionError("full definition has no tokens")
+        raise InvariantError("full definition has no tokens")
     if n_kept > n_full:
         raise InvariantError(f"kept tokens ({n_kept}) exceed full tokens ({n_full})")
     return n_kept / n_full

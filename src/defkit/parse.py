@@ -13,13 +13,7 @@ import re
 from itertools import islice
 from typing import NamedTuple
 
-from .errors import (
-    DepthError,
-    EmptyError,
-    RootRemovalError,
-    UnbalancedError,
-    UnknownNodeError,
-)
+from .errors import DefkitError, InvariantError, UnbalancedError
 
 SYNTHETIC_ROOT_LABEL = "TOP"
 
@@ -83,7 +77,7 @@ class ParseTree(NamedTuple):
         try:
             return self.nodes[node_id]
         except KeyError:
-            raise UnknownNodeError(f"no node with id {node_id}")
+            raise InvariantError(f"no node with id {node_id}")
 
     @property
     def source_tokens(self) -> list[str]:
@@ -116,7 +110,7 @@ def count_trees(text: str) -> int:
     """How many top-level trees text holds, once it is known to hold one or
     more bracketed trees.
 
-    Raises EmptyError if text holds no token, and UnbalancedError naming the
+    Raises DefkitError if text holds no token, and UnbalancedError naming the
     offset of the offending token if the tokens are not one or more
     bracketed trees.
     """
@@ -129,7 +123,7 @@ def _check(text: str) -> tuple[list[str], int]:
     # Offsets are only needed for error messages; they are found again then.
     tokens = _lex(text)
     if not tokens:
-        raise EmptyError("no tree in input")
+        raise DefkitError("no tree in input")
     open_at: list[int] = []  # token index of each open '('
     label_at = -1  # token index where a constituent label must stand
     roots = 0
@@ -223,7 +217,7 @@ def _read(tokens: list[str], single: bool) -> ParseTree:
 def nodes_at_depth(tree: ParseTree, d: int) -> list[int]:
     """Node ids at layer d, in left-to-right span order."""
     if d < 1 or d > tree.depth:
-        raise DepthError(f"depth {d} outside 1..{tree.depth}")
+        raise InvariantError(f"depth {d} outside 1..{tree.depth}")
     return [node.id for node in tree.nodes.values() if node.depth == d]
 
 
@@ -234,9 +228,9 @@ def remove_subtree(tree: ParseTree, node_id: int) -> ParseTree:
     keep their ids and depths, and their leaf ranges close over the cut.
     The original tree is unchanged.
     """
-    removed = tree.node(node_id)  # raises UnknownNodeError
+    removed = tree.node(node_id)  # an unknown id raises InvariantError
     if removed.id == tree.root.id:
-        raise RootRemovalError("cannot remove the root node")
+        raise InvariantError("cannot remove the root node")
     lo, hi = removed.lo, removed.hi
     cut = hi - lo  # a kept node's bounds lie at or before lo, or at or past hi
     kept: dict[int, ParseNode] = {}

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from ._record import record
 from .corpus import ExampleSet, Instance, Task, assemble_prompt, finite_number, numbered_lines
-from .errors import BackendError, BackendTimeoutError, ConfigError, InvariantError, ScorerError, warn
+from .errors import BackendError, ConfigError, InvariantError, warn
 from .metrics import normalize, rouge_l
 
 if TYPE_CHECKING:  # only a remote stream imports concurrent.futures, when it starts
@@ -198,7 +198,7 @@ class RemoteBackend(Backend):
         if isinstance(last_error, TimeoutError) or isinstance(
             getattr(last_error, "reason", None), TimeoutError
         ):
-            raise BackendTimeoutError(f"endpoint timed out after retries: {last_error}")
+            raise BackendError(f"endpoint timed out after retries: {last_error}")
         raise BackendError(f"endpoint unreachable after retries: {last_error}")
 
     def generate(self, ctx: GenerationContext) -> list[str]:
@@ -461,7 +461,7 @@ class ScoreStream:
         cache: ScoreCache | None = None,
     ):
         if examples.task_id != task.id:
-            raise ScorerError(f"example set for {examples.task_id!r} used with task {task.id!r}")
+            raise InvariantError(f"example set for {examples.task_id!r} used with task {task.id!r}")
         self.task = task
         self.backend = backend
         self.cache = cache

@@ -9,7 +9,7 @@ from typing import TYPE_CHECKING
 
 from ._record import record
 from .corpus import ExampleSet, Task
-from .errors import ConfigError, EmptyResultError, InvariantError, warn
+from .errors import ConfigError, DefkitError, InvariantError, warn
 from .metrics import compression_ratio, normalize, word_spans
 from .parse import (
     ParseNode, ParseTree, leaf_offsets, nodes_at_depth, remove_subtree, render, spelling
@@ -188,7 +188,7 @@ def compress(
 
         compressed = "".join(written)
         if not compressed.strip() and not cfg.allow_empty_result:
-            raise EmptyResultError(f"task {task.id}: compression emptied the definition")
+            raise DefkitError(f"task {task.id}: compression emptied the definition")
         stream.submit(compressed)
         score_after = stream.take().mean_score
     if score_after < full_score - cfg.epsilon:

@@ -6,7 +6,7 @@ from __future__ import annotations
 from ._record import record
 from .annotations import AnnotationSet, ContentCategory
 from .corpus import Task, TaskKind
-from .errors import InvariantError, MissingSpanError
+from .errors import DefkitError, InvariantError
 from .parse import ParseNode, ParseTree, leaf_offsets
 
 META_FRAME = "Generate segments of task definitions based on the tag and two examples."
@@ -57,9 +57,9 @@ def build_triplet(task: Task, ann: AnnotationSet, tree: ParseTree) -> TripletDef
     input_spans = sorted(ann.by_category(ContentCategory.INPUT_CONTENT), key=lambda s: s.start)
     action_spans = sorted(ann.by_category(ContentCategory.ACTION_CONTENT), key=lambda s: s.start)
     if not input_spans:
-        raise MissingSpanError(f"task {task.id}: no input_content span annotated")
+        raise DefkitError(f"task {task.id}: no input_content span annotated")
     if not action_spans:
-        raise MissingSpanError(f"task {task.id}: no action_content span annotated")
+        raise DefkitError(f"task {task.id}: no action_content span annotated")
     input_start, input_end = input_spans[0].start, input_spans[0].end
     action_start, action_end = action_spans[0].start, action_spans[0].end
 

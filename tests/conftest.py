@@ -5,7 +5,7 @@ import pytest
 
 from defkit.annotations import AnnotationSet, ContentCategory, Span
 from defkit.corpus import Demonstration, Instance, Task, TaskKind
-from defkit.errors import EmptyResultError, InvariantError
+from defkit.errors import DefkitError, InvariantError
 from defkit.metrics import compression_ratio
 from defkit.parse import PTB_ESCAPES, nodes_at_depth, parse_bracketed, spelling
 from defkit.scorer import Backend, score_many
@@ -284,7 +284,7 @@ def layered_compress(task, tree, fit, backend, cfg=StdcConfig(), cache=None):
                         baseline = candidate_score
     compressed = "".join(written)
     if not compressed.strip() and not cfg.allow_empty_result:
-        raise EmptyResultError(f"task {task.id}: compression emptied the definition")
+        raise DefkitError(f"task {task.id}: compression emptied the definition")
     return CompressionResult(
         task_id=task.id,
         full_definition=full_text,

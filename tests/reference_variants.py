@@ -8,7 +8,7 @@ import re
 
 from defkit.annotations import AnnotationSet, ContentCategory
 from defkit.corpus import Task, TaskKind
-from defkit.errors import MissingSpanError
+from defkit.errors import DefkitError
 from defkit.parse import ParseNode, ParseTree
 from defkit.triplet import TripletDefinition
 
@@ -80,9 +80,9 @@ def build_triplet_reference(task: Task, ann: AnnotationSet, tree: ParseTree) -> 
     input_spans = sorted(ann.by_category(ContentCategory.INPUT_CONTENT), key=lambda s: s.start)
     action_spans = sorted(ann.by_category(ContentCategory.ACTION_CONTENT), key=lambda s: s.start)
     if not input_spans:
-        raise MissingSpanError(f"task {task.id}: no input_content span annotated")
+        raise DefkitError(f"task {task.id}: no input_content span annotated")
     if not action_spans:
-        raise MissingSpanError(f"task {task.id}: no action_content span annotated")
+        raise DefkitError(f"task {task.id}: no action_content span annotated")
     input_span = (input_spans[0].start, input_spans[0].end)
     action_span = (action_spans[0].start, action_spans[0].end)
 

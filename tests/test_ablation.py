@@ -14,7 +14,7 @@ from defkit.ablation import (
 )
 from defkit.annotations import AnnotationSet, ContentCategory, Span
 from defkit.corpus import TaskKind
-from defkit.errors import EmptyDefinitionError, InvariantError, ValidationError
+from defkit.errors import DefkitError, InvariantError
 
 from conftest import make_task
 from reference_variants import remove_spans_reference
@@ -61,7 +61,7 @@ class TestApplyAblation:
         bad = AnnotationSet(
             review_task.id, (Span(0, 999, ContentCategory.LABEL_LIST),), "a1"
         )
-        with pytest.raises(ValidationError):
+        with pytest.raises(DefkitError, match=r"span 0: out of bounds \[0,999\)"):
             apply_ablation(review_task, bad, REMOVED_CATEGORIES["label_list"])
 
     def test_all_add_at_most_either_side(self, review_task):
@@ -233,7 +233,7 @@ class TestCompressionRatio:
         assert compression_ratio("a b c", "") == 0.0
 
     def test_empty_full(self):
-        with pytest.raises(EmptyDefinitionError):
+        with pytest.raises(InvariantError, match="full definition has no tokens"):
             compression_ratio("   ", "a")
 
     def test_kept_exceeds_full(self):

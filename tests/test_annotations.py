@@ -14,7 +14,7 @@ from defkit.annotations import (
     presplit_definition,
     validate_annotation,
 )
-from defkit.errors import DegenerateError, InvariantError
+from defkit.errors import InvariantError
 
 from conftest import annotation_to_dict, make_task
 
@@ -131,7 +131,7 @@ class TestFleissKappa:
         assert fleiss_kappa([[3, 0], [1, 2]]) == pytest.approx(0.25)
 
     def test_degenerate(self):
-        with pytest.raises(DegenerateError):
+        with pytest.raises(InvariantError, match="expected agreement is 1"):
             fleiss_kappa([[3, 0], [3, 0]])
 
     def test_needs_two_raters(self):
@@ -179,7 +179,9 @@ class TestFleissKappa:
             fixed.append((a, b, c))
         try:
             base = fleiss_kappa(fixed)
-        except DegenerateError:
+        except InvariantError as exc:
+            if "expected agreement is 1" not in str(exc):
+                raise
             return
         rng = random.Random(seed)
         shuffled_items = list(fixed)

@@ -648,6 +648,20 @@ class TestReportCommand:
         assert main(["report", str(empty)]) == 2
         assert "no score rows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("directory", [".", "/"])
+    @pytest.mark.parametrize("flags", [[], ["--csv"]])
+    def test_a_directory_for_scores_exit1_with_or_without_csv(
+        self, tmp_path, capsys, monkeypatch, directory, flags
+    ):
+        """A directory has no name to put `.summary.csv` on; it fails as
+        the unreadable file it is, not with a traceback."""
+        monkeypatch.chdir(tmp_path)
+        assert main(["report", directory, *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: [Errno 21] Is a directory: '{directory}'"]
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
 
 @pytest.mark.parametrize("command", ["ablate", "triplet"])
 def test_second_annotation_record_of_a_task_is_dropped_with_a_warning(
@@ -1004,16 +1018,6 @@ class TestScoreCommand:
         record = json.loads(capsys.readouterr().out)
         assert record["definition"] == "only alpha here"
         assert record["mean_score"] == 1.0
-
-    def test_empty_definition_file_path_exit1(self, tmp_path, capsys):
-        """An empty `--definition-file` is an unreadable file, not a request
-        for the task's own definition."""
-        path = write_task_file(tmp_path / "t.json", make_task(task_id="t"))
-        rc = main(["score", "--task", str(path), "--definition-file", "", "--backend", "keyword"])
-        assert rc == 1
-        captured = capsys.readouterr()
-        assert captured.err.splitlines() == ["error: --definition-file: the path is empty"]
-        assert captured.out == ""
 
     def test_remote_server_error_exit3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(time, "sleep", lambda s: None)
@@ -1375,6 +1379,9 @@ BAD_INPUTS = [
     ("parse-unclosed", "parses", lambda _: "\n(S (NN fox)\n", 2, ("compress", "triplet"),
      "{parses}:2: unclosed '(' opened at offset 0"),
     ("parse-file-missing", "parses", lambda _: None, 1, ("compress", "triplet"), "{parses}"),
+    # lines align by index to the tasks, so one line too many is no line to skip
+    ("parse-line-count", "parses", lambda text: text + text, 2, ("compress", "triplet"),
+     "{parses}: 2 parse lines for 1 tasks"),
     ("annotation-file-missing", "annotations", lambda _: None, 1, ("ablate", "triplet"),
      "{annotations}"),
     ("score-row-bad-kind", "scores", lambda _: '{"task_id": "t", "kind": "x", "score": 1}\n', 2,
@@ -1445,6 +1452,41 @@ class TestErrorTable:
         assert names.format(**files) in lines[0]
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("ablate", "--tasks"), ("ablate", "--annotations"), ("ablate", "--out"),
+            ("compress", "--tasks"), ("compress", "--parses"), ("compress", "--out"),
+            ("compress", "--cache"),
+            ("triplet", "--tasks"), ("triplet", "--annotations"), ("triplet", "--parses"),
+            ("triplet", "--out"),
+            ("report", "scores"), ("report", "--train-tasks"), ("report", "--test-tasks"),
+            ("report", "--out"),
+            # not a request for the task's own definition
+            ("score", "--task"), ("score", "--definition-file"), ("score", "--cache"),
+        ],
+    )
+    def test_an_empty_path_exit1(self, tmp_path, capsys, monkeypatch, command, flag):
+        """An empty path names no file: not the current directory, and not
+        "no cache". The run reads and writes nothing."""
+        _, commands = pipeline(tmp_path)
+        argv = commands[command]
+        if flag == "scores":
+            argv[1] = ""
+        elif flag in argv:
+            argv[argv.index(flag) + 1] = ""
+        else:
+            argv += [flag, ""]
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {flag}: the path is empty"]
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+        assert list(cwd.iterdir()) == []
 
     @pytest.mark.parametrize("seed", range(4))
     def test_repeated_instance_id_fails_at_every_seed(self, tmp_path, capsys, seed):

@@ -16,7 +16,7 @@ from defkit.corpus import (
     split_examples,
     task_from_dict,
 )
-from defkit.errors import InvariantError, SchemaError, SizeError
+from defkit.errors import DefkitError, InvariantError
 
 from conftest import make_task, replace, write_task_file
 
@@ -76,22 +76,22 @@ class TestLoadTaskFile:
     def test_missing_field_names_field(self):
         data = minimal_task_dict()
         del data["definition"]
-        with pytest.raises(SchemaError, match="definition"):
+        with pytest.raises(DefkitError, match="missing field 'definition'"):
             task_from_dict(data)
 
     def test_wrong_type_names_field(self):
-        with pytest.raises(SchemaError, match="domains"):
+        with pytest.raises(DefkitError, match="field 'domains' has wrong type"):
             task_from_dict(minimal_task_dict(domains="News"))
 
     def test_unknown_key_strict_vs_lenient(self):
         data = minimal_task_dict(extra_key=1)
-        with pytest.raises(SchemaError, match="extra_key"):
+        with pytest.raises(DefkitError, match=r"unknown keys \['extra_key'\]"):
             task_from_dict(data)
         task = task_from_dict(data, lenient=True)
         assert task.id == "t1"
 
     def test_bad_kind(self):
-        with pytest.raises(SchemaError, match="kind"):
+        with pytest.raises(DefkitError, match="field 'kind' must be 'classification'"):
             task_from_dict(minimal_task_dict(kind="regression"))
 
     def test_empty_definition(self):
@@ -190,7 +190,7 @@ class TestSplitExamples:
 
     def test_size_error(self):
         task = make_task(n_instances=150)
-        with pytest.raises(SizeError):
+        with pytest.raises(DefkitError, match=r"need 100\+100 instances, have 150"):
             split_examples(task, 100, 100, seed=0)
 
     def test_zero_fit(self):

@@ -5,13 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defkit.errors import (
-    DepthError,
-    EmptyError,
-    RootRemovalError,
-    UnbalancedError,
-    UnknownNodeError,
-)
+from defkit.errors import DefkitError, InvariantError, UnbalancedError
 from defkit.parse import (
     _LEXER,
     ParseNode,
@@ -47,7 +41,7 @@ class TestParseBracketed:
             parse_bracketed("(A a))")
 
     def test_empty(self):
-        with pytest.raises(EmptyError):
+        with pytest.raises(DefkitError, match="no tree in input"):
             parse_bracketed("   ")
 
     def test_ptb_escapes(self):
@@ -77,9 +71,9 @@ class TestNodesAtDepth:
 
     def test_depth_error(self):
         tree = parse_bracketed(CAT_TREE)
-        with pytest.raises(DepthError):
+        with pytest.raises(InvariantError, match=r"depth 0 outside 1\.\.4"):
             nodes_at_depth(tree, 0)
-        with pytest.raises(DepthError):
+        with pytest.raises(InvariantError, match=r"depth 5 outside 1\.\.4"):
             nodes_at_depth(tree, 5)
 
     def test_layers_partition_nodes(self):
@@ -108,12 +102,12 @@ class TestRemoveSubtree:
 
     def test_remove_root_error(self):
         tree = parse_bracketed(CAT_TREE)
-        with pytest.raises(RootRemovalError):
+        with pytest.raises(InvariantError, match="cannot remove the root"):
             remove_subtree(tree, tree.root.id)
 
     def test_unknown_node(self):
         tree = parse_bracketed(CAT_TREE)
-        with pytest.raises(UnknownNodeError):
+        with pytest.raises(InvariantError, match="no node with id 9999"):
             remove_subtree(tree, 9999)
 
     def test_token_accounting(self):
@@ -253,7 +247,7 @@ def reference_parse_error(text):
     """
     tokens = [(m.group(0), m.start()) for m in re.finditer(r"\(|\)|[^\s()]+", text)]
     if not tokens:
-        return EmptyError, "no tree in input", None
+        return DefkitError, "no tree in input", None
     open_at = []
     k = 0
     while k < len(tokens):

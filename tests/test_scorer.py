@@ -451,7 +451,5 @@ class TestScoreRecord:
 
     def test_fingerprint_binds_task(self, gen_task):
         other = make_task(task_id="other", kind=TaskKind.GENERATION, label_list=None)
-        from defkit.errors import ScorerError
-
-        with pytest.raises(ScorerError):
+        with pytest.raises(InvariantError, match="example set for 'other' used with task"):
             score("d", gen_task, fit_set(other, 2), PlantedPhraseBackend("alpha"))

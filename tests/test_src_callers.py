@@ -12,10 +12,12 @@ Likewise every annotated field of a `@record` or `NamedTuple` class is
 read in `src/defkit`, as an attribute of any object or through `getattr`
 with a constant name, or is listed with the reason nothing reads it; and
 every name a module imports is loaded in that module, or is listed with
-the reason it is not.
+the reason it is not; and every exception class is told apart from the
+others somewhere, or is listed with the reason it is kept.
 """
 
 import ast
+import builtins
 from collections import Counter
 from pathlib import Path
 
@@ -191,3 +193,60 @@ def test_every_src_import_is_used_or_has_a_reason():
 def test_every_allowed_import_is_still_unused():
     unused = set(_unused_imports())
     assert [name for name in ALLOWED_IMPORTS if name not in unused] == []
+
+
+# module.Class -> why an exception class that no code tells apart is kept
+ALLOWED_EXCEPTIONS = {}
+
+
+def _names(node: ast.AST | None) -> set[str]:
+    """The class names an except clause, isinstance or a table names: a name
+    or an attribute, alone or at any depth of a tuple."""
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    if isinstance(node, ast.Tuple):
+        return set().union(*map(_names, node.elts))
+    return set()
+
+
+def _untold_exceptions() -> list[str]:
+    """module.Class of each exception class in src/defkit that no `except`
+    clause, no `isinstance` call and no entry of `cli._EXIT_CODES` names."""
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    classes = {}  # class name -> (module.Class, the names of its bases)
+    told = set()
+    for module, tree in trees.items():
+        for name, node, _ in _definitions(tree, module):
+            if isinstance(node, ast.ClassDef):
+                classes[node.name] = (name, set().union(*map(_names, node.bases)))
+        for n in ast.walk(tree):
+            if isinstance(n, ast.ExceptHandler):
+                told |= _names(n.type)
+            elif isinstance(n, ast.Call) and getattr(n.func, "id", None) == "isinstance":
+                told |= _names(n.args[1])
+            elif isinstance(n, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "_EXIT_CODES" for t in n.targets
+            ):
+                told |= _names(n.value)
+    exceptions = {
+        name
+        for name, obj in vars(builtins).items()
+        if isinstance(obj, type) and issubclass(obj, BaseException)
+    }
+    # a class with an exception class for a base is one
+    while new := {c for c, (_, bases) in classes.items() if bases & exceptions} - exceptions:
+        exceptions |= new
+    return sorted(classes[c][0] for c in exceptions & classes.keys() - told)
+
+
+def test_every_exception_class_is_told_apart_or_has_a_reason():
+    """A class that only its raise sites name adds a type and no behaviour:
+    raise the class whose handler already catches it."""
+    assert [name for name in _untold_exceptions() if name not in ALLOWED_EXCEPTIONS] == []
+
+
+def test_every_allowed_exception_is_still_untold():
+    untold = set(_untold_exceptions())
+    assert [name for name in ALLOWED_EXCEPTIONS if name not in untold] == []

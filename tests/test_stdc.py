@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from defkit.annotations import AnnotationSet, ContentCategory, Span
 from defkit.corpus import TaskKind, split_examples
-from defkit.errors import EmptyResultError, InvariantError
+from defkit.errors import DefkitError, InvariantError
 from defkit.metrics import normalize
 from defkit import stdc
 from defkit.parse import detokenize, parse_bracketed, remove_subtree, render
@@ -74,7 +74,7 @@ class TestCompressTrace:
 
     def test_constant_backend_empties(self, fox_task, fox_tree):
         fit, _ = fit_holdout(fox_task)
-        with pytest.raises(EmptyResultError):
+        with pytest.raises(DefkitError, match="compression emptied the definition"):
             compress(fox_task, fox_tree, fit, constant_backend())
 
     def test_constant_backend_allow_empty(self, fox_task, fox_tree):

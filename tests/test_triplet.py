@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from defkit.annotations import AnnotationSet, ContentCategory, Span
 from defkit.corpus import TaskKind
-from defkit.errors import DefkitError, InvariantError, MissingSpanError
+from defkit.errors import DefkitError, InvariantError
 from defkit.parse import parse_bracketed, remove_subtree
 from defkit.triplet import (
     TripletDefinition,
@@ -115,7 +115,7 @@ class TestBuildTriplet:
     def test_missing_action_span(self):
         task = task6()
         ann = AnnotationSet(task.id, (Span(0, 18, ContentCategory.INPUT_CONTENT),), "a1")
-        with pytest.raises(MissingSpanError):
+        with pytest.raises(DefkitError, match="no action_content span annotated"):
             build_triplet(task, ann, parse_bracketed(TASK6_TREE))
 
     def test_unalignable_tree_falls_back(self):
