@@ -1,11 +1,12 @@
 """The indented JSON text defkit writes: results, manifests, reports and
 scores.
 
-`indented` returns what `json.dumps(obj, indent=2, sort_keys=True,
-default=vars)` returns. An `indent` sends `json` to its pure-Python
-encoder, which makes a generator frame per container and several calls
-per value; here each value costs one check of its type and one append,
-and only containers recurse.
+`indented` returns what `json.dumps(obj, indent=2, sort_keys=True)`
+returns once each record (a `NamedTuple`) in obj is replaced by its
+`_asdict()`: records are written as objects of their fields. An `indent`
+sends `json` to its pure-Python encoder, which makes a generator frame per
+container and several calls per value; here each value costs one check of
+its type and one append, and only containers recurse.
 """
 
 from __future__ import annotations
@@ -80,6 +81,8 @@ def _write(o, out: list[str], newline: str) -> None:
                 out.append(f"{sep}{key}: {scalar(value)}")
             sep = "," + inner
         out.append(newline + "}")
+    elif hasattr(o, "_asdict"):
+        _write(o._asdict(), out, newline)  # a record as its fields
     elif isinstance(o, (list, tuple)):
         if not o:
             out.append("[]")
@@ -100,12 +103,13 @@ def _write(o, out: list[str], newline: str) -> None:
     elif isinstance(o, (str, int, float)):
         out.append(_scalar(o))
     else:
-        _write(vars(o), out, newline)  # a record as its fields
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
 def indented(obj) -> str:
-    """`json.dumps(obj, indent=2, sort_keys=True, default=vars)`: a cycle
-    raises RecursionError where `json` raises ValueError."""
+    """`json.dumps(obj, indent=2, sort_keys=True)`, records written as
+    objects of their fields: a cycle raises RecursionError where `json`
+    raises ValueError."""
     out: list[str] = []
     _write(obj, out, "\n")
     return "".join(out)

@@ -10,9 +10,8 @@ import enum
 import json
 import re
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from ._record import record
 from .corpus import Task, _require, numbered_lines
 from .errors import DefkitError, InvariantError
 
@@ -33,15 +32,13 @@ class ContentCategory(enum.Enum):
 _CATEGORIES = {c.value: c for c in ContentCategory}
 
 
-@record
-class Span:
+class Span(NamedTuple):
     start: int
     end: int
     category: ContentCategory
 
 
-@record
-class AnnotationSet:
+class AnnotationSet(NamedTuple):
     task_id: str
     spans: tuple[Span, ...]
     annotator: str = ""
@@ -50,8 +47,7 @@ class AnnotationSet:
         return [s for s in self.spans if s.category is category]
 
 
-@record
-class ValidationReport:
+class ValidationReport(NamedTuple):
     problems: tuple[str, ...]
 
     @property

@@ -187,7 +187,7 @@ class _Run:
         loses no output."""
         from .manifest import file_digest, write_manifest
 
-        inputs = [vars(self.args)[flag] for flag in ("annotations", "parses") if flag in self.args]
+        inputs = [getattr(self.args, flag) for flag in ("annotations", "parses") if flag in self.args]
         write_manifest(self.out, config, {path: file_digest(path) for path in inputs}, seeds, extra)
         print(summary)
         for failure in self.failures:
@@ -309,7 +309,7 @@ def cmd_compress(args) -> int:
     config = ("backend", "mode", "epsilon", "fit_n", "holdout_n", "temperature", "max_new_tokens")
     return run.finish(
         run.table(["task", "ratio", "before", "after", "coverage"], rows),
-        {name: vars(args)[name] for name in config},
+        {name: getattr(args, name) for name in config},
         [args.seed],
         {
             "backend_id": backend.backend_id,
@@ -600,20 +600,66 @@ def build_parser() -> _Parser:
     return parser
 
 
-# The arguments that name a file or a directory. `main` refuses an empty one,
-# which would read or write the current directory, or no file at all.
-_PATH_ARGS = (
-    "scores", "task", "tasks", "annotations", "parses", "definition_file",
-    "train_tasks", "test_tasks", "cache", "out",
+# The arguments that name a file or a directory: the inputs a command reads
+# and the outputs it writes. `main` refuses an empty one, which would read or
+# write the current directory, or no file at all, and an output that is an
+# input.
+_PATH_ARGS = {
+    "input": (
+        "scores", "task", "tasks", "annotations", "parses", "definition_file", "train_tasks",
+        "test_tasks",
+    ),
+    "output": ("cache", "out"),
+}
+# The files ablate, compress and triplet may write into `--out`, besides
+# compress's `TASK_ID.json` for each task.
+_OUT_FILES = (
+    "manifest.json", "summary.csv", "triplets.jsonl", "meta_tuning.jsonl",
+    *(f"{spec}.jsonl" for spec in ABLATE_SPECS[1:]),
 )
 
 
+def _paths(args, role: str) -> Iterator[tuple[str, str]]:
+    """(flag, path) of each path the command was given for an argument of
+    `role`; `report`'s score files are all under the flag `scores`."""
+    for dest in _PATH_ARGS[role]:
+        value = getattr(args, dest, None)
+        flag = dest if dest == "scores" else "--" + dest.replace("_", "-")
+        for path in value if isinstance(value, list) else [] if value is None else [value]:
+            yield flag, path
+
+
 def _check_paths(args) -> None:
-    for dest in _PATH_ARGS:
-        value = vars(args).get(dest)
-        if value == "" or (isinstance(value, list) and "" in value):
-            flag = dest if dest == "scores" else "--" + dest.replace("_", "-")
+    for flag, path in (*_paths(args, "input"), *_paths(args, "output")):
+        if path == "":
             raise FileNotFoundError(f"{flag}: the path is empty")
+
+
+def _check_outputs(args) -> None:
+    """Refuse a run that would write over what it reads, with or without
+    `--force`: an output that is an input file or directory, an input file
+    in `--out` that the run would write there, or a `*.json` output in a
+    task directory, which the next run would load as a task. The outputs
+    are `--cache`, `--out` and, with `report --csv`, `SCORES.summary.csv`."""
+    inputs = {os.path.realpath(path): flag for flag, path in _paths(args, "input")}
+    outputs = list(_paths(args, "output"))
+    if args.command == "report" and args.csv and Path(args.scores[0]).name:
+        outputs.append(("--csv", str(Path(args.scores[0]).with_suffix(".summary.csv"))))
+    elif args.command in ("ablate", "compress", "triplet"):
+        out = os.path.realpath(args.out)
+        names = [os.path.basename(path) for path in inputs if os.path.dirname(path) == out]
+        outputs += [
+            ("--out", os.path.join(args.out, name)) for name in names
+            if name in _OUT_FILES or (args.command == "compress" and name.endswith(".json"))
+        ]
+    for flag, path in outputs:
+        real = os.path.realpath(path)
+        reader = inputs.get(real)
+        if reader is None and real.endswith(".json"):
+            reader = inputs.get(os.path.dirname(real))
+            reader = reader if reader in ("--tasks", "--train-tasks", "--test-tasks") else None
+        if reader is not None:
+            raise OSError(f"{flag} would write {path}, which {reader} reads")
 
 
 def main(argv=None) -> int:
@@ -630,6 +676,7 @@ def main(argv=None) -> int:
         parser.error("report: --train-tasks and --test-tasks go together")
     try:
         _check_paths(args)
+        _check_outputs(args)
         code = args.func(args)
         # a closed stdout fails here, as one `error:` line, not at exit
         sys.stdout.flush()

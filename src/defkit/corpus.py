@@ -7,9 +7,8 @@ import json
 import math
 import random
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
-from ._record import record
 from .errors import DefkitError, InvariantError, warn
 
 # The one prompt every definition is scored through: the Super-NaturalInstructions
@@ -32,32 +31,39 @@ class SplitRole(enum.Enum):
     HOLDOUT = "holdout"
 
 
-@record
-class Demonstration:
+class _Demonstration(NamedTuple):
     input: str
     output: str
     explanation: str | None = None
 
-    def __post_init__(self):
-        if not self.input:
+
+class Demonstration(_Demonstration):
+    __slots__ = ()
+
+    def __new__(cls, input: str, output: str, explanation: str | None = None):
+        if not input:
             raise InvariantError("demonstration input is empty")
-        if not self.output:
+        if not output:
             raise InvariantError("demonstration output is empty")
+        return tuple.__new__(cls, (input, output, explanation))
 
 
-@record
-class Instance:
+class _Instance(NamedTuple):
     id: str
     input: str
     references: tuple[str, ...]
 
-    def __post_init__(self):
-        if not self.references:
-            raise InvariantError(f"instance {self.id}: references empty")
+
+class Instance(_Instance):
+    __slots__ = ()
+
+    def __new__(cls, id: str, input: str, references: tuple[str, ...]):
+        if not references:
+            raise InvariantError(f"instance {id}: references empty")
+        return tuple.__new__(cls, (id, input, references))
 
 
-@record
-class Task:
+class _Task(NamedTuple):
     id: str
     name: str
     definition: str
@@ -69,7 +75,12 @@ class Task:
     demonstrations: tuple[Demonstration, ...]
     instances: tuple[Instance, ...]
 
-    def __post_init__(self):
+
+class Task(_Task):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.definition.strip():
             raise InvariantError("definition: empty after trimming")
         if len(self.demonstrations) < 2:
@@ -85,17 +96,23 @@ class Task:
             j = first.setdefault(inst.id, i)
             if j != i:
                 raise InvariantError(f"instances: id {inst.id!r} repeated at indices {j} and {i}")
+        return self
 
 
-@record
-class ExampleSet:
+class _ExampleSet(NamedTuple):
     task_id: str
     instances: tuple[Instance, ...]
     role: SplitRole
 
-    def __post_init__(self):
+
+class ExampleSet(_ExampleSet):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if len({inst.id for inst in self.instances}) != len(self.instances):
             raise InvariantError("example set: instance ids not unique")
+        return self
 
 
 _TASK_KEYS = {

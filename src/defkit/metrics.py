@@ -6,9 +6,8 @@ from __future__ import annotations
 import random
 import re
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from ._record import record
 from .corpus import Instance, Task, TaskKind
 from .errors import InvariantError
 
@@ -120,8 +119,7 @@ def compression_ratio(full_text: str, kept_text: str) -> float:
     return n_kept / n_full
 
 
-@record
-class ScoreReport:
+class ScoreReport(NamedTuple):
     per_task: dict[str, float]
     n_instances: dict[str, int]
     overall: float

@@ -13,9 +13,8 @@ import threading
 import time
 from collections import deque
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from ._record import record
 from .corpus import ExampleSet, Instance, Task, assemble_prompt, finite_number, numbered_lines
 from .errors import BackendError, ConfigError, InvariantError, warn
 from .metrics import normalize, rouge_l
@@ -26,21 +25,17 @@ if TYPE_CHECKING:  # only a remote stream imports concurrent.futures, when it st
 API_KEY_ENV = "DEFKIT_API_KEY"
 
 
-@record
-class GenerationParams:
+class GenerationParams(NamedTuple):
     max_new_tokens: int = 128
     temperature: float = 0.0
     seed: int | None = None
 
     def to_dict(self) -> dict:
-        d = {"max_new_tokens": self.max_new_tokens, "temperature": self.temperature}
-        if self.seed is not None:
-            d["seed"] = self.seed
-        return d
+        """The fields, without a seed of None."""
+        return {name: value for name, value in self._asdict().items() if value is not None}
 
 
-@record
-class GenerationContext:
+class GenerationContext(NamedTuple):
     """One definition to generate for, over a task's instances; a backend
     that needs prompts assembles them with `assemble_prompt`."""
 
@@ -60,8 +55,8 @@ class Backend:
     context's record is taken, and `compress` runs such a backend's tasks
     one after another in the calling thread, whatever `--jobs` is."""
 
-    backend_id: str = "backend"
-    max_in_flight: int = 0
+    backend_id = "backend"
+    max_in_flight = 0
 
     def __init__(self, params: GenerationParams = GenerationParams()):
         self.params = params
@@ -222,11 +217,17 @@ def _opener():
     return build_opener(NoRedirect)
 
 
+def _visible_ascii(text: str) -> bool:
+    """Whether text has no space, control or non-ASCII character, none of
+    which http.client sends in a URL or a header."""
+    return all("!" <= c <= "~" for c in text)
+
+
 def _is_http_url(url: str) -> bool:
     from urllib.parse import urlsplit
 
-    if not all("!" <= c <= "~" for c in url):
-        return False  # http.client sends no space, control or non-ASCII character
+    if not _visible_ascii(url):
+        return False
     try:
         parts = urlsplit(url)
         parts.port  # raises ValueError on a port that is not a number in range
@@ -243,9 +244,10 @@ def build_backend(
     phrase: str = "",
 ) -> Backend:
     """The backend `name` (remote, planted or keyword), generating
-    with `params`: the one place where the command line's backend settings
-    are checked and become a backend. A missing or unusable setting raises
-    ConfigError."""
+    with `params`: the one place where the command line's backend settings,
+    and the remote backend's `DEFKIT_API_KEY`, are checked and become a
+    backend. A missing or unusable setting raises ConfigError, which never
+    shows the key."""
     if name == "remote" and not endpoint_url:
         raise ConfigError("remote backend requires endpoint_url")
     if name == "planted" and not normalize(phrase):
@@ -257,6 +259,8 @@ def build_backend(
     if not math.isfinite(params.temperature):
         raise ConfigError(f"temperature must be finite, got {params.temperature}")
     if name == "remote":
+        if not _visible_ascii(os.environ.get(API_KEY_ENV, "")):
+            raise ConfigError(f"{API_KEY_ENV} must hold visible ASCII characters (! to ~) only")
         return RemoteBackend(endpoint_url, params)
     if name == "planted":
         return PlantedPhraseBackend(phrase, params)
@@ -265,8 +269,7 @@ def build_backend(
     raise InvariantError(f"unknown backend {name!r}")
 
 
-@record
-class ScoreRecord:
+class _ScoreRecord(NamedTuple):
     cache_key: str
     definition: str
     example_fingerprint: str
@@ -274,11 +277,21 @@ class ScoreRecord:
     per_instance: tuple[float, ...]
     backend_id: str
 
-    def __post_init__(self):
+
+class ScoreRecord(_ScoreRecord):
+    __slots__ = ()
+
+    def __new__(
+        cls, cache_key: str, definition: str, example_fingerprint: str, mean_score: float,
+        per_instance: tuple[float, ...], backend_id: str,
+    ):
         # the mean over no instance is 0.0, as `score` writes it
-        mean = sum(self.per_instance) / len(self.per_instance) if self.per_instance else 0.0
-        if abs(mean - self.mean_score) > 1e-12:
+        mean = sum(per_instance) / len(per_instance) if per_instance else 0.0
+        if abs(mean - mean_score) > 1e-12:
             raise InvariantError("mean_score inconsistent with per_instance")
+        return tuple.__new__(
+            cls, (cache_key, definition, example_fingerprint, mean_score, per_instance, backend_id)
+        )
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScoreRecord":
@@ -378,7 +391,7 @@ class ScoreCache:
         return record
 
     def put(self, record: ScoreRecord) -> None:
-        line = json.dumps(vars(record), sort_keys=True) + "\n"
+        line = json.dumps(record._asdict(), sort_keys=True) + "\n"
         with self._lock:
             self._records[record.cache_key] = record
             if self._fh is None:

@@ -5,9 +5,8 @@ retention accounting."""
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
-from ._record import record
 from .corpus import ExampleSet, Task
 from .errors import ConfigError, DefkitError, InvariantError, warn
 from .metrics import compression_ratio, normalize, word_spans
@@ -25,21 +24,25 @@ BASELINE_PAPER_LITERAL = "paper"
 UNANNOTATED = "unannotated"
 
 
-@record
-class StdcConfig:
+class _StdcConfig(NamedTuple):
     baseline_mode: str = BASELINE_CURRENT  # "current" or "paper"
     epsilon: float = 0.0
     allow_empty_result: bool = False
 
-    def __post_init__(self):
+
+class StdcConfig(_StdcConfig):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0 <= self.epsilon < float("inf"):  # NaN too
             raise ConfigError("epsilon must be finite and >= 0")
         if self.baseline_mode not in (BASELINE_CURRENT, BASELINE_PAPER_LITERAL):
             raise ConfigError(f"unknown baseline mode {self.baseline_mode!r}")
+        return self
 
 
-@record
-class Step:
+class Step(NamedTuple):
     node_id: int
     label: str
     leaves_removed: tuple[str, ...]
@@ -47,8 +50,7 @@ class Step:
     accepted: bool
 
 
-@record
-class CompressionResult:
+class CompressionResult(NamedTuple):
     task_id: str
     full_definition: str
     compressed_definition: str
@@ -61,8 +63,7 @@ class CompressionResult:
         return [s.node_id for s in self.steps if s.accepted]
 
 
-@record
-class HoldoutReport:
+class HoldoutReport(NamedTuple):
     before: float
     after: float
     coverage: float

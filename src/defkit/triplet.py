@@ -3,7 +3,8 @@ meta-tuning training instances derived from them."""
 
 from __future__ import annotations
 
-from ._record import record
+from typing import NamedTuple
+
 from .annotations import AnnotationSet, ContentCategory
 from .corpus import Task, TaskKind
 from .errors import DefkitError, InvariantError
@@ -17,17 +18,22 @@ TASK_ACTION = "<Task action>"
 TASK_OUTPUT = "<Task output>"
 
 
-@record
-class TripletDefinition:
+class _TripletDefinition(NamedTuple):
     task_id: str
     input_entry: str
     action_entry: str
     output_entry: tuple[str, ...]
     needs_review: bool = False
 
-    def __post_init__(self):
+
+class TripletDefinition(_TripletDefinition):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.input_entry or not self.action_entry or not all(self.output_entry):
             raise InvariantError("triplet entries must be non-empty")
+        return self
 
     def to_dict(self) -> dict:
         """The row `triplet` writes, its keys in sorted order."""

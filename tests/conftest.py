@@ -237,13 +237,14 @@ def subtree_leaves(node):
 
 def fields(record_or_class):
     """The field names of a record class, or of a record, in order."""
-    cls = record_or_class if isinstance(record_or_class, type) else type(record_or_class)
-    return tuple(vars(cls)["__annotations__"])
+    return record_or_class._fields
 
 
 def replace(obj, **changes):
-    """A copy of the record obj with the named fields changed."""
-    return type(obj)(**{name: getattr(obj, name) for name in fields(obj)} | changes)
+    """A copy of the record obj with the named fields changed, built by its
+    constructor, so a validated record checks its fields again (`_replace`
+    would not)."""
+    return type(obj)(**obj._asdict() | changes)
 
 
 def layered_compress(task, tree, fit, backend, cfg=StdcConfig(), cache=None):

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -744,6 +745,22 @@ def _written(paths):
     return files
 
 
+def _task_files(paths):
+    """Each of paths that is a file, and each task file (`*.json`) of each
+    that is a directory, by its path: its bytes; None for a missing path."""
+    files = {}
+    for path in map(Path, paths):
+        for file in sorted(path.glob("*.json")) if path.is_dir() else [path]:
+            files[str(file)] = file.read_bytes() if file.is_file() else None
+    return files
+
+
+def _files(root):
+    """Each file and directory under root by its path: a file's bytes, None
+    for a directory."""
+    return {str(p): p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
 @pytest.mark.parametrize("command", ["ablate", "compress", "triplet", "report", "score"])
 def test_the_console_script_loses_nothing_at_exit(tmp_path, capsys, command):
     """The console-script path ends its process without the interpreter's
@@ -1169,6 +1186,33 @@ class TestConfigErrors:
         assert not out_dir.exists()
         assert not cache.exists()
 
+    @pytest.mark.parametrize("command", ["compress", "score"])
+    @pytest.mark.parametrize("key", ["abc\ndef", "ab\u20acc", "ab c", "\x7f"])
+    def test_api_key_a_header_cannot_carry(self, tmp_path, command, key):
+        """A key with a character outside visible ASCII exits 64 before any
+        request, with a line that names the variable and not its value:
+        http.client refuses a line break and cannot encode a character past
+        Latin-1, and no bearer token (RFC 6750) holds a space or DEL."""
+        tasks_dir, parses = fox_corpus(tmp_path)
+        out_dir = tmp_path / "out"
+        args = {
+            "compress": [
+                "--tasks", str(tasks_dir), "--parses", str(parses),
+                "--fit-n", "2", "--holdout-n", "2", "--out", str(out_dir),
+            ],
+            "score": ["--task", str(tasks_dir / "task_fox.json")],
+        }[command]
+        with StubServer() as server:
+            proc = run_cli(
+                [command, *args, "--backend", "remote", "--endpoint-url", server.url],
+                env={"DEFKIT_API_KEY": key},
+            )
+            assert server.requests == []
+        self.assert_usage_error(
+            proc, "DEFKIT_API_KEY must hold visible ASCII characters (! to ~) only"
+        )
+        assert not out_dir.exists()
+
 
 class TestBadInputs:
     """Bad input ends with a documented exit code and one line on stderr."""
@@ -1416,6 +1460,42 @@ BAD_INPUTS = [
      "{definition}: not valid UTF-8"),
 ]
 
+# (case, command, the path flags it is given, a file to copy into place
+#  first, the one stderr line): a run that would write over what it reads
+# exits 1 before it reads or writes anything, with or without --force. The
+# paths are formatted with the pipeline's files, `tasks` and `tmp`.
+ALIASED_OUTPUTS = [
+    ("cache-is-the-task", "score", {"--cache": "{task}"}, None,
+     "--cache would write {task}, which --task reads"),
+    ("cache-is-the-definition", "score", {"--cache": "{definition}"}, None,
+     "--cache would write {definition}, which --definition-file reads"),
+    ("cache-is-the-parses", "compress", {"--cache": "{parses}"}, None,
+     "--cache would write {parses}, which --parses reads"),
+    # a *.json output in a task directory would be loaded as a task
+    ("cache-in-the-tasks", "compress", {"--cache": "{tasks}/cache.json"}, None,
+     "--cache would write {tasks}/cache.json, which --tasks reads"),
+    ("out-is-the-tasks", "ablate", {"--out": "{tasks}"}, None,
+     "--out would write {tasks}, which --tasks reads"),
+    ("out-is-the-tasks", "compress", {"--out": "{tasks}"}, None,
+     "--out would write {tasks}, which --tasks reads"),
+    ("out-is-the-tasks", "triplet", {"--out": "{tasks}"}, None,
+     "--out would write {tasks}, which --tasks reads"),
+    ("out-is-a-score-file", "report", {"--out": "{scores}"}, None,
+     "--out would write {scores}, which scores reads"),
+    ("out-in-the-tasks", "report", {"--out": "{tasks}/report.json"}, None,
+     "--out would write {tasks}/report.json, which --test-tasks reads"),
+    ("csv-is-a-score-file", "report", {"scores": "{tmp}/scores.summary.csv", "--csv": ""},
+     ("scores", "{tmp}/scores.summary.csv"),
+     "--csv would write {tmp}/scores.summary.csv, which scores reads"),
+    ("out-writes-the-annotations", "triplet",
+     {"--annotations": "{tmp}/triplets.jsonl", "--out": "{tmp}"},
+     ("annotations", "{tmp}/triplets.jsonl"),
+     "--out would write {tmp}/triplets.jsonl, which --annotations reads"),
+    ("out-writes-the-parses", "compress", {"--parses": "{tmp}/task_fox.json", "--out": "{tmp}"},
+     ("parses", "{tmp}/task_fox.json"),
+     "--out would write {tmp}/task_fox.json, which --parses reads"),
+]
+
 
 class TestErrorTable:
     """Every subcommand ends a bad input with the README's exit code and one
@@ -1526,6 +1606,98 @@ class TestErrorTable:
             main(["report", str(files["scores"]), flag, str(files["task"].parent)])
         assert exc.value.code == 64
         assert "--train-tasks and --test-tasks go together" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, paths, copy, line, force",
+        [
+            pytest.param(
+                command, paths, copy, line, force, id=f"{command}-{case}{'-force' * bool(force)}"
+            )
+            for case, command, paths, copy, line in ALIASED_OUTPUTS
+            for force in ([[]] if command == "score" else [[], ["--force"]])
+        ],
+    )
+    def test_an_output_that_is_an_input_exit1(
+        self, tmp_path, capsys, command, paths, copy, line, force
+    ):
+        files, commands = pipeline(tmp_path)
+        names = {**files, "tasks": files["task"].parent, "tmp": tmp_path}
+        if copy is not None:
+            shutil.copy(files[copy[0]], copy[1].format(**names))
+        argv = commands[command]
+        for flag, value in paths.items():
+            value = value.format(**names)
+            if flag == "scores":
+                argv.insert(2, value)
+            elif flag in argv and value:
+                argv[argv.index(flag) + 1] = value
+            else:
+                argv += [flag, value] if value else [flag]
+        before = _files(tmp_path)
+        assert main([*argv, *force]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {line.format(**names)}"]
+        assert captured.out == ""
+        assert _files(tmp_path) == before
+
+    @settings(max_examples=150, deadline=None)
+    @given(command=st.sampled_from(ALL_COMMANDS), choices=st.data())
+    def test_a_run_leaves_its_inputs_as_they_were(self, command, choices):
+        """Whatever paths a command's path flags name, among the pipeline's
+        files, their directories and fresh names: the run either exits 1
+        with one line having written nothing, or leaves every input file,
+        and the task files of every input directory, as they were."""
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            files, _ = pipeline(tmp)
+            tasks = files["task"].parent
+            pool = [*files.values(), tasks, tmp, tmp / "new", tmp / "new.json", tasks / "new.json"]
+            inputs = []
+
+            def path(own, reads=True):
+                """own, the path the flag takes in a valid run, or any of
+                the pool, as often."""
+                chosen = str(choices.draw(st.just(own) | st.sampled_from(pool)))
+                if reads:
+                    inputs.append(chosen)
+                return chosen
+
+            def maybe(flag, own):
+                return [flag, path(own, reads=False)] if choices.draw(st.booleans()) else []
+
+            if command == "score":
+                argv = ["--task", path(files["task"]), "--backend", "keyword"]
+                if choices.draw(st.booleans()):
+                    argv += ["--definition-file", path(files["definition"])]
+                argv += maybe("--cache", tmp / "cache.jsonl")
+            elif command == "report":
+                argv = [path(files["scores"]) for _ in range(choices.draw(st.integers(1, 2)))]
+                argv += maybe("--out", tmp / "report.json")
+                if choices.draw(st.booleans()):
+                    argv += ["--train-tasks", path(tasks), "--test-tasks", path(tasks)]
+            else:
+                argv = ["--tasks", path(tasks), "--out", path(tmp / "out", reads=False)]
+                if command != "compress":
+                    argv += ["--annotations", path(files["annotations"])]
+                if command != "ablate":
+                    argv += ["--parses", path(files["parses"])]
+                if command == "ablate":
+                    argv += ["--spec", "all"]
+                if command == "compress":
+                    argv += [
+                        "--backend", "planted", "--phrase", "fox", "--fit-n", "1",
+                        "--holdout-n", "1", "--jobs", "1", *maybe("--cache", tmp / "cache.jsonl"),
+                    ]
+            flags = {"score": [], "triplet": ["--force"]}.get(command, ["--csv", "--force"])
+            argv += [flag for flag in flags if choices.draw(st.booleans())]
+            before, read = _files(tmp), _task_files(inputs)
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = main([command, *argv])
+            if code == 1 and _files(tmp) == before:
+                assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+            else:
+                assert _task_files(inputs) == read
 
     def test_score_takes_one_definition_source(self, tmp_path, capsys):
         """`--definition` and `--definition-file` exclude each other: score
@@ -1656,7 +1828,7 @@ def test_every_scorer_setting_has_a_flag(tmp_path, monkeypatch, command):
     _, commands = pipeline(tmp_path)
     parameters = inspect.signature(scorer.build_backend).parameters
     defaults = {name: p.default for name, p in parameters.items() if name != "params"}
-    defaults.update((name, getattr(GenerationParams, name)) for name in fields(GenerationParams))
+    defaults.update(GenerationParams._field_defaults)
     assert set(defaults) == set(SCORER_FLAGS)
     monkeypatch.setattr(scorer, "build_backend", _capture_build_backend)
     for name, (flag, text, value) in SCORER_FLAGS.items():
@@ -1788,7 +1960,7 @@ HTTP_CLIENTS = ["requests", "urllib.request", "http.client"]
 # The defkit modules each command, run alone, loads: these and no others.
 # README "Install" lists them.
 _EVERY_COMMAND = [
-    "defkit", "defkit._jsontext", "defkit._record", "defkit.cli", "defkit.corpus", "defkit.errors",
+    "defkit", "defkit._jsontext", "defkit.cli", "defkit.corpus", "defkit.errors",
 ]
 LOADED = {
     "ablate": [

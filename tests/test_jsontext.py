@@ -1,20 +1,20 @@
 """`defkit._jsontext.indented` against its reference, `json.dumps(obj,
-indent=2, sort_keys=True, default=vars)`, over nested values."""
+indent=2, sort_keys=True)` with each record replaced by its `_asdict()`,
+over nested values."""
 
 import enum
 import json
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defkit._jsontext import indented
-from defkit._record import record
 from defkit.stdc import HoldoutReport, Step
 
 
-@record
-class Pair:
+class Pair(NamedTuple):
     left: object
     right: object
 
@@ -25,13 +25,6 @@ class Level(enum.IntEnum):
 
 class Text(str):
     """A str subclass: json writes it as a string, not through `default`."""
-
-
-class Plain:
-    """An object that is no record, written through `vars` all the same."""
-
-    def __init__(self, value):
-        self.value = value
 
 
 ODD_CHARACTERS = ['"', "\\", "/", "\x00", "\x1f", "\x7f", " ", " ", "\U0001f600", "\ud800", "\udfff", "é"]
@@ -52,14 +45,24 @@ VALUES = st.recursive(
     | st.lists(kids, max_size=4).map(tuple)
     | st.dictionaries(TEXT, kids, max_size=4)
     | st.dictionaries(KEYS, kids, max_size=3)
-    | st.builds(Pair, kids, kids)
-    | st.builds(Plain, kids),
+    | st.builds(Pair, kids, kids),
     max_leaves=20,
 )
 
 
+def plain(obj):
+    """obj with each record in it, at any depth, replaced by its `_asdict()`."""
+    if hasattr(obj, "_asdict"):
+        return plain(obj._asdict())
+    if isinstance(obj, dict):
+        return {key: plain(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [plain(item) for item in obj]
+    return obj
+
+
 def _reference(obj):
-    return json.dumps(obj, indent=2, sort_keys=True, default=vars)
+    return json.dumps(plain(obj), indent=2, sort_keys=True)
 
 
 @given(VALUES)

@@ -158,7 +158,7 @@ class TestCache:
         path = tmp_path / "cache.jsonl"
         good = ScoreRecord("k1", "d", "fp", 0.5, (0.5,), "b")
         path.write_text(
-            json.dumps(vars(good)) + "\n" + "{not json\n" + "\n"
+            json.dumps(good._asdict()) + "\n" + "{not json\n" + "\n"
         )
         cache = ScoreCache(path)
         assert cache.get("k1") == good
@@ -167,7 +167,7 @@ class TestCache:
     def test_line_not_utf8_skipped_with_a_warning(self, tmp_path, capsys):
         path = tmp_path / "cache.jsonl"
         good = ScoreRecord("k1", "d", "fp", 0.5, (0.5,), "b")
-        path.write_bytes(b"\xff{}\n" + json.dumps(vars(good)).encode() + b"\n")
+        path.write_bytes(b"\xff{}\n" + json.dumps(good._asdict()).encode() + b"\n")
         cache = ScoreCache(path)
         assert cache.get("k1") == good
         assert len(cache) == 1
@@ -204,7 +204,7 @@ class TestCache:
         cache = ScoreCache(path)
         record = score("defn", gen_task, fit, backend, cache=cache)
         cache.close()
-        path.write_text(json.dumps({**vars(record), **fields}) + "\n")
+        path.write_text(json.dumps({**record._asdict(), **fields}) + "\n")
         cache = ScoreCache(path)
         assert len(cache) == 0
         assert capsys.readouterr().err.splitlines() == [

@@ -8,8 +8,11 @@ anywhere outside its own definition, on any object. Names are matched
 without types, so a method shares its callers with every method of the
 same name.
 
-Likewise every annotated field of a `@record` or `NamedTuple` class is
-read in `src/defkit`, as an attribute of any object or through `getattr`
+Likewise every class with annotated fields is a record: a `NamedTuple`,
+or a subclass of one whose `__new__` checks the fields, which no code in
+`src/defkit` builds around its constructor (`_make`, `_replace`) or reads
+through `vars`. Every annotated field of a `NamedTuple` class is read in
+`src/defkit`, as an attribute of any object or through `getattr`
 with a constant name, or is listed with the reason nothing reads it; and
 every name a module imports is loaded in that module, or is listed with
 the reason it is not; and every exception class is told apart from the
@@ -106,26 +109,27 @@ def test_every_allowed_name_is_still_uncalled():
 
 # module.Class.field -> why nothing in src/defkit reads it
 ALLOWED_FIELDS = {
-    "stdc.Step.leaves_removed": "written whole, through vars, by `_jsontext.indented`",
-    "stdc.Step.candidate_score": "written whole, through vars, by `_jsontext.indented`",
-    "stdc.CompressionResult.fit_score_before": "written whole, through vars, by `_jsontext.indented`",
-    "stdc.CompressionResult.fit_score_after": "written whole, through vars, by `_jsontext.indented`",
-    "corpus.Demonstration.explanation": "a field of the task-file schema",
-    "scorer.ScoreRecord.example_fingerprint": "written whole, through vars, by `ScoreCache.put`",
+    "stdc.Step.leaves_removed": "written whole, through `_asdict`, by `_jsontext.indented`",
+    "stdc.Step.candidate_score": "written whole, through `_asdict`, by `_jsontext.indented`",
+    "stdc.CompressionResult.fit_score_before":
+        "written whole, through `_asdict`, by `_jsontext.indented`",
+    "stdc.CompressionResult.fit_score_after":
+        "written whole, through `_asdict`, by `_jsontext.indented`",
+    "corpus._Demonstration.explanation": "a field of the task-file schema",
+    "scorer._ScoreRecord.example_fingerprint":
+        "written whole, through `_asdict`, by `ScoreCache.put`",
 }
 
 
 def _has_fields(node: ast.ClassDef) -> bool:
-    """Whether the class is a `@record` or a `NamedTuple`, whose annotated
-    names are its fields."""
-    return any(isinstance(d, ast.Name) and d.id == "record" for d in node.decorator_list) or any(
-        isinstance(b, ast.Name) and b.id == "NamedTuple" for b in node.bases
-    )
+    """Whether the class is a `NamedTuple`, whose annotated names are its
+    fields; a validated record's fields are on its `NamedTuple` base."""
+    return any(isinstance(b, ast.Name) and b.id == "NamedTuple" for b in node.bases)
 
 
 def _unread_fields() -> list[str]:
-    """module.Class.field of each annotated field of a @record or NamedTuple
-    class that no attribute read, and no getattr with a constant name, reads."""
+    """module.Class.field of each annotated field of a NamedTuple class that
+    no attribute read, and no getattr with a constant name, reads."""
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
     read = set()
     for tree in trees.values():
@@ -250,3 +254,40 @@ def test_every_exception_class_is_told_apart_or_has_a_reason():
 def test_every_allowed_exception_is_still_untold():
     untold = set(_untold_exceptions())
     assert [name for name in ALLOWED_EXCEPTIONS if name not in untold] == []
+
+
+def _records_of_another_kind() -> list[str]:
+    """module.Class of each class with an annotated name in its body that is
+    not a `NamedTuple` and has none for a base, at any depth."""
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    classes = {}  # class name -> (module.Class, the names of its bases, whether it annotates)
+    for module, tree in trees.items():
+        for name, node, _ in _definitions(tree, module):
+            if isinstance(node, ast.ClassDef):
+                annotates = any(isinstance(stmt, ast.AnnAssign) for stmt in node.body)
+                classes[node.name] = (name, set().union(*map(_names, node.bases)), annotates)
+    records = {"NamedTuple"}
+    while new := {c for c, (_, bases, _) in classes.items() if bases & records} - records:
+        records |= new
+    return sorted(
+        name for c, (name, _, annotates) in classes.items() if annotates and c not in records
+    )
+
+
+def _built_around_the_constructor() -> list[str]:
+    """module:line of each call of `vars`, and each read of `_make` or
+    `_replace`: ways to read a record as another object, or to build a
+    validated record without the checks of its `__new__`."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(n, ast.Attribute) and n.attr in ("_make", "_replace")) or (
+                isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "vars"
+            ):
+                out.append(f"{path.stem}:{n.lineno}")
+    return out
+
+
+def test_every_record_is_a_named_tuple_built_by_its_constructor():
+    assert _records_of_another_kind() == []
+    assert _built_around_the_constructor() == []
