@@ -197,7 +197,7 @@ def load_annotations(path: str | Path) -> list[AnnotationSet]:
     for lineno, line in numbered_lines(path):
         try:
             data = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
             raise DefkitError(f"{path}:{lineno}: not valid JSON") from exc
         out.append(annotation_from_dict(data, where=f"{path}:{lineno}"))
     return out

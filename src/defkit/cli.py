@@ -259,6 +259,8 @@ def cmd_compress(args) -> int:
     from .stdc import StdcConfig, compress, evaluate_holdout
 
     backend = _backend(args)
+    if not 0 <= args.epsilon < float("inf"):  # NaN too
+        raise ConfigError("epsilon must be finite and >= 0")
     stdc_cfg = StdcConfig(
         baseline_mode=args.mode,
         epsilon=args.epsilon,
@@ -341,7 +343,7 @@ def _read_score_rows(path: str) -> list[tuple[str, TaskKind, float]]:
             if not isinstance(data["task_id"], str):
                 raise TypeError("task_id must be a string")
             rows.append((data["task_id"], TaskKind(data["kind"]), finite_number(data["score"])))
-        except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
             raise DefkitError(f"{path}:{lineno}: malformed score row: {exc}")
         task_id, kind, _ = rows[-1]
         first, first_line = kind_of.setdefault(task_id, (kind, lineno))

@@ -31,39 +31,19 @@ class SplitRole(enum.Enum):
     HOLDOUT = "holdout"
 
 
-class _Demonstration(NamedTuple):
+class Demonstration(NamedTuple):
     input: str
     output: str
     explanation: str | None = None
 
 
-class Demonstration(_Demonstration):
-    __slots__ = ()
-
-    def __new__(cls, input: str, output: str, explanation: str | None = None):
-        if not input:
-            raise InvariantError("demonstration input is empty")
-        if not output:
-            raise InvariantError("demonstration output is empty")
-        return tuple.__new__(cls, (input, output, explanation))
-
-
-class _Instance(NamedTuple):
+class Instance(NamedTuple):
     id: str
     input: str
     references: tuple[str, ...]
 
 
-class Instance(_Instance):
-    __slots__ = ()
-
-    def __new__(cls, id: str, input: str, references: tuple[str, ...]):
-        if not references:
-            raise InvariantError(f"instance {id}: references empty")
-        return tuple.__new__(cls, (id, input, references))
-
-
-class _Task(NamedTuple):
+class Task(NamedTuple):
     id: str
     name: str
     definition: str
@@ -76,43 +56,10 @@ class _Task(NamedTuple):
     instances: tuple[Instance, ...]
 
 
-class Task(_Task):
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if not self.definition.strip():
-            raise InvariantError("definition: empty after trimming")
-        if len(self.demonstrations) < 2:
-            raise InvariantError("demonstrations: need >= 2")
-        if self.kind is TaskKind.CLASSIFICATION:
-            if not self.label_list:
-                raise InvariantError("label_list: required for classification tasks")
-            trimmed = [label.strip() for label in self.label_list]
-            if len(set(trimmed)) != len(trimmed):
-                raise InvariantError("label_list: entries not unique after trimming")
-        first: dict[str, int] = {}
-        for i, inst in enumerate(self.instances):
-            j = first.setdefault(inst.id, i)
-            if j != i:
-                raise InvariantError(f"instances: id {inst.id!r} repeated at indices {j} and {i}")
-        return self
-
-
-class _ExampleSet(NamedTuple):
+class ExampleSet(NamedTuple):
     task_id: str
     instances: tuple[Instance, ...]
     role: SplitRole
-
-
-class ExampleSet(_ExampleSet):
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if len({inst.id for inst in self.instances}) != len(self.instances):
-            raise InvariantError("example set: instance ids not unique")
-        return self
 
 
 _TASK_KEYS = {
@@ -172,31 +119,52 @@ def task_from_dict(data: dict, *, lenient: bool = False, where: str = "task") ->
             raise DefkitError(f"{where}: demonstrations[{i}] must be an object")
         if not isinstance(entry.get("explanation"), (str, type(None))):
             raise DefkitError(f"{where}: demonstrations[{i}]: field 'explanation' must be a string")
-        demos.append(
-            Demonstration(
-                input=_require(entry, "input", str, f"{where}: demonstrations[{i}]"),
-                output=_require(entry, "output", str, f"{where}: demonstrations[{i}]"),
-                explanation=entry.get("explanation"),
-            )
+        demo = Demonstration(
+            input=_require(entry, "input", str, f"{where}: demonstrations[{i}]"),
+            output=_require(entry, "output", str, f"{where}: demonstrations[{i}]"),
+            explanation=entry.get("explanation"),
         )
+        if not demo.input:
+            raise InvariantError("demonstration input is empty")
+        if not demo.output:
+            raise InvariantError("demonstration output is empty")
+        demos.append(demo)
     instances = []
     for i, entry in enumerate(data["instances"]):
         if not isinstance(entry, dict):
             raise DefkitError(f"{where}: instances[{i}] must be an object")
-        instances.append(
-            Instance(
-                id=_require(entry, "id", str, f"{where}: instances[{i}]"),
-                input=_require(entry, "input", str, f"{where}: instances[{i}]"),
-                references=_strings(entry, "references", f"{where}: instances[{i}]"),
-            )
+        inst = Instance(
+            id=_require(entry, "id", str, f"{where}: instances[{i}]"),
+            input=_require(entry, "input", str, f"{where}: instances[{i}]"),
+            references=_strings(entry, "references", f"{where}: instances[{i}]"),
         )
+        if not inst.references:
+            raise InvariantError(f"instance {inst.id}: references empty")
+        instances.append(inst)
+    domains = _strings(data, "domains", where)
+    reasoning_types = _strings(data, "reasoning_types", where)
+    if not data["definition"].strip():
+        raise InvariantError("definition: empty after trimming")
+    if len(demos) < 2:
+        raise InvariantError("demonstrations: need >= 2")
+    if kind is TaskKind.CLASSIFICATION:
+        if not label_list:
+            raise InvariantError("label_list: required for classification tasks")
+        trimmed = [label.strip() for label in label_list]
+        if len(set(trimmed)) != len(trimmed):
+            raise InvariantError("label_list: entries not unique after trimming")
+    first: dict[str, int] = {}
+    for i, inst in enumerate(instances):
+        j = first.setdefault(inst.id, i)
+        if j != i:
+            raise InvariantError(f"instances: id {inst.id!r} repeated at indices {j} and {i}")
     return Task(
         id=data["id"],
         name=data["name"],
         definition=data["definition"],
         category=data["category"],
-        domains=_strings(data, "domains", where),
-        reasoning_types=_strings(data, "reasoning_types", where),
+        domains=domains,
+        reasoning_types=reasoning_types,
         kind=kind,
         label_list=label_list,
         demonstrations=tuple(demos),
@@ -209,7 +177,9 @@ def load_task_file(path: str | Path, *, lenient: bool = False) -> Task:
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError from read_text
+    # JSONDecodeError, UnicodeDecodeError from read_text, or RecursionError
+    # from a value nested past the interpreter's recursion limit
+    except (ValueError, RecursionError) as exc:
         raise DefkitError(f"{path}: not valid UTF-8 JSON: {exc}") from exc
     try:
         return task_from_dict(data, lenient=lenient, where=str(path))

@@ -182,7 +182,7 @@ class RemoteBackend(Backend):
                 raise BackendError(f"endpoint returned {status}: {text[:200]}")
             try:
                 generations = json.loads(body)["generations"]
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, RecursionError) as exc:
                 raise BackendError(f"malformed response body: {exc}") from exc
             if not isinstance(generations, list) or len(generations) != len(prompts):
                 raise BackendError(
@@ -269,7 +269,7 @@ def build_backend(
     raise InvariantError(f"unknown backend {name!r}")
 
 
-class _ScoreRecord(NamedTuple):
+class ScoreRecord(NamedTuple):
     cache_key: str
     definition: str
     example_fingerprint: str
@@ -277,26 +277,11 @@ class _ScoreRecord(NamedTuple):
     per_instance: tuple[float, ...]
     backend_id: str
 
-
-class ScoreRecord(_ScoreRecord):
-    __slots__ = ()
-
-    def __new__(
-        cls, cache_key: str, definition: str, example_fingerprint: str, mean_score: float,
-        per_instance: tuple[float, ...], backend_id: str,
-    ):
-        # the mean over no instance is 0.0, as `score` writes it
-        mean = sum(per_instance) / len(per_instance) if per_instance else 0.0
-        if abs(mean - mean_score) > 1e-12:
-            raise InvariantError("mean_score inconsistent with per_instance")
-        return tuple.__new__(
-            cls, (cache_key, definition, example_fingerprint, mean_score, per_instance, backend_id)
-        )
-
     @classmethod
     def from_dict(cls, data: dict) -> "ScoreRecord":
         """The record a cache line holds, as `ScoreCache.put` writes it. A
-        field of the wrong type raises TypeError, ValueError or OverflowError."""
+        field of the wrong type raises TypeError, ValueError or OverflowError;
+        a mean that is not that of `per_instance` raises InvariantError."""
         per_instance = data["per_instance"]
         if not isinstance(per_instance, list):
             raise TypeError(f"per_instance must be a list, got {per_instance!r}")
@@ -304,7 +289,7 @@ class ScoreRecord(_ScoreRecord):
         # any other goes through finite_number, to convert or to raise
         if not ({*map(type, per_instance)} <= {float} and all(map(math.isfinite, per_instance))):
             per_instance = list(map(finite_number, per_instance))
-        return cls(
+        record = cls(
             cache_key=_string(data["cache_key"]),
             definition=_string(data["definition"]),
             example_fingerprint=_string(data["example_fingerprint"]),
@@ -312,6 +297,11 @@ class ScoreRecord(_ScoreRecord):
             per_instance=tuple(per_instance),
             backend_id=_string(data["backend_id"]),
         )
+        # the mean over no instance is 0.0, as `score` writes it
+        mean = sum(per_instance) / len(per_instance) if per_instance else 0.0
+        if abs(mean - record.mean_score) > 1e-12:
+            raise InvariantError("mean_score inconsistent with per_instance")
+        return record
 
 
 def _string(value) -> str:
@@ -372,7 +362,9 @@ class ScoreCache:
             for lineno, line in numbered_lines(self.path, self._skip_line):
                 try:
                     record = ScoreRecord.from_dict(json.loads(line))
-                except (ValueError, KeyError, TypeError, OverflowError, InvariantError):
+                except (
+                    ValueError, KeyError, TypeError, OverflowError, RecursionError, InvariantError
+                ):
                     self._skip_line(lineno)
                     continue
                 self._records[record.cache_key] = record

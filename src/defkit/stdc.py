@@ -8,7 +8,7 @@ from collections import deque
 from typing import TYPE_CHECKING, NamedTuple
 
 from .corpus import ExampleSet, Task
-from .errors import ConfigError, DefkitError, InvariantError, warn
+from .errors import DefkitError, InvariantError, warn
 from .metrics import compression_ratio, normalize, word_spans
 from .parse import (
     ParseNode, ParseTree, leaf_offsets, nodes_at_depth, remove_subtree, render, spelling
@@ -24,22 +24,10 @@ BASELINE_PAPER_LITERAL = "paper"
 UNANNOTATED = "unannotated"
 
 
-class _StdcConfig(NamedTuple):
+class StdcConfig(NamedTuple):
     baseline_mode: str = BASELINE_CURRENT  # "current" or "paper"
     epsilon: float = 0.0
     allow_empty_result: bool = False
-
-
-class StdcConfig(_StdcConfig):
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if not 0 <= self.epsilon < float("inf"):  # NaN too
-            raise ConfigError("epsilon must be finite and >= 0")
-        if self.baseline_mode not in (BASELINE_CURRENT, BASELINE_PAPER_LITERAL):
-            raise ConfigError(f"unknown baseline mode {self.baseline_mode!r}")
-        return self
 
 
 class Step(NamedTuple):

@@ -18,22 +18,12 @@ TASK_ACTION = "<Task action>"
 TASK_OUTPUT = "<Task output>"
 
 
-class _TripletDefinition(NamedTuple):
+class TripletDefinition(NamedTuple):
     task_id: str
     input_entry: str
     action_entry: str
     output_entry: tuple[str, ...]
     needs_review: bool = False
-
-
-class TripletDefinition(_TripletDefinition):
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if not self.input_entry or not self.action_entry or not all(self.output_entry):
-            raise InvariantError("triplet entries must be non-empty")
-        return self
 
     def to_dict(self) -> dict:
         """The row `triplet` writes, its keys in sorted order."""
@@ -151,6 +141,8 @@ def build_triplet(task: Task, ann: AnnotationSet, tree: ParseTree) -> TripletDef
                 output_entry = [action_entry]
             needs_review = True
 
+    if not input_entry or not action_entry or not all(output_entry):
+        raise InvariantError("triplet entries must be non-empty")
     return TripletDefinition(
         task_id=task.id,
         input_entry=input_entry,

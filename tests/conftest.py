@@ -240,13 +240,6 @@ def fields(record_or_class):
     return record_or_class._fields
 
 
-def replace(obj, **changes):
-    """A copy of the record obj with the named fields changed, built by its
-    constructor, so a validated record checks its fields again (`_replace`
-    would not)."""
-    return type(obj)(**obj._asdict() | changes)
-
-
 def layered_compress(task, tree, fit, backend, cfg=StdcConfig(), cache=None):
     """STDC one depth layer at a time: the reference for `stdc.compress`.
 

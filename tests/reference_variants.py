@@ -8,7 +8,7 @@ import re
 
 from defkit.annotations import AnnotationSet, ContentCategory
 from defkit.corpus import Task, TaskKind
-from defkit.errors import DefkitError
+from defkit.errors import DefkitError, InvariantError
 from defkit.parse import ParseNode, ParseTree
 from defkit.triplet import TripletDefinition
 
@@ -184,6 +184,8 @@ def build_triplet_reference(task: Task, ann: AnnotationSet, tree: ParseTree) -> 
                 output_entry = [action_entry]
             needs_review = True
 
+    if not input_entry or not action_entry or not all(output_entry):
+        raise InvariantError("triplet entries must be non-empty")
     return TripletDefinition(
         task_id=task.id,
         input_entry=input_entry,

@@ -37,7 +37,6 @@ from conftest import (
     annotation_to_dict,
     fields,
     make_task,
-    replace,
     task_to_dict,
     write_task_file,
 )
@@ -275,7 +274,7 @@ def test_failure_lines_follow_task_file_order(tmp_path, capsys, command):
     tasks_dir, parses = fox_corpus(tmp_path)
     fox = load_task_file(tasks_dir / "task_fox.json")
     for name, task_id in [("a", "task_z"), ("b", "task_a")]:
-        write_task_file(tasks_dir / f"{name}.json", replace(fox, id=task_id))
+        write_task_file(tasks_dir / f"{name}.json", fox._replace(id=task_id))
     parses.write_text((FOX_TREE_TEXT + "\n") * 3, encoding="utf-8")
     args = {"ablate": ["--spec", "all"], "triplet": ["--parses", str(parses)]}[command]
     assert main([
@@ -342,7 +341,7 @@ class TestCompressCommand:
     def two_tasks(tmp_path):
         tasks_dir, parses = fox_corpus(tmp_path)
         fox = load_task_file(tasks_dir / "task_fox.json")
-        write_task_file(tasks_dir / "task_fox2.json", replace(fox, id="task_fox2"))
+        write_task_file(tasks_dir / "task_fox2.json", fox._replace(id="task_fox2"))
         parses.write_text((FOX_TREE_TEXT + "\n") * 2, encoding="utf-8")
         return tasks_dir, parses
 
@@ -529,7 +528,7 @@ class TestCompressCommand:
     def test_task_id_that_is_no_file_name_exit2(self, tmp_path, capsys, task_id):
         tasks_dir, parses = fox_corpus(tmp_path)
         path = tasks_dir / "task_fox.json"
-        write_task_file(path, replace(load_task_file(path), id=task_id))
+        write_task_file(path, load_task_file(path)._replace(id=task_id))
         out_dir = tmp_path / "sub" / "out"
         assert self.run_compress(tasks_dir, parses, out_dir) == 2
         if task_id == "manifest":  # a plain file name, but compress writes manifest.json
@@ -953,6 +952,25 @@ class TestTripletCommand:
             "validation failure: task_fox: no input_content span annotated"
         ]
 
+    def test_an_empty_entry_fails_its_task_alone(self, tmp_path, capsys):
+        """`build_triplet` refuses an entry that strips to nothing: here
+        task_fox's input span is the space after "fox", which no NP
+        overlaps. Only that task fails; task_fox2's triplet is written."""
+        files, commands = pipeline(tmp_path)
+        fox = load_task_file(files["task"])
+        write_task_file(files["task"].parent / "task_fox2.json", fox._replace(id="task_fox2"))
+        files["parses"].write_text((FOX_TREE_TEXT + "\n") * 2, encoding="utf-8")
+        record = json.loads(files["annotations"].read_text(encoding="utf-8"))
+        fox2 = json.dumps({**record, "task_id": "task_fox2"})
+        record["spans"][0].update(start=13, end=14)
+        files["annotations"].write_text(f"{json.dumps(record)}\n{fox2}\n", encoding="utf-8")
+        assert main(commands["triplet"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "validation failure: task_fox: triplet entries must be non-empty"
+        ]
+        rows = (tmp_path / "out" / "triplets.jsonl").read_text().splitlines()
+        assert [json.loads(row)["task_id"] for row in rows] == ["task_fox2"]
+
 
 class TestDeepTrees:
     """A 10,000-level tree goes through the CLI like any other."""
@@ -1365,7 +1383,20 @@ def _with_first_demonstration_fields(**fields):
     return change
 
 
+def _with_instance_fields(**fields):
+    def change(text):
+        task = json.loads(text)
+        task["instances"][0].update(fields)
+        return json.dumps(task)
+
+    return change
+
+
 ALL_COMMANDS = ("ablate", "compress", "triplet", "report", "score")
+
+# a JSON value nested past the interpreter's recursion limit, which `json`
+# refuses with RecursionError: no more valid than any other malformed text
+NESTED_TOO_DEEP = "[" * 2000 + "]" * 2000
 
 # (case, file, its new content from the old text (None deletes it), exit code,
 #  the commands that read the file, what the one stderr line must name)
@@ -1394,6 +1425,22 @@ BAD_INPUTS = [
     # a repeated instance id would score one instance in place of the other
     ("task-instance-id-repeated", "task", _with_instance_ids("b", "a", "b"), 2, ALL_COMMANDS,
      "{task}: instances: id 'b' repeated at indices 0 and 2"),
+    ("task-instance-references-empty", "task", _with_instance_fields(references=[]), 2,
+     ALL_COMMANDS, "{task}: instance inst0: references empty"),
+    ("task-one-demonstration", "task",
+     _with_task_fields(demonstrations=[{"input": "a", "output": "b"}]), 2, ALL_COMMANDS,
+     "{task}: demonstrations: need >= 2"),
+    ("task-demonstration-input-empty", "task", _with_first_demonstration_fields(input=""), 2,
+     ALL_COMMANDS, "{task}: demonstration input is empty"),
+    ("task-demonstration-output-empty", "task", _with_first_demonstration_fields(output=""), 2,
+     ALL_COMMANDS, "{task}: demonstration output is empty"),
+    ("task-classification-without-labels", "task", _with_task_fields(kind="classification"), 2,
+     ALL_COMMANDS, "{task}: label_list: required for classification tasks"),
+    ("task-labels-repeated-after-trimming", "task",
+     _with_task_fields(kind="classification", label_list=["yes", " yes "]), 2, ALL_COMMANDS,
+     "{task}: label_list: entries not unique after trimming"),
+    ("task-nested-too-deep", "task", lambda _: NESTED_TOO_DEEP, 2, ALL_COMMANDS,
+     "{task}: not valid UTF-8 JSON"),
     ("annotation-not-an-object", "annotations", lambda _: '\n"task_id spans annotator"\n', 2,
      ("ablate", "triplet"), "{annotations}:2: record must be a JSON object"),
     ("annotation-spans-a-number", "annotations",
@@ -1428,6 +1475,8 @@ BAD_INPUTS = [
      "{parses}: 2 parse lines for 1 tasks"),
     ("annotation-file-missing", "annotations", lambda _: None, 1, ("ablate", "triplet"),
      "{annotations}"),
+    ("annotation-nested-too-deep", "annotations", lambda _: f"\n{NESTED_TOO_DEEP}\n", 2,
+     ("ablate", "triplet"), "{annotations}:2: not valid JSON"),
     ("score-row-bad-kind", "scores", lambda _: '{"task_id": "t", "kind": "x", "score": 1}\n', 2,
      ("report",), "{scores}:1: malformed score row"),
     ("score-row-list-task-id", "scores",
@@ -1449,6 +1498,8 @@ BAD_INPUTS = [
      lambda _: '{"task_id": "t1", "kind": "classification", "score": 1.0}\n'
                '{"task_id": "t1", "kind": "generation", "score": 0.0}\n', 2,
      ("report",), "{scores}:2: task t1 is generation here but classification on line 1"),
+    ("score-row-nested-too-deep", "scores", lambda _: NESTED_TOO_DEEP + "\n", 2, ("report",),
+     "{scores}:1: malformed score row"),
     # a byte that is not UTF-8 names the file and the line it is on
     ("annotation-bad-utf8", "annotations", lambda text: ("\n" + text).encode() + b"\xff\n", 2,
      ("ablate", "triplet"), "{annotations}:3: not valid UTF-8"),
@@ -1738,7 +1789,7 @@ class TestErrorTable:
         for task_id in ("task_fox2", "task_fox3"):
             fox = load_task_file(files["task"])
             write_task_file(
-                files["task"].parent / f"{task_id}.json", replace(fox, id=task_id)
+                files["task"].parent / f"{task_id}.json", fox._replace(id=task_id)
             )
             record += record.splitlines()[0].replace("task_fox", task_id) + "\n"
         files["annotations"].write_text(record, encoding="utf-8")
@@ -2032,7 +2083,7 @@ def test_compress_and_score_load_neither_logging_nor_a_stdlib_pool(tmp_path, bac
     takes its threads from concurrent.futures, which imports logging."""
     tasks_dir, parses = fox_corpus(tmp_path)
     fox = load_task_file(tasks_dir / "task_fox.json")
-    write_task_file(tasks_dir / "task_fox2.json", replace(fox, id="task_fox2"))
+    write_task_file(tasks_dir / "task_fox2.json", fox._replace(id="task_fox2"))
     parses.write_text((FOX_TREE_TEXT + "\n") * 2, encoding="utf-8")
     with StubServer() as server:
         flags = ["--backend", backend]

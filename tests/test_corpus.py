@@ -18,7 +18,7 @@ from defkit.corpus import (
 )
 from defkit.errors import DefkitError, InvariantError
 
-from conftest import make_task, replace, write_task_file
+from conftest import make_task, write_task_file
 
 
 def minimal_task_dict(**overrides):
@@ -159,8 +159,8 @@ class TestAssemblePrompt:
         """Values holding braces or placeholder names are not templates: the
         prompt equals substituting each placeholder of the template once."""
         task = make_task(inputs=[inp, "b", "c"])
-        demos = (replace(task.demonstrations[0], input=demo or "x"), task.demonstrations[1])
-        task = replace(task, demonstrations=demos)
+        demos = (task.demonstrations[0]._replace(input=demo or "x"), task.demonstrations[1])
+        task = task._replace(demonstrations=demos)
         prompt = assemble_prompt(task, definition, task.instances[0])
         values = {
             "definition": definition,

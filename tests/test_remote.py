@@ -267,6 +267,14 @@ class TestTransportFailures:
                 self.generate(url)
         assert self.calls == 1
 
+    def test_body_nested_too_deep_is_malformed(self):
+        """`json` refuses a value nested past the recursion limit with
+        RecursionError: a malformed body, not a reason to retry."""
+        with serving(200, b"[" * 2000 + b"]" * 2000) as (url, _):
+            with pytest.raises(BackendError, match="^malformed response body: maximum recursion"):
+                self.generate(url)
+        assert self.calls == 1
+
     def test_generations_not_a_list_is_misaligned(self):
         with serving(200, b'{"generations": "a"}') as (url, _):
             with pytest.raises(BackendError, match="misaligned response"):
@@ -282,6 +290,18 @@ class TestTransportFailures:
         err = capsys.readouterr().err
         assert err.splitlines() == [err.strip()]
         assert "malformed response body" in err
+
+
+    def test_body_nested_too_deep_exits_3_from_the_cli(self, tmp_path, capsys):
+        path = write_task_file(tmp_path / "task_one.json", make_task(task_id="task_one"))
+        with serving(200, b"[" * 2000 + b"]" * 2000) as (url, served):
+            rc = main(["score", "--task", str(path), "--backend", "remote", "--endpoint-url", url])
+            assert len(served) == 1
+        assert rc == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "backend error: task task_one: malformed response body: maximum recursion depth "
+            "exceeded while decoding a JSON array from a unicode string"
+        ]
 
 
 _VOCAB = ["ref", "0", "1", "2", "cat", "sat"]

@@ -175,6 +175,17 @@ class TestCache:
             f"WARNING defkit.scorer: {path}:1: skipping corrupted cache line"
         ]
 
+    def test_line_nested_too_deep_skipped_with_a_warning(self, tmp_path, capsys):
+        path = tmp_path / "cache.jsonl"
+        good = ScoreRecord("k1", "d", "fp", 0.5, (0.5,), "b")
+        path.write_text("[" * 2000 + "]" * 2000 + "\n" + json.dumps(good._asdict()) + "\n")
+        cache = ScoreCache(path)
+        assert cache.get("k1") == good
+        assert len(cache) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"WARNING defkit.scorer: {path}:1: skipping corrupted cache line"
+        ]
+
     @pytest.mark.parametrize(
         "fields",
         [
@@ -446,8 +457,11 @@ class TestScoreMany:
 
 class TestScoreRecord:
     def test_mean_consistency_enforced(self):
-        with pytest.raises(InvariantError):
-            ScoreRecord("k", "d", "fp", 0.9, (0.1, 0.1), "b")
+        """by the reader of a cache line, `from_dict`: a record built in
+        process takes its mean from its own per_instance scores"""
+        data = ScoreRecord("k", "d", "fp", 0.9, (0.1, 0.1), "b")._asdict()
+        with pytest.raises(InvariantError, match="^mean_score inconsistent with per_instance$"):
+            ScoreRecord.from_dict(data | {"per_instance": [0.1, 0.1]})
 
     def test_fingerprint_binds_task(self, gen_task):
         other = make_task(task_id="other", kind=TaskKind.GENERATION, label_list=None)

@@ -8,13 +8,13 @@ anywhere outside its own definition, on any object. Names are matched
 without types, so a method shares its callers with every method of the
 same name.
 
-Likewise every class with annotated fields is a record: a `NamedTuple`,
-or a subclass of one whose `__new__` checks the fields, which no code in
-`src/defkit` builds around its constructor (`_make`, `_replace`) or reads
-through `vars`. Every annotated field of a `NamedTuple` class is read in
-`src/defkit`, as an attribute of any object or through `getattr`
-with a constant name, or is listed with the reason nothing reads it; and
-every name a module imports is loaded in that module, or is listed with
+Likewise every class with annotated fields is a record: a `NamedTuple`
+that no class subclasses and that defines no `__new__`, so it checks
+nothing, and that no code in `src/defkit` builds around its constructor
+(`_make`, `_replace`) or reads through `vars`. Every annotated field of a
+`NamedTuple` class is read in `src/defkit`, as an attribute of any object
+or through `getattr` with a constant name, or is listed with the reason
+nothing reads it; and every name a module imports is loaded in that module, or is listed with
 the reason it is not; and every exception class is told apart from the
 others somewhere, or is listed with the reason it is kept.
 """
@@ -115,15 +115,15 @@ ALLOWED_FIELDS = {
         "written whole, through `_asdict`, by `_jsontext.indented`",
     "stdc.CompressionResult.fit_score_after":
         "written whole, through `_asdict`, by `_jsontext.indented`",
-    "corpus._Demonstration.explanation": "a field of the task-file schema",
-    "scorer._ScoreRecord.example_fingerprint":
+    "corpus.Demonstration.explanation": "a field of the task-file schema",
+    "scorer.ScoreRecord.example_fingerprint":
         "written whole, through `_asdict`, by `ScoreCache.put`",
 }
 
 
 def _has_fields(node: ast.ClassDef) -> bool:
     """Whether the class is a `NamedTuple`, whose annotated names are its
-    fields; a validated record's fields are on its `NamedTuple` base."""
+    fields."""
     return any(isinstance(b, ast.Name) and b.id == "NamedTuple" for b in node.bases)
 
 
@@ -256,28 +256,42 @@ def test_every_allowed_exception_is_still_untold():
     assert [name for name in ALLOWED_EXCEPTIONS if name not in untold] == []
 
 
+def _classes() -> list[tuple[str, ast.ClassDef]]:
+    """(module.Class, node) of every class in src/defkit, nested ones included."""
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    return [
+        (name, node)
+        for module, tree in trees.items()
+        for name, node, _ in _definitions(tree, module)
+        if isinstance(node, ast.ClassDef)
+    ]
+
+
 def _records_of_another_kind() -> list[str]:
     """module.Class of each class with an annotated name in its body that is
-    not a `NamedTuple` and has none for a base, at any depth."""
-    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
-    classes = {}  # class name -> (module.Class, the names of its bases, whether it annotates)
-    for module, tree in trees.items():
-        for name, node, _ in _definitions(tree, module):
-            if isinstance(node, ast.ClassDef):
-                annotates = any(isinstance(stmt, ast.AnnAssign) for stmt in node.body)
-                classes[node.name] = (name, set().union(*map(_names, node.bases)), annotates)
-    records = {"NamedTuple"}
-    while new := {c for c, (_, bases, _) in classes.items() if bases & records} - records:
-        records |= new
+    not a `NamedTuple`."""
     return sorted(
-        name for c, (name, _, annotates) in classes.items() if annotates and c not in records
+        name for name, node in _classes()
+        if any(isinstance(stmt, ast.AnnAssign) for stmt in node.body) and not _has_fields(node)
+    )
+
+
+def _records_extended() -> list[str]:
+    """module.Class of each class with a record for a base, and of each
+    record that defines `__new__`."""
+    classes = _classes()
+    records = {node.name for _, node in classes if _has_fields(node)}
+    return sorted(
+        name for name, node in classes
+        if set().union(*map(_names, node.bases)) & records
+        or _has_fields(node) and any(getattr(s, "name", None) == "__new__" for s in node.body)
     )
 
 
 def _built_around_the_constructor() -> list[str]:
     """module:line of each call of `vars`, and each read of `_make` or
-    `_replace`: ways to read a record as another object, or to build a
-    validated record without the checks of its `__new__`."""
+    `_replace`: ways to read a record as another object, or to build one
+    other than by calling its class."""
     out = []
     for path in sorted(SRC.glob("*.py")):
         for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -291,3 +305,9 @@ def _built_around_the_constructor() -> list[str]:
 def test_every_record_is_a_named_tuple_built_by_its_constructor():
     assert _records_of_another_kind() == []
     assert _built_around_the_constructor() == []
+
+
+def test_no_record_is_subclassed_or_defines_new():
+    """A record is its fields: each check on them is made once, by the
+    reader that builds the record from outside input."""
+    assert _records_extended() == []
